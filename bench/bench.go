@@ -16,6 +16,7 @@ package bench
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/counters"
 	"repro/internal/network"
 	"repro/internal/parcel"
+	"repro/internal/runtime"
 	"repro/internal/stats"
 	"repro/internal/timer"
 )
@@ -190,6 +192,75 @@ func PortSend(b *testing.B) {
 			b.Fatal("expected one unit of background work")
 		}
 	}
+}
+
+// Modes of PortEnqueueWake.
+const (
+	// WakeNoHook is a bare port with no scheduler behind it: the cost of
+	// EnqueueMessage before the port signalled anyone.
+	WakeNoHook = "no-hook"
+	// WakeNoneParked is a runtime's port whose locality's only worker is
+	// busy in a task: the hook runs and finds nobody to wake, which is
+	// what a sender pays whenever the workers are keeping up.
+	WakeNoneParked = "hook/none-parked"
+	// WakeParked is the same port with its worker idle: enqueues find it
+	// parked (or still searching) and wake it, and it transmits the
+	// messages concurrently.
+	WakeParked = "hook/parked"
+)
+
+// PortEnqueueWake measures Port.EnqueueMessage, one single-parcel
+// message per iteration, in the three situations the Wake hook can meet.
+// The difference between WakeNoHook and WakeNoneParked is the hook's
+// price on a busy runtime: an indirect call and two atomic loads.
+func PortEnqueueWake(b *testing.B, mode string) {
+	var port *parcel.Port
+	switch mode {
+	case WakeNoHook:
+		port = newBenchPort()
+		defer port.Close()
+	case WakeNoneParked, WakeParked:
+		rt := runtime.New(runtime.Config{
+			Localities:         2,
+			WorkersPerLocality: 1,
+			Fabric:             &nullFabric{n: 2},
+			TaskOverhead:       -1,
+		})
+		defer rt.Shutdown()
+		port = rt.Locality(0).Port()
+		if mode == WakeNoneParked {
+			release, running := make(chan struct{}), make(chan struct{})
+			defer close(release)
+			rt.Locality(0).Spawn(func() { close(running); <-release })
+			<-running
+		}
+	default:
+		b.Fatalf("unknown mode %q", mode)
+	}
+	p := makeParcels(1, 1, 64)[0]
+	drain := func() {
+		for port.PendingOutbound() > 0 {
+			if mode == WakeParked {
+				goruntime.Gosched() // the locality's worker is transmitting
+			} else {
+				port.DoBackgroundWork(1024)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		port.EnqueueMessage(1, append(parcel.GetBatch(), p))
+		// Drained well inside the batch pool's 1024 slots, so GetBatch
+		// never has to allocate.
+		if port.PendingOutbound() >= 512 {
+			b.StopTimer()
+			drain()
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	drain()
 }
 
 // countingSink is an Enqueuer that recycles batches and counts parcels,

@@ -15,6 +15,12 @@ func BenchmarkDecodeBundleCopy(b *testing.B) { DecodeBundleCopy(b) }
 func BenchmarkPortEnqueue(b *testing.B)      { PortEnqueue(b) }
 func BenchmarkPortSend(b *testing.B)         { PortSend(b) }
 
+func BenchmarkPortEnqueueWake(b *testing.B) {
+	for _, mode := range []string{WakeNoHook, WakeNoneParked, WakeParked} {
+		b.Run(mode, func(b *testing.B) { PortEnqueueWake(b, mode) })
+	}
+}
+
 func BenchmarkCoalescerPut(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(CoalescerBenchName(false, workers), func(b *testing.B) {
@@ -40,6 +46,7 @@ func TestZeroAllocSendPath(t *testing.T) {
 		{"EncodeBundle", EncodeBundle},
 		{"DecodeBundle", DecodeBundle},
 		{"PortSend", PortSend},
+		{"PortEnqueueWake/" + WakeNoneParked, func(b *testing.B) { PortEnqueueWake(b, WakeNoneParked) }},
 	} {
 		r := testing.Benchmark(tc.fn)
 		if a := r.AllocsPerOp(); a != 0 {

@@ -154,6 +154,10 @@ type App struct {
 	mu      []sync.Mutex
 	tensors [][]complex128
 	applied []int64 // rotation rows folded in, per locality
+	// snap[l] is tensors[l] as it stood when the current rotation began:
+	// what locality l broadcasts. Senders read it, never the live tensor,
+	// which other localities' rows are being folded into while they send.
+	snap [][]complex128
 	// expectedPerIter[l] is how many rotation rows locality l receives
 	// per iteration, derived from the deterministic round-robin
 	// distribution; completion detection compares applied against the
@@ -172,6 +176,7 @@ func NewApp(rt *runtime.Runtime, cfg Config) *App {
 		mu:      make([]sync.Mutex, cfg.Localities),
 		tensors: make([][]complex128, cfg.Localities),
 		applied: make([]int64, cfg.Localities),
+		snap:    make([][]complex128, cfg.Localities),
 	}
 	n3 := cfg.Nc * cfg.Nc * cfg.Nc
 	for l := range a.tensors {
@@ -180,6 +185,7 @@ func NewApp(rt *runtime.Runtime, cfg Config) *App {
 			t[i] = complex(float64((l+1)*(i%97))/97, float64(i%13)/13)
 		}
 		a.tensors[l] = t
+		a.snap[l] = make([]complex128, n3)
 	}
 	a.expectedPerIter = make([]int64, cfg.Localities)
 	n := 8 * cfg.Nc * cfg.Nc
@@ -239,11 +245,16 @@ func (a *App) RotationParcelsPerLocality() int {
 // as the paper describes.
 func (a *App) runRotation() error {
 	L := a.cfg.Localities
-	// Cumulative targets before issuing any send of this iteration.
+	// Cumulative targets, and the tensors every locality will broadcast,
+	// both fixed before any send of this iteration: a row copied out of
+	// the live tensor mid-rotation would or would not include other
+	// localities' contributions depending on delivery timing, making the
+	// result a function of the coalescing parameters.
 	targets := make([]int64, L)
 	for l := 0; l < L; l++ {
 		a.mu[l].Lock()
 		targets[l] = a.applied[l] + a.expectedPerIter[l]
+		copy(a.snap[l], a.tensors[l])
 		a.mu[l].Unlock()
 	}
 	errCh := make(chan error, L)
@@ -251,16 +262,12 @@ func (a *App) runRotation() error {
 		go func(src int) {
 			loc := a.rt.Locality(src)
 			nParcels := a.RotationParcelsPerLocality()
-			row := make([]complex128, a.cfg.Nc)
 			for p := 0; p < nParcels; p++ {
 				dst := (src + 1 + p%(L-1)) % L
 				base := (p % (a.cfg.Nc * a.cfg.Nc)) * a.cfg.Nc
-				a.mu[src].Lock()
-				copy(row, a.tensors[src][base:base+a.cfg.Nc])
-				a.mu[src].Unlock()
 				w := serialization.NewWriter(16*a.cfg.Nc + 8)
 				w.Uvarint(uint64(p))
-				w.C128Slice(row)
+				w.C128Slice(a.snap[src][base : base+a.cfg.Nc])
 				if err := loc.Apply(dst, Action, w.Bytes()); err != nil {
 					errCh <- err
 					return

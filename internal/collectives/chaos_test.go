@@ -64,7 +64,12 @@ func TestChaosGatherExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rounds = 8
+	// Enough rounds that a data frame is dropped, and so retransmitted,
+	// in every run. Eight rounds lost only ACKs in one run in eight, and
+	// in three in ten once hops stopped costing a park tick each: ACKs
+	// that outlasted the 2 ms RTO had been adding spurious
+	// retransmissions.
+	const rounds = 64
 	for round := 0; round < rounds; round++ {
 		root := round % rt.Localities()
 		tag := string(rune('a' + round))

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -373,6 +374,79 @@ func TestTCPFabricLargePayload(t *testing.T) {
 	for i := 0; i < len(big); i += 4099 {
 		if c.msgs[0].payload[i] != big[i] {
 			t.Fatalf("payload corrupt at %d", i)
+		}
+	}
+}
+
+// TestTCPFabricFirstFrameExceedsSocketBuffers sends, as the first frame
+// on a fresh fabric, more bytes than the kernel will buffer for a
+// connection nobody reads (Linux caps the two socket buffers at about
+// 4 MiB + 6 MiB). The write can then finish only once the accept loop has
+// registered the connection and started its read loop, so it must not
+// hold the lock the accept loop needs: with the write under the
+// fabric-wide mutex this deadlocked, and Close behind it.
+func TestTCPFabricFirstFrameExceedsSocketBuffers(t *testing.T) {
+	f, err := NewTCPFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c := newCollector()
+	f.SetHandler(1, c.handler)
+	big := make([]byte, 16<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- f.Send(0, 1, big) }()
+	c.wait(t, 1, 5*time.Second)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	got := c.msgs[0].payload
+	if len(got) != len(big) {
+		t.Fatalf("payload len = %d, want %d", len(got), len(big))
+	}
+	for i := 0; i < len(big); i += 4099 {
+		if got[i] != big[i] {
+			t.Fatalf("payload corrupt at %d", i)
+		}
+	}
+}
+
+// TestTCPFabricConcurrentFirstSends has many senders race the first dial
+// of one link: every frame must arrive whole, whichever dial wins.
+func TestTCPFabricConcurrentFirstSends(t *testing.T) {
+	f, err := NewTCPFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c := newCollector()
+	f.SetHandler(1, c.handler)
+	const senders, each, size = 8, 50, 3000
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := f.Send(0, 1, bytes.Repeat([]byte{byte(s)}, size)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	c.wait(t, senders*each, 5*time.Second)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, m := range c.msgs {
+		if len(m.payload) != size || bytes.Count(m.payload, m.payload[:1]) != size {
+			t.Fatalf("frame %d interleaved or truncated (%d bytes)", i, len(m.payload))
 		}
 	}
 }

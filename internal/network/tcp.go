@@ -23,8 +23,11 @@ type TCPFabric struct {
 	listeners []net.Listener
 	handlers  []atomic.Pointer[Handler]
 
+	// mu guards the two maps and nothing else: no socket call is made
+	// under it, so a slow link cannot stall the others or the accept
+	// loops, which need it to register a connection before reading it.
 	mu       sync.Mutex
-	conns    map[linkKey]net.Conn
+	conns    map[linkKey]*tcpConn
 	accepted map[net.Conn]struct{}
 	closed   atomic.Bool
 	wg       sync.WaitGroup
@@ -39,6 +42,13 @@ type TCPFabric struct {
 	delays  atomic.Uint64
 }
 
+// tcpConn is one cached outbound connection. wmu serializes whole frames
+// on it, so concurrent senders on a link never interleave framing.
+type tcpConn struct {
+	net.Conn
+	wmu sync.Mutex
+}
+
 // NewTCPFabric creates a TCP fabric connecting n localities, each
 // listening on an ephemeral 127.0.0.1 port. Connections between pairs are
 // established lazily on first send.
@@ -47,7 +57,7 @@ func NewTCPFabric(n int) (*TCPFabric, error) {
 		n:         n,
 		listeners: make([]net.Listener, n),
 		handlers:  make([]atomic.Pointer[Handler], n),
-		conns:     make(map[linkKey]net.Conn),
+		conns:     make(map[linkKey]*tcpConn),
 		accepted:  make(map[net.Conn]struct{}),
 	}
 	for i := 0; i < n; i++ {
@@ -177,8 +187,8 @@ func (f *TCPFabric) SetFaultHook(h FaultHook) {
 }
 
 // Send implements Fabric. Writes on a given (src,dst) pair are serialized
-// by the fabric mutex, so framing is never interleaved. A dial or write
-// error evicts the cached connection (closing it) so the next Send
+// by the connection's write mutex, so framing is never interleaved. A
+// dial or write error evicts the cached connection (closing it) so the next Send
 // redials instead of failing forever on a dead socket; the message itself
 // is reported lost to the caller, which retains payload ownership —
 // redelivery is the reliability layer's job.
@@ -250,48 +260,66 @@ func (f *TCPFabric) writeFrame(src, dst int, payload []byte) error {
 	}
 	// Header and payload go out as one writev (net.Buffers) on the TCP
 	// connection: a single syscall per message with no copy of the
-	// payload into a combined frame buffer. The vectored write also
-	// keeps the framing atomic under the fabric mutex.
+	// payload into a combined frame buffer. The write may block on a full
+	// socket, so only this connection's mutex is held across it.
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
 	bufs := net.Buffers{hdr[:], payload}
 
-	f.mu.Lock()
-	_, err = bufs.WriteTo(conn)
+	conn.wmu.Lock()
+	_, err = bufs.WriteTo(conn.Conn)
+	conn.wmu.Unlock()
 	if err != nil {
 		// Evict the broken connection (only if it is still the cached
 		// one — a concurrent sender may have already redialed).
 		key := linkKey{src, dst}
+		f.mu.Lock()
 		if f.conns[key] == conn {
 			delete(f.conns, key)
 		}
+		f.mu.Unlock()
 		_ = conn.Close()
-	}
-	f.mu.Unlock()
-	if err != nil {
 		return fmt.Errorf("network: tcp send %d->%d: %w", src, dst, err)
 	}
 	return nil
 }
 
-func (f *TCPFabric) getConn(src, dst int) (net.Conn, error) {
+// getConn returns the cached connection for the link, dialing outside
+// the fabric mutex when there is none. Two senders that dial the same
+// link at once both succeed; the second to finish closes its connection
+// and uses the cached one.
+func (f *TCPFabric) getConn(src, dst int) (*tcpConn, error) {
 	key := linkKey{src, dst}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.conns[key]; ok {
+	c, ok := f.conns[key]
+	f.mu.Unlock()
+	if ok {
 		return c, nil
 	}
 	if f.closed.Load() {
 		return nil, ErrClosed
 	}
-	c, err := net.Dial("tcp", f.listeners[dst].Addr().String())
+	nc, err := net.Dial("tcp", f.listeners[dst].Addr().String())
 	if err != nil {
 		// Typed so layers above can classify a dead or not-yet-listening
 		// peer (transient, retryable) without string matching. No stale
 		// slot is left behind: the cache is only populated on success.
 		return nil, fmt.Errorf("%w: dial %d->%d: %v", ErrPeerUnreachable, src, dst, err)
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed.Load() {
+		// Close may already have swept the map; a connection cached now
+		// would never be closed.
+		_ = nc.Close()
+		return nil, ErrClosed
+	}
+	if c, ok := f.conns[key]; ok {
+		_ = nc.Close()
+		return c, nil
+	}
+	c = &tcpConn{Conn: nc}
 	f.conns[key] = c
 	return c, nil
 }

@@ -70,6 +70,14 @@ type Config struct {
 	RxQueueDepth int
 	// Trace optionally records message-level events; nil disables.
 	Trace *trace.Buffer
+	// Wake, when set, is called after every message queued for background
+	// work: outbound ones (direct parcels, handler batches, timer flushes)
+	// and inbound ones pushed by the fabric. The runtime points it at the
+	// locality scheduler, which wakes a parked worker to do the work. It
+	// runs on the queuing goroutine — a sending task, the coalescer's
+	// timer goroutine, the fabric's delivery goroutine — so it must be
+	// cheap and must never block.
+	Wake func()
 	// CopyDecode selects the copying decoder (DecodeBundle) for received
 	// messages instead of the default zero-allocation borrowing decode.
 	// Delivered parcels then own their memory and Release is a no-op.
@@ -111,6 +119,7 @@ type Port struct {
 	fabric     network.Fabric
 	resolve    Resolver
 	deliver    Deliver
+	wake       func()
 	copyDecode bool
 
 	handlersMu sync.RWMutex
@@ -121,7 +130,12 @@ type Port struct {
 	outPending atomic.Int64
 	sendCursor atomic.Uint32
 	rxCh       chan rxMessage
-	closed     atomic.Bool
+	// rxPending counts messages in rxCh. It is raised before the push and
+	// lowered after the pop, so it never under-reports: Pending needs an
+	// atomic it can order against the scheduler's parked-worker count,
+	// which len(rxCh) is not.
+	rxPending atomic.Int64
+	closed    atomic.Bool
 
 	// onMessage, when set, observes the source of every wire message as
 	// it arrives (on the fabric delivery goroutine, before queueing). The
@@ -179,6 +193,7 @@ func NewPort(cfg Config) *Port {
 		fabric:       cfg.Fabric,
 		resolve:      cfg.Resolve,
 		deliver:      cfg.Deliver,
+		wake:         cfg.Wake,
 		copyDecode:   cfg.CopyDecode,
 		handlers:     make(map[string]MessageHandler),
 		trc:          cfg.Trace,
@@ -332,19 +347,32 @@ func (p *Port) EnqueueParcel(dst int, pcl *Parcel) {
 	p.enqueue(outMessage{dst: dst, single: pcl})
 }
 
-// enqueue places one ready wire message on its destination's shard.
+// enqueue places one ready wire message on its destination's shard and
+// signals the scheduler that background work exists.
 func (p *Port) enqueue(m outMessage) {
 	s := &p.out[uint(m.dst)&(outShardCount-1)]
 	s.mu.Lock()
 	s.q.Push(m)
 	s.mu.Unlock()
 	p.outPending.Add(1)
+	if p.wake != nil {
+		p.wake()
+	}
 }
 
 // PendingOutbound returns the number of wire messages waiting for
 // background transmission.
 func (p *Port) PendingOutbound() int {
 	return int(p.outPending.Load())
+}
+
+// Pending reports whether DoBackgroundWork has anything to do: an
+// outbound message to transmit or a received one to decode. A worker
+// about to park calls it after publishing itself as parked; both counts
+// are raised before Wake runs, so either Wake sees the parked worker or
+// the worker sees the message.
+func (p *Port) Pending() bool {
+	return p.outPending.Load() > 0 || p.rxPending.Load() > 0
 }
 
 // onWireMessage runs on the fabric delivery goroutine: it must only
@@ -361,9 +389,14 @@ func (p *Port) onWireMessage(src int, payload []byte) {
 	if fn := p.onMessage.Load(); fn != nil {
 		(*fn)(src)
 	}
+	p.rxPending.Add(1)
 	select {
 	case p.rxCh <- rxMessage{src: src, payload: payload}:
+		if p.wake != nil {
+			p.wake()
+		}
 	default:
+		p.rxPending.Add(-1)
 		p.rxDropped.Inc()
 		network.PutPayload(payload)
 	}
@@ -489,6 +522,7 @@ func (p *Port) transmit(m outMessage) {
 func (p *Port) receiveOne() bool {
 	select {
 	case m := <-p.rxCh:
+		p.rxPending.Add(-1)
 		// Pay the modeled fixed per-message receive CPU cost here, on the
 		// worker doing background work.
 		timer.Spin(p.fabric.Model().RecvCPU(len(m.payload)))
@@ -567,7 +601,7 @@ func (p *Port) Drain(timeout time.Duration) bool {
 	idle := 0
 	for time.Now().Before(deadline) {
 		worked := p.DoBackgroundWork(64)
-		if worked == 0 && p.PendingOutbound() == 0 && len(p.rxCh) == 0 {
+		if worked == 0 && !p.Pending() {
 			return true
 		}
 		if worked == 0 {

@@ -75,6 +75,19 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 		// counters to aggregate.
 		return l
 	}
+	// The scheduler exists before the port so the port's Wake hook can be
+	// fixed at construction (the fabric may deliver from the moment
+	// NewPort installs its handler); the scheduler gets the port as its
+	// background-work source before any worker starts.
+	l.sched = newScheduler(schedConfig{
+		locality:     id,
+		workers:      rt.cfg.WorkersPerLocality,
+		queueSize:    rt.cfg.TaskQueueSize,
+		fallbackPark: rt.cfg.fallbackPark,
+		bgBatch:      rt.cfg.BackgroundBatch,
+		taskOverhead: rt.cfg.TaskOverhead,
+		registry:     l.registry,
+	}, nil)
 	l.port = parcel.NewPort(parcel.Config{
 		Locality:   id,
 		Fabric:     rt.fabric,
@@ -82,18 +95,10 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 		Deliver:    l.deliverParcel,
 		Registry:   l.registry,
 		Trace:      rt.cfg.Trace,
+		Wake:       l.sched.maybeWake,
 		CopyDecode: rt.cfg.CopyDecode,
 	})
-	l.sched = newScheduler(schedConfig{
-		locality:     id,
-		workers:      rt.cfg.WorkersPerLocality,
-		queueSize:    rt.cfg.TaskQueueSize,
-		idleSleep:    rt.cfg.IdleSleep,
-		maxIdleSleep: rt.cfg.MaxIdleSleep,
-		bgBatch:      rt.cfg.BackgroundBatch,
-		taskOverhead: rt.cfg.TaskOverhead,
-		registry:     l.registry,
-	}, l.port)
+	l.sched.bg = l.port
 	l.actionErrors = counters.NewRaw(counters.Path{
 		Object: "runtime", Instance: fmt.Sprintf("locality#%d", id), Name: "count/action-errors",
 	})

@@ -74,16 +74,6 @@ type Config struct {
 	// TaskQueueSize bounds each locality's runnable-task queue
 	// (default 65536).
 	TaskQueueSize int
-	// IdleSleep is the first park interval of an idle worker's backoff,
-	// reached after the spin and yield phases find neither tasks nor
-	// background work (default 20µs).
-	IdleSleep time.Duration
-	// MaxIdleSleep caps the idle backoff: park intervals double from
-	// IdleSleep up to this bound, which is also how often a fully idle
-	// worker polls for background network work (default 1ms). Parked
-	// workers are woken immediately by spawn, so task latency does not
-	// pay this interval.
-	MaxIdleSleep time.Duration
 	// BackgroundBatch is how many background work units a worker performs
 	// per idle visit (default 8).
 	BackgroundBatch int
@@ -118,6 +108,10 @@ type Config struct {
 	// monitor — and AGAS switches to static routing so GIDs allocated by
 	// other processes resolve to their encoded home locality.
 	Hosted []int
+
+	// fallbackPark overrides the schedulers' fallback park bound; tests
+	// stretch it to prove nothing waits on that timer.
+	fallbackPark time.Duration
 }
 
 func (c Config) withDefaults() Config {

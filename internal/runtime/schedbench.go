@@ -26,6 +26,12 @@ func (f BackgroundFunc) DoBackgroundWork(maxUnits int) int {
 	return f(maxUnits)
 }
 
+// Pending implements the scheduler's background-work source. A bare
+// function cannot say whether it has work, and it cannot wake a parked
+// worker either; see SchedBenchConfig.Background for what that demands
+// of the function.
+func (f BackgroundFunc) Pending() bool { return false }
+
 // SchedBenchConfig configures a benchmark scheduler instance.
 type SchedBenchConfig struct {
 	// Workers sizes the pool.
@@ -33,7 +39,13 @@ type SchedBenchConfig struct {
 	// TaskOverhead is the modeled per-task thread-management cost
 	// (0 disables, matching fine-grained empty-task benchmarks).
 	TaskOverhead time.Duration
-	// Background supplies background network work; nil means none.
+	// Background supplies background network work; nil means none. The
+	// function must have work on every call (return > 0 always), as the
+	// starvation benchmark's does: the scheduler no longer polls its
+	// source by timer, and a function — unlike the parcel port — can
+	// neither report pending work nor wake a parked worker, so work that
+	// appears while the pool is parked would wait for the next task or
+	// the 10 ms fallback park.
 	Background BackgroundFunc
 }
 

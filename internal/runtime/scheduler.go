@@ -18,9 +18,12 @@ type task struct {
 }
 
 // backgroundWorker is the slice of the parcel port the scheduler drives
-// when idle.
+// when idle. Pending reports whether DoBackgroundWork would find work; a
+// worker checks it once more after publishing itself as parked, which is
+// what lets the port wake workers instead of being polled (see park).
 type backgroundWorker interface {
 	DoBackgroundWork(maxUnits int) int
+	Pending() bool
 }
 
 // schedConfig configures a locality scheduler.
@@ -28,8 +31,7 @@ type schedConfig struct {
 	locality     int
 	workers      int
 	queueSize    int
-	idleSleep    time.Duration
-	maxIdleSleep time.Duration
+	fallbackPark time.Duration // 0 selects defaultFallbackPark; tests stretch it
 	bgBatch      int
 	taskOverhead time.Duration
 	registry     *counters.Registry
@@ -49,12 +51,16 @@ const (
 	// runnable, bounding network starvation under task floods (HPX
 	// schedulers likewise interleave periodic parcel-port maintenance).
 	bgCheckEvery = 64
-	// spinRounds and yieldRounds shape the idle backoff: an idle worker
+	// spinRounds and yieldRounds shape the idle path: an idle worker
 	// re-checks all queues spinRounds times, yields the processor
-	// yieldRounds times, and only then parks on its wake channel with a
-	// sleep that doubles from idleSleep up to maxIdleSleep.
+	// yieldRounds times, and only then parks on its wake channel.
 	spinRounds  = 4
 	yieldRounds = 4
+	// defaultFallbackPark bounds one park. Every source of work — spawn and the
+	// port's Wake hook — wakes a parked worker itself, so this timer is
+	// not how work is found: it is the safety net that turns a wake-up
+	// lost to a bug into a bounded stall, visible in count/park-timeouts.
+	defaultFallbackPark = 10 * time.Millisecond
 	// batchRun is how many uninstrumented tasks a worker runs
 	// back-to-back inside one timed span (see executeBatch): the clock
 	// reads and delta adds are paid once per span instead of once per
@@ -87,19 +93,21 @@ type worker struct {
 	// flushMu serializes flushers (the owner, stats() readers, stop) so
 	// each flushed batch pairs its task count with its duration sums
 	// consistently.
-	flushMu sync.Mutex
-	dTasks  atomic.Int64
-	dFunc   atomic.Int64 // Σ t_func of unflushed tasks, nanoseconds
-	dExec   atomic.Int64 // Σ t_exec of unflushed tasks, nanoseconds
-	dBg     atomic.Int64 // unflushed background-work time, nanoseconds
+	flushMu   sync.Mutex
+	dTasks    atomic.Int64
+	dFunc     atomic.Int64 // Σ t_func of unflushed tasks, nanoseconds
+	dExec     atomic.Int64 // Σ t_exec of unflushed tasks, nanoseconds
+	dBg       atomic.Int64 // unflushed background-work time, nanoseconds
+	dParks    atomic.Int64 // unflushed parks that blocked
+	dTimedOut atomic.Int64 // of those, ended by the fallback timer
 
 	// Owner-only backoff and flush cursors (no synchronization needed).
 	sinceFlush   int
 	sinceBgCheck int
 	searching    bool // owner-only: counted in scheduler.nSearching
 
-	// parkCh (capacity 1) wakes a parked worker when spawn enqueues
-	// work; parkTimer bounds a park so background work is still polled.
+	// parkCh (capacity 1) wakes a parked worker when a task is spawned
+	// or the port queues a message; parkTimer is the fallback bound.
 	parkCh    chan struct{}
 	parkTimer *time.Timer
 
@@ -131,11 +139,12 @@ type spawnHint struct {
 // drains its inject queue into a private deque and runs from that, and
 // a worker whose queues are empty steals the oldest half of a victim's
 // deque before falling back to background network work and finally to
-// an adaptive spin → yield → park backoff. Parked workers are woken by
-// spawn — but only when no other worker is already searching for work,
-// mirroring the Go runtime's spinning-M throttle — so empty-task
-// latency does not pay the park sleep and a steady spawn stream does
-// not pay a wake per task.
+// a spin → yield → park idle path. Parked workers are woken by spawn
+// and by the port whenever it queues a message in either direction — but
+// only when no other worker is already searching for work, mirroring the
+// Go runtime's spinning-M throttle — so neither a task nor a message
+// waits out a park, and a steady stream of either does not pay a wake
+// per item.
 //
 // It maintains the counters behind the paper's Section III metrics:
 //
@@ -145,6 +154,8 @@ type spawnHint struct {
 //	/threads{locality#i}/time/average-overhead   — (Σt_func-Σt_exec)/n_t (Eq. 2, µs)
 //	/threads{locality#i}/background-work         — Σ t_bg     (Eq. 3, seconds)
 //	/threads{locality#i}/background-overhead     — Σt_bg / (Σt_func+Σt_bg) (Eq. 4)
+//	/threads{locality#i}/count/parks             — parks that blocked
+//	/threads{locality#i}/count/park-timeouts     — parks ended by the fallback timer
 //
 // The accounting behind these counters is batched: workers accumulate
 // deltas privately and flush every flushEvery tasks, when going idle,
@@ -203,6 +214,8 @@ type scheduler struct {
 	cumExec     *counters.Elapsed
 	avgOverhead *counters.Average
 	bgWork      *counters.Elapsed
+	parks       *counters.Raw
+	parkTimeout *counters.Raw
 	bgOverhead  *counters.Derived
 	idleRate    *counters.Derived
 }
@@ -214,14 +227,8 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 	if cfg.queueSize <= 0 {
 		cfg.queueSize = 1 << 16
 	}
-	if cfg.idleSleep <= 0 {
-		cfg.idleSleep = 20 * time.Microsecond
-	}
-	if cfg.maxIdleSleep <= 0 {
-		cfg.maxIdleSleep = time.Millisecond
-	}
-	if cfg.maxIdleSleep < cfg.idleSleep {
-		cfg.maxIdleSleep = cfg.idleSleep
+	if cfg.fallbackPark <= 0 {
+		cfg.fallbackPark = defaultFallbackPark
 	}
 	if cfg.bgBatch <= 0 {
 		cfg.bgBatch = 8
@@ -243,6 +250,8 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 		cumExec:     counters.NewElapsed(path("time/cumulative-exec")),
 		avgOverhead: counters.NewAverage(path("time/average-overhead")),
 		bgWork:      counters.NewElapsed(path("background-work")),
+		parks:       counters.NewRaw(path("count/parks")),
+		parkTimeout: counters.NewRaw(path("count/park-timeouts")),
 	}
 	s.bgBatch.Store(int32(cfg.bgBatch))
 	s.hintPool.New = func() any {
@@ -306,6 +315,8 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 		cfg.registry.MustRegister(flushOnRead{s.cumExec, s})
 		cfg.registry.MustRegister(flushOnRead{s.avgOverhead, s})
 		cfg.registry.MustRegister(flushOnRead{s.bgWork, s})
+		cfg.registry.MustRegister(flushOnRead{s.parks, s})
+		cfg.registry.MustRegister(flushOnRead{s.parkTimeout, s})
 		cfg.registry.MustRegister(s.bgOverhead)
 		cfg.registry.MustRegister(s.idleRate)
 	}
@@ -403,11 +414,13 @@ func (s *scheduler) spawnTo(i int, fn func()) bool {
 	return true
 }
 
-// maybeWake wakes one parked worker after an enqueue, unless some
-// worker is already searching for work (it will find the new task
+// maybeWake wakes one parked worker after an enqueue — of a task by
+// spawn, or of a message by the port, whose Wake hook this is — unless
+// some worker is already searching for work (it will find the new item
 // without a wakeup — the analog of the Go runtime's "don't wake a P
-// while an M is spinning" rule, which keeps a steady spawn stream from
-// paying a park/wake handshake per task).
+// while an M is spinning" rule, which keeps a steady stream from paying
+// a park/wake handshake per item). With nobody parked it costs two
+// atomic loads.
 func (s *scheduler) maybeWake() {
 	if s.nSearching.Load() == 0 && s.nParked.Load() > 0 {
 		s.wakeOne()
@@ -441,25 +454,36 @@ func (s *scheduler) spawned() int64 {
 }
 
 // run is the worker loop: local work, then stolen work, then background
-// network work, then adaptive backoff. The worker marks itself
+// network work, then spin, yield and park. The worker marks itself
 // "searching" while it hunts for work so spawn can skip the wake path,
 // and hands the search off to a parked peer whenever it pulls a batch
-// larger than the single task it is about to run.
+// larger than the single task it is about to run, or leaves the search
+// with port work still queued.
 func (s *scheduler) run(w *worker) {
 	defer s.wg.Done()
 	idle := 0
 	for {
 		if t, more, ok := s.findTask(w); ok {
 			idle = 0
-			if w.searching {
+			wasSearching := w.searching
+			if wasSearching {
 				w.searching = false
 				s.nSearching.Add(-1)
 			}
-			if more {
-				// The find left runnable work behind (in this worker's
-				// own deque); wake a parked peer to come steal it so a
-				// burst injected while the pool slept fans out instead
-				// of draining serially through one worker.
+			// Wake a parked peer when the find left runnable work behind
+			// in this worker's own deque (so a burst injected while the
+			// pool slept fans out instead of draining serially), and when
+			// a search ends with port work still queued: the port skipped
+			// its wake on the promise that this worker would reach the
+			// message, and the task it is leaving to run may block (the
+			// Go runtime's resetspinning). Only that transition pays the
+			// look, three atomic loads, and only while a peer is parked.
+			// Tasks on other workers' queues are not looked for — that
+			// costs a lock per worker on every wake from idle (+13 % on
+			// the 4-worker empty-task latency). One behind a skipped wake
+			// waits for this worker's next search: as long as the task
+			// runs, and at most until the peer's fallback park ends.
+			if more || wasSearching && s.nParked.Load() > 0 && s.bg.Pending() {
 				s.maybeWake()
 			}
 			s.executeBatch(w, t, more)
@@ -491,12 +515,7 @@ func (s *scheduler) run(w *worker) {
 			goruntime.Gosched()
 		default:
 			s.flushWorker(w) // publish accounting before a long idle
-			shift := idle - spinRounds - yieldRounds - 1
-			sleep := s.cfg.idleSleep << shift
-			if sleep > s.cfg.maxIdleSleep || sleep <= 0 {
-				sleep = s.cfg.maxIdleSleep
-			}
-			s.park(w, sleep)
+			s.park(w)
 		}
 	}
 }
@@ -600,15 +619,19 @@ func (s *scheduler) doBackground(w *worker) bool {
 	return false
 }
 
-// park blocks the worker until spawn wakes it, the scheduler stops, or
-// sleep elapses (so background work is still polled while parked). The
-// worker re-checks for work after publishing its parked state, closing
-// the race with a spawner that enqueued before seeing it parked.
-func (s *scheduler) park(w *worker, sleep time.Duration) {
+// park blocks the worker until maybeWake wakes it, the scheduler stops,
+// or the fallback timer fires. No wake-up can be lost: a producer first
+// makes its item visible (task in an inject queue, message counted by
+// the port) and then loads nSearching and nParked; the worker first
+// leaves nSearching and publishes itself in nParked and then re-checks
+// every queue and the port. All of these are sequentially consistent, so
+// either the producer sees the worker parked and wakes it, or the
+// worker's re-check sees the item.
+func (s *scheduler) park(w *worker) {
 	// Stop counting as a searcher before the final work re-check: from
-	// here on, a spawner that finds nSearching at zero takes the wake
-	// path, and a spawner that observed this worker still searching must
-	// have enqueued early enough for haveWork below to see the task.
+	// here on, a producer that finds nSearching at zero takes the wake
+	// path, and a producer that observed this worker still searching must
+	// have enqueued early enough for the re-check below to see the item.
 	if w.searching {
 		w.searching = false
 		s.nSearching.Add(-1)
@@ -618,18 +641,20 @@ func (s *scheduler) park(w *worker, sleep time.Duration) {
 	s.nParked.Store(int32(len(s.parked)))
 	s.parkMu.Unlock()
 
-	if s.stopping.Load() || s.haveWork(w) {
+	if s.stopping.Load() || s.haveWork() || s.bg.Pending() {
 		s.unpark(w)
 		return
 	}
+	w.dParks.Add(1)
 	if w.parkTimer == nil {
-		w.parkTimer = time.NewTimer(sleep)
+		w.parkTimer = time.NewTimer(s.cfg.fallbackPark)
 	} else {
-		w.parkTimer.Reset(sleep)
+		w.parkTimer.Reset(s.cfg.fallbackPark)
 	}
 	select {
 	case <-w.parkCh:
 	case <-w.parkTimer.C:
+		w.dTimedOut.Add(1)
 	case <-s.quit:
 	}
 	if !w.parkTimer.Stop() {
@@ -660,7 +685,7 @@ func (s *scheduler) unpark(w *worker) {
 }
 
 // haveWork reports whether any queue holds a runnable task.
-func (s *scheduler) haveWork(w *worker) bool {
+func (s *scheduler) haveWork() bool {
 	for _, v := range s.workers {
 		v.mu.Lock()
 		n := v.dq.Len()
@@ -814,7 +839,15 @@ func (s *scheduler) flushWorker(w *worker) {
 	fn := w.dFunc.Swap(0)
 	ex := w.dExec.Swap(0)
 	bg := w.dBg.Swap(0)
+	parks := w.dParks.Swap(0)
+	timedOut := w.dTimedOut.Swap(0)
 	w.flushMu.Unlock()
+	if parks > 0 {
+		s.parks.Add(parks)
+	}
+	if timedOut > 0 {
+		s.parkTimeout.Add(timedOut)
+	}
 	if tasks == 0 && fn == 0 && ex == 0 && bg == 0 {
 		return
 	}

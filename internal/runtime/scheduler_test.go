@@ -33,6 +33,8 @@ func (f *fakeBg) DoBackgroundWork(maxUnits int) int {
 	return n
 }
 
+func (f *fakeBg) Pending() bool { return f.units.Load() > 0 }
+
 // waitTasks polls stats() until the task counter reaches n (tasks count
 // as completed once their instrumentation epilogue finishes, a few µs
 // after the task body returns) and returns the last snapshot.

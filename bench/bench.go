@@ -207,19 +207,24 @@ const (
 	// parked (or still searching) and wake it, and it transmits the
 	// messages concurrently.
 	WakeParked = "hook/parked"
+	// IdleProbeNoneQueued is not an enqueue: it is what a worker running
+	// dry pays to ask the port's two coalescers (action and response) for
+	// partial batches when they hold none — one atomic load each.
+	IdleProbeNoneQueued = "idle-probe/none-queued"
 )
 
 // PortEnqueueWake measures Port.EnqueueMessage, one single-parcel
 // message per iteration, in the three situations the Wake hook can meet.
 // The difference between WakeNoHook and WakeNoneParked is the hook's
 // price on a busy runtime: an indirect call and two atomic loads.
+// IdleProbeNoneQueued measures Port.FlushIdle instead.
 func PortEnqueueWake(b *testing.B, mode string) {
 	var port *parcel.Port
 	switch mode {
 	case WakeNoHook:
 		port = newBenchPort()
 		defer port.Close()
-	case WakeNoneParked, WakeParked:
+	case WakeNoneParked, WakeParked, IdleProbeNoneQueued:
 		rt := runtime.New(runtime.Config{
 			Localities:         2,
 			WorkersPerLocality: 1,
@@ -233,6 +238,17 @@ func PortEnqueueWake(b *testing.B, mode string) {
 			defer close(release)
 			rt.Locality(0).Spawn(func() { close(running); <-release })
 			<-running
+		}
+		if mode == IdleProbeNoneQueued {
+			if err := rt.EnableCoalescing("bench-action", coalescing.Params{NParcels: 16, Interval: time.Second}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				port.FlushIdle()
+			}
+			return
 		}
 	default:
 		b.Fatalf("unknown mode %q", mode)

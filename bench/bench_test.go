@@ -16,7 +16,7 @@ func BenchmarkPortEnqueue(b *testing.B)      { PortEnqueue(b) }
 func BenchmarkPortSend(b *testing.B)         { PortSend(b) }
 
 func BenchmarkPortEnqueueWake(b *testing.B) {
-	for _, mode := range []string{WakeNoHook, WakeNoneParked, WakeParked} {
+	for _, mode := range []string{WakeNoHook, WakeNoneParked, WakeParked, IdleProbeNoneQueued} {
 		b.Run(mode, func(b *testing.B) { PortEnqueueWake(b, mode) })
 	}
 }
@@ -47,6 +47,7 @@ func TestZeroAllocSendPath(t *testing.T) {
 		{"DecodeBundle", DecodeBundle},
 		{"PortSend", PortSend},
 		{"PortEnqueueWake/" + WakeNoneParked, func(b *testing.B) { PortEnqueueWake(b, WakeNoneParked) }},
+		{"PortEnqueueWake/" + IdleProbeNoneQueued, func(b *testing.B) { PortEnqueueWake(b, IdleProbeNoneQueued) }},
 	} {
 		r := testing.Benchmark(tc.fn)
 		if a := r.AllocsPerOp(); a != 0 {

@@ -183,6 +183,10 @@ type Coalescer struct {
 
 	shards [shardCount]shard
 
+	// nonEmpty counts destination queues holding parcels, so FlushIdle is
+	// one load when nothing is queued; it changes once per batch.
+	nonEmpty atomic.Int32
+
 	// The five counters the paper added to HPX.
 	parcels     *counters.Raw              // /coalescing/count/parcels@action
 	messages    *counters.Raw              // /coalescing/count/messages@action
@@ -201,15 +205,20 @@ type DestStats struct {
 	// Queued counts parcels that entered the destination queue (the
 	// remainder were bypassed or passed through uncoalesced).
 	Queued int64
-	// FlushedFull, FlushedTimer and FlushedBytes count emitted batches
-	// by cause: queue reached NParcels, wait timer expired, or the
-	// MaxBufferBytes guard tripped. Explicit flushes (Flush, Close,
-	// link-down FlushDest) are not attributed to a cause.
+	// FlushedFull, FlushedTimer, FlushedBytes and FlushedIdle count
+	// emitted batches by cause: queue reached NParcels, wait timer expired,
+	// the MaxBufferBytes guard tripped, or the sending locality ran out of
+	// work. Explicit flushes (Flush, Close, link-down FlushDest) are not
+	// attributed to a cause.
 	FlushedFull  int64
 	FlushedTimer int64
 	FlushedBytes int64
-	// Bypass counts parcels sent immediately by the sparse-traffic rule.
+	FlushedIdle  int64
+	// Bypass counts parcels sent immediately by the sparse-traffic rule,
+	// Direct those sent immediately because NParcels <= 1 was in force:
+	// Parcels == Queued + Bypass + Direct at every instant.
 	Bypass int64
+	Direct int64
 	// ArrivalCount and ArrivalSumUS accumulate this destination's
 	// arrival gaps (µs), the per-destination analog of the
 	// average-parcel-arrival counter.
@@ -387,7 +396,7 @@ func (c *Coalescer) applyDest(dst int, p Params) {
 				} else {
 					q.stats.FlushedFull++
 				}
-				ready = q.take()
+				ready = c.take(q)
 			}
 		case len(q.parcels) > 0:
 			_ = q.flushTmr.Reset(p.Interval)
@@ -422,7 +431,7 @@ func (c *Coalescer) SetParams(p Params) {
 					} else {
 						q.stats.FlushedFull++
 					}
-					ready = append(ready, q.take())
+					ready = append(ready, c.take(q))
 				}
 			case len(q.parcels) > 0:
 				_ = q.flushTmr.Reset(eff.Interval)
@@ -499,6 +508,8 @@ func (c *Coalescer) Put(p *parcel.Parcel) {
 	if params.NParcels <= 1 || bypass {
 		if bypass {
 			q.stats.Bypass++
+		} else {
+			q.stats.Direct++
 		}
 		sh.mu.Unlock()
 		c.emitParcel(p.DestLocality, p)
@@ -511,18 +522,21 @@ func (c *Coalescer) Put(p *parcel.Parcel) {
 	q.parcels = append(q.parcels, p)
 	q.bytes += p.WireSize()
 	q.stats.Queued++
+	if len(q.parcels) == 1 {
+		c.nonEmpty.Add(1)
+	}
 
 	switch {
 	case len(q.parcels) >= params.NParcels:
 		// Queue full: stop the timer and flush.
 		q.flushTmr.Stop()
 		q.stats.FlushedFull++
-		ready = q.take()
+		ready = c.take(q)
 	case q.bytes >= params.MaxBufferBytes:
 		// Buffer guard tripped before the queue filled.
 		q.flushTmr.Stop()
 		q.stats.FlushedBytes++
-		ready = q.take()
+		ready = c.take(q)
 	case len(q.parcels) == 1:
 		// First parcel: start the flush timer.
 		_ = q.flushTmr.Start(params.Interval)
@@ -531,11 +545,13 @@ func (c *Coalescer) Put(p *parcel.Parcel) {
 	c.emitOne(ready)
 }
 
-// take removes and returns q's batch; the caller holds the shard lock.
-func (q *destQueue) take() outBatch {
+// take removes and returns q's batch, which is not empty; the caller
+// holds the shard lock.
+func (c *Coalescer) take(q *destQueue) outBatch {
 	b := outBatch{dst: q.dst, parcels: q.parcels}
 	q.parcels = nil
 	q.bytes = 0
+	c.nonEmpty.Add(-1)
 	return b
 }
 
@@ -611,7 +627,7 @@ func (c *Coalescer) FlushDest(dst int) {
 	var ready outBatch
 	if q != nil && len(q.parcels) > 0 {
 		q.flushTmr.Stop()
-		ready = q.take()
+		ready = c.take(q)
 	}
 	sh.mu.Unlock()
 	c.emitOne(ready)
@@ -625,10 +641,39 @@ func (c *Coalescer) flushDest(dst int) {
 	var ready outBatch
 	if q != nil && len(q.parcels) > 0 {
 		q.stats.FlushedTimer++
-		ready = q.take()
+		ready = c.take(q)
 	}
 	sh.mu.Unlock()
 	c.emitOne(ready)
+}
+
+// FlushIdle implements parcel.IdleFlusher: the sending locality has run
+// out of tasks and port work, so nothing inside it will add to a queue
+// until a message arrives, and the peer that would send one may be
+// waiting for these parcels. Every non-empty queue is emitted now and its
+// timer stopped. With nothing queued it is one atomic load.
+func (c *Coalescer) FlushIdle() {
+	if c.nonEmpty.Load() != 0 {
+		c.flushIdle()
+	}
+}
+
+// flushIdle is FlushIdle's slow path, apart so the probe needs no frame.
+func (c *Coalescer) flushIdle() {
+	ready := make([]outBatch, 0, 8) // does not escape: no allocation
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for _, q := range sh.queues {
+			if len(q.parcels) > 0 {
+				q.flushTmr.Stop()
+				q.stats.FlushedIdle++
+				ready = append(ready, c.take(q))
+			}
+		}
+		sh.mu.Unlock()
+	}
+	c.emit(ready)
 }
 
 // Flush implements parcel.MessageHandler: it sends every queued parcel
@@ -641,7 +686,7 @@ func (c *Coalescer) Flush() {
 		for _, q := range sh.queues {
 			q.flushTmr.Stop()
 			if len(q.parcels) > 0 {
-				ready = append(ready, q.take())
+				ready = append(ready, c.take(q))
 			}
 		}
 		c.flushArrivalLocked(sh)
@@ -661,7 +706,7 @@ func (c *Coalescer) Close() {
 		for _, q := range sh.queues {
 			q.flushTmr.Stop()
 			if len(q.parcels) > 0 {
-				ready = append(ready, q.take())
+				ready = append(ready, c.take(q))
 			}
 		}
 		sh.queues = make(map[int]*destQueue)

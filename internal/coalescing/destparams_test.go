@@ -205,11 +205,11 @@ func TestRaceSetDestParamsPutFlush(t *testing.T) {
 
 	// Per-dest stats conserve (snapshot before Close resets the queue
 	// maps): parcels put equal the sum over dests, and every parcel was
-	// either queued or bypassed.
+	// queued, bypassed, or sent directly under NParcels <= 1.
 	var parcels, handled int64
 	for _, st := range c.AllDestStats() {
 		parcels += st.Parcels
-		handled += st.Queued + st.Bypass
+		handled += st.Queued + st.Bypass + st.Direct
 	}
 	if parcels != workers*per || handled != workers*per {
 		t.Errorf("stats conservation: parcels=%d handled=%d want %d", parcels, handled, workers*per)

@@ -41,6 +41,15 @@ type DestFlusher interface {
 	FlushDest(dst int)
 }
 
+// IdleFlusher is optionally implemented by message handlers (the
+// coalescer) that hold parcels back waiting for more. The port calls it,
+// on a scheduler worker, when its locality has run out of work: what the
+// handler holds goes out now instead of waiting for a flush timer. With
+// nothing held it must cost no more than an atomic load.
+type IdleFlusher interface {
+	FlushIdle()
+}
+
 // Resolver maps a GID to its hosting locality (the AGAS lookup).
 type Resolver func(agas.GID) (int, error)
 
@@ -124,16 +133,23 @@ type Port struct {
 
 	handlersMu sync.RWMutex
 	handlers   map[string]MessageHandler
+	// idleFlushers is the subset of handlers implementing IdleFlusher,
+	// republished under handlersMu so FlushIdle reads it without a lock.
+	idleFlushers atomic.Pointer[[]IdleFlusher]
 
 	trc        *trace.Buffer
 	out        [outShardCount]outShard
 	outPending atomic.Int64
 	sendCursor atomic.Uint32
-	rxCh       chan rxMessage
-	// rxPending counts messages in rxCh. It is raised before the push and
+	// rxQ holds undecoded incoming messages, at most rxDepth; it grows on
+	// demand, so a port does not pay for its bound up front.
+	rxMu    sync.Mutex
+	rxQ     ring.Buffer[rxMessage]
+	rxDepth int
+	// rxPending counts messages in rxQ. It is raised before the push and
 	// lowered after the pop, so it never under-reports: Pending needs an
-	// atomic it can order against the scheduler's parked-worker count,
-	// which len(rxCh) is not.
+	// atomic it can order against the scheduler's parked-worker count
+	// without taking rxMu.
 	rxPending atomic.Int64
 	closed    atomic.Bool
 
@@ -197,7 +213,7 @@ func NewPort(cfg Config) *Port {
 		copyDecode:   cfg.CopyDecode,
 		handlers:     make(map[string]MessageHandler),
 		trc:          cfg.Trace,
-		rxCh:         make(chan rxMessage, depth),
+		rxDepth:      depth,
 		lastSend:     make([]atomic.Int64, cfg.Fabric.Localities()),
 		downDst:      make([]atomic.Bool, cfg.Fabric.Localities()),
 		parcelsSent:  mk("parcels", "count/sent"),
@@ -292,9 +308,33 @@ func (p *Port) SetMessageHandler(action string, h MessageHandler) {
 	} else {
 		p.handlers[action] = h
 	}
+	p.setIdleFlushersLocked()
 	p.handlersMu.Unlock()
 	if old != nil {
 		old.Close()
+	}
+}
+
+// setIdleFlushersLocked republishes the idle-flushable subset of
+// p.handlers; the caller holds handlersMu.
+func (p *Port) setIdleFlushersLocked() {
+	var fs []IdleFlusher
+	for _, h := range p.handlers {
+		if f, ok := h.(IdleFlusher); ok {
+			fs = append(fs, f)
+		}
+	}
+	p.idleFlushers.Store(&fs)
+}
+
+// FlushIdle tells the handlers that hold parcels back that this locality
+// has run out of work (see IdleFlusher); what they enqueue in response is
+// transmitted by DoBackgroundWork like any other message.
+func (p *Port) FlushIdle() {
+	if fs := p.idleFlushers.Load(); fs != nil {
+		for _, f := range *fs {
+			f.FlushIdle()
+		}
 	}
 }
 
@@ -390,15 +430,19 @@ func (p *Port) onWireMessage(src int, payload []byte) {
 		(*fn)(src)
 	}
 	p.rxPending.Add(1)
-	select {
-	case p.rxCh <- rxMessage{src: src, payload: payload}:
-		if p.wake != nil {
-			p.wake()
-		}
-	default:
+	p.rxMu.Lock()
+	full := p.rxQ.Len() >= p.rxDepth
+	if !full {
+		p.rxQ.Push(rxMessage{src: src, payload: payload})
+	}
+	p.rxMu.Unlock()
+	switch {
+	case full:
 		p.rxPending.Add(-1)
 		p.rxDropped.Inc()
 		network.PutPayload(payload)
+	case p.wake != nil:
+		p.wake()
 	}
 }
 
@@ -520,45 +564,49 @@ func (p *Port) transmit(m outMessage) {
 // parcels outlive it). With CopyDecode the port is itself the explicit
 // release point, recycling the payload right after the copying decode.
 func (p *Port) receiveOne() bool {
-	select {
-	case m := <-p.rxCh:
-		p.rxPending.Add(-1)
-		// Pay the modeled fixed per-message receive CPU cost here, on the
-		// worker doing background work.
-		timer.Spin(p.fabric.Model().RecvCPU(len(m.payload)))
-		nbytes := len(m.payload)
-		var parcels []*Parcel
-		var err error
-		if p.copyDecode {
-			parcels, err = DecodeBundle(m.payload)
-			network.PutPayload(m.payload)
-		} else {
-			parcels, err = DecodeBundleBorrowed(m.payload)
-			if err != nil {
-				// On error the decoder leaves payload ownership with the
-				// caller; recycle it here.
-				network.PutPayload(m.payload)
-			}
-		}
-		if err != nil {
-			p.decodeErrors.Inc()
-			return true
-		}
-		p.messagesRcvd.Inc()
-		p.bytesRecvd.Add(int64(nbytes))
-		p.parcelsRecvd.Add(int64(len(parcels)))
-		p.trc.Record(trace.Event{
-			Kind: trace.KindMessage, Name: "recv", Locality: p.locality,
-			Start: time.Now(), Arg: int64(nbytes),
-		})
-		for _, pcl := range parcels {
-			p.deliver(pcl)
-		}
-		PutBatch(parcels)
-		return true
-	default:
+	if p.rxPending.Load() == 0 {
 		return false
 	}
+	p.rxMu.Lock()
+	m, ok := p.rxQ.Pop()
+	p.rxMu.Unlock()
+	if !ok {
+		return false
+	}
+	p.rxPending.Add(-1)
+	// Pay the modeled fixed per-message receive CPU cost here, on the
+	// worker doing background work.
+	timer.Spin(p.fabric.Model().RecvCPU(len(m.payload)))
+	nbytes := len(m.payload)
+	var parcels []*Parcel
+	var err error
+	if p.copyDecode {
+		parcels, err = DecodeBundle(m.payload)
+		network.PutPayload(m.payload)
+	} else {
+		parcels, err = DecodeBundleBorrowed(m.payload)
+		if err != nil {
+			// On error the decoder leaves payload ownership with the
+			// caller; recycle it here.
+			network.PutPayload(m.payload)
+		}
+	}
+	if err != nil {
+		p.decodeErrors.Inc()
+		return true
+	}
+	p.messagesRcvd.Inc()
+	p.bytesRecvd.Add(int64(nbytes))
+	p.parcelsRecvd.Add(int64(len(parcels)))
+	p.trc.Record(trace.Event{
+		Kind: trace.KindMessage, Name: "recv", Locality: p.locality,
+		Start: time.Now(), Arg: int64(nbytes),
+	})
+	for _, pcl := range parcels {
+		p.deliver(pcl)
+	}
+	PutBatch(parcels)
+	return true
 }
 
 // flushDest asks every handler that supports per-destination flushing to
@@ -653,6 +701,7 @@ func (p *Port) Close() {
 	p.handlersMu.Lock()
 	hs := p.handlers
 	p.handlers = make(map[string]MessageHandler)
+	p.setIdleFlushersLocked()
 	p.handlersMu.Unlock()
 	for _, h := range hs {
 		h.Close()

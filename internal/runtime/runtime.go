@@ -380,7 +380,9 @@ func (rt *Runtime) registerDestCounters(l *Locality, action string, c *coalescin
 			{"flushed-full", func(s coalescing.DestStats) float64 { return float64(s.FlushedFull) }},
 			{"flushed-timer", func(s coalescing.DestStats) float64 { return float64(s.FlushedTimer) }},
 			{"flushed-bytes", func(s coalescing.DestStats) float64 { return float64(s.FlushedBytes) }},
+			{"flushed-idle", func(s coalescing.DestStats) float64 { return float64(s.FlushedIdle) }},
 			{"bypass", func(s coalescing.DestStats) float64 { return float64(s.Bypass) }},
+			{"direct", func(s coalescing.DestStats) float64 { return float64(s.Direct) }},
 		} {
 			read := f.read
 			l.registry.MustRegister(counters.NewDerived(counters.Path{

@@ -32,6 +32,10 @@ func (f BackgroundFunc) DoBackgroundWork(maxUnits int) int {
 // of the function.
 func (f BackgroundFunc) Pending() bool { return false }
 
+// FlushIdle implements the scheduler's background-work source: a bare
+// function holds nothing back.
+func (f BackgroundFunc) FlushIdle() {}
+
 // SchedBenchConfig configures a benchmark scheduler instance.
 type SchedBenchConfig struct {
 	// Workers sizes the pool.

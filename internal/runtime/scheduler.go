@@ -21,9 +21,12 @@ type task struct {
 // when idle. Pending reports whether DoBackgroundWork would find work; a
 // worker checks it once more after publishing itself as parked, which is
 // what lets the port wake workers instead of being polled (see park).
+// FlushIdle is the quiescence hook: the source turns what it holds back
+// (partial coalescing batches) into work for DoBackgroundWork.
 type backgroundWorker interface {
 	DoBackgroundWork(maxUnits int) int
 	Pending() bool
+	FlushIdle()
 }
 
 // schedConfig configures a locality scheduler.
@@ -61,6 +64,9 @@ const (
 	// not how work is found: it is the safety net that turns a wake-up
 	// lost to a bug into a bounded stall, visible in count/park-timeouts.
 	defaultFallbackPark = 10 * time.Millisecond
+	// initialRing is the starting capacity of a worker's deque and inject
+	// queue; sized for the whole soft cap they cost 2 MiB a worker to zero.
+	initialRing = 1 << 10
 	// batchRun is how many uninstrumented tasks a worker runs
 	// back-to-back inside one timed span (see executeBatch): the clock
 	// reads and delta adds are paid once per span instead of once per
@@ -105,6 +111,7 @@ type worker struct {
 	sinceFlush   int
 	sinceBgCheck int
 	searching    bool // owner-only: counted in scheduler.nSearching
+	busy         bool // owner-only: counted in scheduler.nBusy
 
 	// parkCh (capacity 1) wakes a parked worker when a task is spawned
 	// or the port queues a message; parkTimer is the fallback bound.
@@ -201,6 +208,12 @@ type scheduler struct {
 	nParked    atomic.Int32
 	nSearching atomic.Int32
 
+	// nBusy counts workers that have run a task since they last ran dry
+	// (found no task and no port work). The worker that takes it to zero
+	// performs the quiescence flush; one running or blocked inside a task
+	// keeps it above zero, so its batches are not cut short by idle peers.
+	nBusy atomic.Int32
+
 	// base anchors monotonic time for task instrumentation:
 	// time.Since(base) reads only the monotonic clock, which is cheaper
 	// than time.Now's wall+monotonic pair and is taken twice per task.
@@ -257,10 +270,9 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 	s.hintPool.New = func() any {
 		return &spawnHint{idx: (s.hintSeq.Add(1) - 1) % uint32(cfg.workers)}
 	}
-	// The per-worker queues grow on demand; size them so a queueSize
-	// burst spread across the pool fits without reallocation, and apply
-	// soft backpressure past that point so the rings stay at their
-	// initial size in steady state.
+	// The per-worker queues start small and grow on demand; soft
+	// backpressure past a queueSize burst spread across the pool keeps
+	// them from growing without bound.
 	perWorker := cfg.queueSize / cfg.workers
 	if perWorker < 16 {
 		perWorker = 16
@@ -269,8 +281,8 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 	s.workers = make([]*worker, cfg.workers)
 	for i := range s.workers {
 		w := &worker{id: i, parkCh: make(chan struct{}, 1)}
-		w.dq = *ring.New[task](perWorker)
-		w.inj = *ring.New[task](perWorker)
+		w.dq = *ring.New[task](min(perWorker, initialRing))
+		w.inj = *ring.New[task](min(perWorker, initialRing))
 		s.workers[i] = w
 	}
 	s.bgOverhead = counters.NewDerived(path("background-overhead"), func() float64 {
@@ -470,6 +482,10 @@ func (s *scheduler) run(w *worker) {
 				w.searching = false
 				s.nSearching.Add(-1)
 			}
+			if !w.busy {
+				w.busy = true
+				s.nBusy.Add(1)
+			}
 			// Wake a parked peer when the find left runnable work behind
 			// in this worker's own deque (so a burst injected while the
 			// pool slept fans out instead of draining serially), and when
@@ -503,7 +519,7 @@ func (s *scheduler) run(w *worker) {
 		}
 		// No runnable task anywhere: perform network background work;
 		// if the network is also idle, back off.
-		if s.doBackground(w) {
+		if s.doBackground(w, true) {
 			idle = 0
 			continue
 		}
@@ -610,9 +626,27 @@ func (s *scheduler) backgroundBatch() int { return int(s.bgBatch.Load()) }
 
 // doBackground runs one background-work batch, charging the time to the
 // worker's private accounting; it reports whether any work was done.
-func (s *scheduler) doBackground(w *worker) bool {
+//
+// outOfTasks is set on the idle path only. A worker that then finds no
+// port work either has run dry, and the one that takes nBusy to zero is
+// the last of its locality to do so: no task is left to fill a coalescing
+// queue, and the peer that would send the next task may be waiting for
+// what the queues hold. It flushes them and transmits the batches in the
+// same timed span, so the flush is background work in Eq. 3/4. This is a
+// transition, not a poll: a worker that has run no task since it last ran
+// dry does not flush, so parcels put from outside the pool into an idle
+// locality keep Algorithm 1's timer.
+func (s *scheduler) doBackground(w *worker, outOfTasks bool) bool {
 	bgStart := time.Since(s.base)
-	if n := s.bg.DoBackgroundWork(int(s.bgBatch.Load())); n > 0 {
+	n := s.bg.DoBackgroundWork(int(s.bgBatch.Load()))
+	if n == 0 && outOfTasks && w.busy {
+		w.busy = false
+		if s.nBusy.Add(-1) == 0 {
+			s.bg.FlushIdle()
+			n = s.bg.DoBackgroundWork(int(s.bgBatch.Load()))
+		}
+	}
+	if n > 0 {
 		w.dBg.Add(int64(time.Since(s.base) - bgStart))
 		return true
 	}
@@ -783,7 +817,7 @@ func (s *scheduler) executeBatch(w *worker, t task, more bool) {
 	w.sinceBgCheck += n + 1
 	if w.sinceBgCheck >= bgCheckEvery {
 		w.sinceBgCheck = 0
-		s.doBackground(w)
+		s.doBackground(w, false)
 	}
 }
 
@@ -824,7 +858,7 @@ func (s *scheduler) execute(w *worker, t task) {
 	w.sinceBgCheck++
 	if w.sinceBgCheck >= bgCheckEvery {
 		w.sinceBgCheck = 0
-		s.doBackground(w)
+		s.doBackground(w, false)
 	}
 }
 

@@ -33,8 +33,10 @@ func BenchmarkCoalescerPut(b *testing.B) {
 }
 
 // TestZeroAllocSendPath asserts the acceptance criterion directly:
-// steady-state bundle encoding, the borrowing decode, and the port send
-// pipeline all perform zero allocations per operation.
+// steady-state bundle encoding, the borrowing decode, the port send
+// pipeline, a message's whole life in the reliable layer (send, deliver,
+// ACK, window release) and the reliable scanner's idle tick all perform
+// zero allocations per operation.
 func TestZeroAllocSendPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short mode")
@@ -48,6 +50,8 @@ func TestZeroAllocSendPath(t *testing.T) {
 		{"PortSend", PortSend},
 		{"PortEnqueueWake/" + WakeNoneParked, func(b *testing.B) { PortEnqueueWake(b, WakeNoneParked) }},
 		{"PortEnqueueWake/" + IdleProbeNoneQueued, func(b *testing.B) { PortEnqueueWake(b, IdleProbeNoneQueued) }},
+		{"ReliableSendAck", ReliableSendAck},
+		{"ReliableIdleSweep", ReliableIdleSweep},
 	} {
 		r := testing.Benchmark(tc.fn)
 		if a := r.AllocsPerOp(); a != 0 {
@@ -99,6 +103,8 @@ func BenchmarkReliableChaos(b *testing.B) {
 }
 
 func BenchmarkReliableLinkDownDetection(b *testing.B) { ReliableLinkDownDetection(b) }
+func BenchmarkReliableSendAck(b *testing.B)           { ReliableSendAck(b) }
+func BenchmarkReliableIdleSweep(b *testing.B)         { ReliableIdleSweep(b) }
 
 func BenchmarkSchedSpawnExecute(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {

@@ -16,8 +16,12 @@ import (
 // reset the receiver's resequencer.
 func TestReopenPeerFreshSession(t *testing.T) {
 	inner := network.NewSimFabric(2, network.CostModel{})
+	// The RTO sits well above the delayed-ACK path (500 µs + one scanner
+	// tick, which this host's timers stretch past 1 ms): the test is about
+	// session epochs, and a spurious timeout would show as a suppressed
+	// duplicate that no epoch bug caused.
 	rel := reliable.New(inner, reliable.Config{
-		RTO:  time.Millisecond,
+		RTO:  50 * time.Millisecond,
 		Tick: 100 * time.Microsecond,
 	})
 	defer rel.Close()

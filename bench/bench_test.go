@@ -14,6 +14,7 @@ func BenchmarkDecodeBundle(b *testing.B)     { DecodeBundle(b) }
 func BenchmarkDecodeBundleCopy(b *testing.B) { DecodeBundleCopy(b) }
 func BenchmarkPortEnqueue(b *testing.B)      { PortEnqueue(b) }
 func BenchmarkPortSend(b *testing.B)         { PortSend(b) }
+func BenchmarkTCPSendFrame(b *testing.B)     { TCPSendFrame(b) }
 
 func BenchmarkPortEnqueueWake(b *testing.B) {
 	for _, mode := range []string{WakeNoHook, WakeNoneParked, WakeParked, IdleProbeNoneQueued} {
@@ -35,11 +36,30 @@ func BenchmarkCoalescerPut(b *testing.B) {
 // TestZeroAllocSendPath asserts the acceptance criterion directly:
 // steady-state bundle encoding, the borrowing decode, the port send
 // pipeline, a message's whole life in the reliable layer (send, deliver,
-// ACK, window release) and the reliable scanner's idle tick all perform
-// zero allocations per operation.
+// ACK, window release), the reliable scanner's idle tick and a TCP frame
+// write all perform zero allocations per operation, and a coalescing
+// queue's arm → fill → stop cycle allocates nothing per batch.
 func TestZeroAllocSendPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short mode")
+	}
+	// One sender fills, flushes and re-arms its queue every 64 Puts. An
+	// allocation per batch is 1/64 per op, which AllocsPerOp rounds down
+	// to 0, so the guard is on the run's total: what is left is the
+	// sender goroutine and the first Put's queue, timer and heap slot.
+	// The first run cycles the shared batch pool, which other benchmarks
+	// leave full of slices shorter than 64 that each grow once; the
+	// second run is judged.
+	var r testing.BenchmarkResult
+	for i := 0; i < 2; i++ {
+		r = testing.Benchmark(func(b *testing.B) { CoalescerPut(b, 1) })
+		if r.N < 64*2048 {
+			t.Fatalf("CoalescerPut ran only %d Puts; too few batches to tell", r.N)
+		}
+	}
+	if r.MemAllocs > 64 {
+		t.Errorf("CoalescerPut: %d allocations over %d Puts (%d batches), want a constant handful",
+			r.MemAllocs, r.N, r.N/64)
 	}
 	for _, tc := range []struct {
 		name string
@@ -52,6 +72,7 @@ func TestZeroAllocSendPath(t *testing.T) {
 		{"PortEnqueueWake/" + IdleProbeNoneQueued, func(b *testing.B) { PortEnqueueWake(b, IdleProbeNoneQueued) }},
 		{"ReliableSendAck", ReliableSendAck},
 		{"ReliableIdleSweep", ReliableIdleSweep},
+		{"TCPSendFrame", TCPSendFrame},
 	} {
 		r := testing.Benchmark(tc.fn)
 		if a := r.AllocsPerOp(); a != 0 {

@@ -538,8 +538,9 @@ func (c *Coalescer) Put(p *parcel.Parcel) {
 		q.stats.FlushedBytes++
 		ready = c.take(q)
 	case len(q.parcels) == 1:
-		// First parcel: start the flush timer.
-		_ = q.flushTmr.Start(params.Interval)
+		// First parcel: start the flush timer, from the arrival clock read
+		// above rather than a second clock read under the shard lock.
+		_ = q.flushTmr.StartAt(c.epoch.Add(time.Duration(nowNS) + params.Interval))
 	}
 	sh.mu.Unlock()
 	c.emitOne(ready)

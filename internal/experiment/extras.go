@@ -27,7 +27,7 @@ func TimerAccuracy(samplesPerInterval int) TimerAccuracyResult {
 	if samplesPerInterval <= 0 {
 		samplesPerInterval = 200
 	}
-	svc := timer.NewService(timer.ServiceOptions{LockOSThread: true})
+	svc := timer.NewService(timer.ServiceOptions{})
 	defer svc.Stop()
 	var res TimerAccuracyResult
 	for _, interval := range []time.Duration{

@@ -39,6 +39,7 @@ type PeerFabric struct {
 	addrs    []string
 	conns    map[int]net.Conn
 	accepted map[net.Conn]struct{}
+	wf       frameWriter // writes happen under mu
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 	fault    atomic.Pointer[FaultHook]
@@ -372,13 +373,8 @@ func (f *PeerFabric) writeFrame(dst int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(f.self))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	bufs := net.Buffers{hdr[:], payload}
-
 	f.mu.Lock()
-	_, err = bufs.WriteTo(conn)
+	err = f.wf.write(conn, f.self, payload)
 	if err != nil {
 		if f.conns[dst] == conn {
 			delete(f.conns, dst)

@@ -43,10 +43,37 @@ type TCPFabric struct {
 }
 
 // tcpConn is one cached outbound connection. wmu serializes whole frames
-// on it, so concurrent senders on a link never interleave framing.
+// on it, so concurrent senders on a link never interleave framing, and
+// guards the frame scratch below.
 type tcpConn struct {
 	net.Conn
 	wmu sync.Mutex
+	wf  frameWriter
+}
+
+// frameWriter is the scratch for writing one framed message as a single
+// writev. (*net.Buffers).WriteTo makes its receiver and everything it
+// points at escape, so a header array, slice pair and net.Buffers value
+// built per call are three heap allocations per frame; kept beside the
+// connection, under the lock that already serializes its writes, they are
+// none.
+type frameWriter struct {
+	hdr  [8]byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+// write sends the 8-byte header (source locality, payload length) and the
+// payload on conn. The caller holds the lock that serializes writes on
+// conn.
+func (w *frameWriter) write(conn net.Conn, src int, payload []byte) error {
+	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(src))
+	binary.LittleEndian.PutUint32(w.hdr[4:8], uint32(len(payload)))
+	w.vec = [2][]byte{w.hdr[:], payload}
+	w.bufs = w.vec[:] // WriteTo consumes bufs; vec keeps the backing array
+	_, err := w.bufs.WriteTo(conn)
+	w.vec[1] = nil // the payload goes back to its pool; keep no reference
+	return err
 }
 
 // NewTCPFabric creates a TCP fabric connecting n localities, each
@@ -262,13 +289,8 @@ func (f *TCPFabric) writeFrame(src, dst int, payload []byte) error {
 	// connection: a single syscall per message with no copy of the
 	// payload into a combined frame buffer. The write may block on a full
 	// socket, so only this connection's mutex is held across it.
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(src))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	bufs := net.Buffers{hdr[:], payload}
-
 	conn.wmu.Lock()
-	_, err = bufs.WriteTo(conn.Conn)
+	err = conn.wf.write(conn.Conn, src, payload)
 	conn.wmu.Unlock()
 	if err != nil {
 		// Evict the broken connection (only if it is still the cached

@@ -3,6 +3,7 @@ package runtime
 import (
 	"repro/internal/counters"
 	"repro/internal/network"
+	"repro/internal/timer"
 )
 
 // registerFabricCounters exposes the transport's cumulative Stats through
@@ -24,4 +25,19 @@ func (rt *Runtime) registerFabricCounters() {
 	mk("bytes-sent", func(s network.Stats) uint64 { return s.BytesSent })
 	mk("messages-received", func(s network.Stats) uint64 { return s.MessagesReceived })
 	mk("bytes-received", func(s network.Stats) uint64 { return s.BytesReceived })
+}
+
+// registerTimerCounters exposes the flush-timer service's activity under
+// /timers/flush/*: what the coalescers' timers cost the process, which no
+// Eq. 4 term sees (the service is neither task time nor background work).
+func (rt *Runtime) registerTimerCounters() {
+	mk := func(name string, read func(timer.Stats) uint64) {
+		rt.root.MustRegister(counters.NewDerived(
+			counters.Path{Object: "timers", Name: "flush/" + name},
+			func() float64 { return float64(read(rt.timers.Stats())) },
+		))
+	}
+	mk("wakeups", func(s timer.Stats) uint64 { return s.Wakeups })
+	mk("fires", func(s timer.Stats) uint64 { return s.Fires })
+	mk("rekeys", func(s timer.Stats) uint64 { return s.Rekeys })
 }

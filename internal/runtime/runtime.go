@@ -83,9 +83,6 @@ type Config struct {
 	// explicitly). It is included in Eq. 1 task duration and reported by
 	// the Eq. 2 task-overhead counter. Default 2 µs; negative disables.
 	TaskOverhead time.Duration
-	// TimerSpinWindow configures flush-timer precision (see
-	// timer.ServiceOptions); zero selects the default.
-	TimerSpinWindow time.Duration
 	// Trace optionally records runtime events (task execution, message
 	// transmission, coalescing flushes) into a bounded ring buffer for
 	// Chrome-trace export; nil disables all probes.
@@ -189,7 +186,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:              cfg,
 		agas:             agas.NewService(cfg.Localities),
-		timers:           timer.NewService(timer.ServiceOptions{SpinWindow: cfg.TimerSpinWindow, LockOSThread: true}),
+		timers:           timer.NewService(timer.ServiceOptions{}),
 		root:             counters.NewRegistry(),
 		actions:          make(map[string]ActionFunc),
 		componentActions: make(map[string]ComponentActionFunc),
@@ -205,6 +202,7 @@ func New(cfg Config) *Runtime {
 		rt.ownsFab = true
 	}
 	rt.registerFabricCounters()
+	rt.registerTimerCounters()
 	rt.dead = make([]atomic.Bool, cfg.Localities)
 	rt.silenced = make([]atomic.Bool, cfg.Localities)
 	hosted := make([]bool, cfg.Localities)

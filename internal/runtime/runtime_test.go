@@ -363,6 +363,9 @@ func TestCountersDiscoverable(t *testing.T) {
 		"/coalescing{locality#0}/count/parcels@echo",
 		"/coalescing{locality#1}/time/parcel-arrival-histogram@" + ResponseAction("echo"),
 		"/parcels{locality#0}/count/sent",
+		"/timers/flush/wakeups",
+		"/timers/flush/fires",
+		"/timers/flush/rekeys",
 	}
 	have := make(map[string]bool, len(names))
 	for _, n := range names {

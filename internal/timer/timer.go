@@ -7,22 +7,32 @@
 // and a measured mean firing error of about 33 µs; relying on ordinary
 // scheduler time-slicing would have limited resolution to milliseconds.
 // This package reproduces that design point: a Service owns one dedicated
-// goroutine (optionally pinned to an OS thread) that sleeps until shortly
-// before the earliest armed deadline and then busy-waits the final stretch,
-// achieving errors well below operating-system tick granularity.
+// goroutine that sleeps until shortly before the earliest deadline it knows
+// of and then busy-waits the final stretch, achieving errors well below
+// operating-system tick granularity.
+//
+// Algorithm 1 arms a timer at the first parcel of every queue and stops it
+// at every flush, and almost every flush beats its timer. Arming and
+// stopping therefore cost the caller one atomic operation each: a Timer
+// holds the deadline it wants in an atomic, owns one node in the service's
+// heap, and the service reads the deadline only when that node's key comes
+// due — dropping the node if the timer was stopped, moving it if the timer
+// was re-armed for later, and spinning only toward a deadline somebody still
+// wants.
 package timer
 
 import (
 	"container/heap"
 	"errors"
-	"runtime"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // DefaultSpinWindow is the portion of a wait that the service goroutine
 // busy-waits rather than sleeps. Larger windows improve firing accuracy at
-// the cost of CPU on the dedicated thread.
+// the cost of CPU on the service goroutine.
 const DefaultSpinWindow = 150 * time.Microsecond
 
 // ErrServiceStopped is returned when arming a timer on a stopped Service.
@@ -34,42 +44,73 @@ type ServiceOptions struct {
 	// sleeping to busy-waiting. Zero selects DefaultSpinWindow; negative
 	// disables spinning entirely (pure sleep, OS-tick accuracy).
 	SpinWindow time.Duration
-	// LockOSThread pins the service goroutine to its own OS thread,
-	// mirroring the paper's dedicated hardware thread.
-	LockOSThread bool
 }
 
 // Service runs deadline timers on one dedicated goroutine.
 type Service struct {
-	mu      sync.Mutex
-	queue   entryHeap
-	wake    chan struct{}
-	stopped bool
-	done    chan struct{}
-	spin    time.Duration
+	epoch time.Time // deadlines and keys are monotonic ns since epoch
+	spin  int64     // ns
+	wake  chan struct{}
+	done  chan struct{}
+
+	// stopped is written under mu and read without it by arm's fast path.
+	stopped atomic.Bool
+
+	mu    sync.Mutex
+	nodes timerHeap
+	// sleepingTo is the key the service goroutine is sleeping or spinning
+	// toward; math.MinInt64 while it is evaluating the heap (it will see a
+	// new node by itself), math.MaxInt64 while it waits on an empty heap.
+	sleepingTo int64
+
+	wakeups atomic.Uint64
+	fires   atomic.Uint64
+	rekeys  atomic.Uint64
+	spinNS  atomic.Int64 // time spent busy-waiting; read by tests
 }
 
-type entry struct {
-	when  time.Time
-	fn    func()
-	seq   uint64 // arm generation; a Stop/Reset invalidates older seqs
-	timer *Timer
-	index int // heap index
+// Stats is a snapshot of a Service's activity.
+type Stats struct {
+	// Wakeups counts the service goroutine's returns from a blocking wait,
+	// by its sleep timer or by a signal from an arming.
+	Wakeups uint64
+	// Fires counts callbacks run.
+	Fires uint64
+	// Rekeys counts nodes that came due and were moved to the later
+	// deadline their timer had been re-armed for, without a spin.
+	Rekeys uint64
+	// HeapLen is the number of timers that currently own a heap node.
+	HeapLen int
 }
 
-type entryHeap []*entry
+// Stats returns the service's cumulative activity counts.
+func (s *Service) Stats() Stats {
+	s.mu.Lock()
+	n := len(s.nodes)
+	s.mu.Unlock()
+	return Stats{
+		Wakeups: s.wakeups.Load(),
+		Fires:   s.fires.Load(),
+		Rekeys:  s.rekeys.Load(),
+		HeapLen: n,
+	}
+}
 
-func (h entryHeap) Len() int            { return len(h) }
-func (h entryHeap) Less(i, j int) bool  { return h[i].when.Before(h[j].when) }
-func (h entryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *entryHeap) Push(x interface{}) { e := x.(*entry); e.index = len(*h); *h = append(*h, e) }
-func (h *entryHeap) Pop() interface{} {
+// timerHeap orders the timers that own a node by key; guarded by
+// Service.mu.
+type timerHeap []*Timer
+
+func (h timerHeap) Len() int            { return len(h) }
+func (h timerHeap) Less(i, j int) bool  { return h[i].key.Load() < h[j].key.Load() }
+func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
+func (h *timerHeap) Push(x interface{}) { t := x.(*Timer); t.index = len(*h); *h = append(*h, t) }
+func (h *timerHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
-	e := old[n-1]
+	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
-	return e
+	return t
 }
 
 // NewService starts a timer service with the given options.
@@ -82,25 +123,25 @@ func NewService(opts ServiceOptions) *Service {
 		spin = 0
 	}
 	s := &Service{
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-		spin: spin,
+		epoch:      time.Now(),
+		spin:       int64(spin),
+		wake:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
+		sleepingTo: math.MinInt64,
 	}
-	go s.run(opts.LockOSThread)
+	go s.run()
 	return s
 }
+
+// now returns the service clock: monotonic nanoseconds since its epoch.
+func (s *Service) now() int64 { return int64(time.Since(s.epoch)) }
 
 // Stop shuts down the service goroutine. Armed timers that have not fired
 // are discarded without firing. Stop is idempotent and waits for the
 // service goroutine to exit.
 func (s *Service) Stop() {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		<-s.done
-		return
-	}
-	s.stopped = true
+	s.stopped.Store(true)
 	s.mu.Unlock()
 	s.signal()
 	<-s.done
@@ -113,68 +154,111 @@ func (s *Service) signal() {
 	}
 }
 
-func (s *Service) run(lockThread bool) {
-	defer close(s.done)
-	if lockThread {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
+// settle brings t's heap node in line with the deadline t wants: no node
+// for a disarmed timer, otherwise a node keyed at the deadline. The caller
+// holds s.mu. The deadline is read again after the key is published
+// because arm and this function are the two sides of a store-then-load
+// handshake (deadline then key there, key then deadline here): an arming
+// that still saw the old key finds its deadline honoured by the re-read,
+// and one whose deadline the re-read missed sees the new key and takes the
+// lock.
+func (s *Service) settle(t *Timer) {
+	for {
+		d := t.deadline.Load()
+		switch key := t.key.Load(); {
+		case d == key:
+		case d == 0:
+			heap.Remove(&s.nodes, t.index)
+			t.key.Store(0)
+		case key == 0:
+			t.key.Store(d)
+			heap.Push(&s.nodes, t)
+		default:
+			t.key.Store(d)
+			heap.Fix(&s.nodes, t.index)
+		}
+		if t.deadline.Load() == d {
+			return
+		}
 	}
+}
+
+func (s *Service) run() {
+	defer close(s.done)
 	sleep := time.NewTimer(time.Hour)
 	defer sleep.Stop()
 	for {
 		s.mu.Lock()
-		if s.stopped {
+		s.sleepingTo = math.MinInt64
+		if s.stopped.Load() {
 			s.mu.Unlock()
 			return
 		}
-		if len(s.queue) == 0 {
+		if len(s.nodes) == 0 {
+			s.sleepingTo = math.MaxInt64
 			s.mu.Unlock()
-			select {
-			case <-s.wake:
-			}
+			<-s.wake
+			s.wakeups.Add(1)
 			continue
 		}
-		next := s.queue[0]
-		now := time.Now()
-		if !next.when.After(now) {
-			heap.Pop(&s.queue)
-			fn, seq, t := next.fn, next.seq, next.timer
+		t := s.nodes[0]
+		key := t.key.Load()
+		now := s.now()
+		if wait := key - now; wait > s.spin {
+			s.sleepingTo = key
 			s.mu.Unlock()
-			// Fire only if this arming is still current.
-			if t.fire(seq) {
-				fn()
-			}
-			continue
-		}
-		wait := next.when.Sub(now)
-		s.mu.Unlock()
-		if wait > s.spin {
 			if !sleep.Stop() {
 				select {
 				case <-sleep.C:
 				default:
 				}
 			}
-			sleep.Reset(wait - s.spin)
+			sleep.Reset(time.Duration(wait - s.spin))
 			select {
 			case <-sleep.C:
 			case <-s.wake:
 			}
+			s.wakeups.Add(1)
 			continue
 		}
-		// Final stretch: busy-wait for precision. Re-check the heap after
-		// a short bounded spin so a newly armed earlier timer or a Stop is
-		// noticed promptly.
-		deadline := now.Add(wait)
-		for time.Now().Before(deadline) {
+		// The key is due or within the spin window: only now is the
+		// timer's real deadline of interest.
+		if d := t.deadline.Load(); d != key {
+			// Stopped, or re-armed since the key was set: drop or move
+			// the node and look at the heap again without spinning.
+			if d > key {
+				s.rekeys.Add(1)
+			}
+			s.settle(t)
+			s.mu.Unlock()
+			continue
+		}
+		if now >= key {
+			// Claim the arming; a Stop or re-arm that got there first
+			// wins and the node is settled to whatever it left behind.
+			fired := t.deadline.CompareAndSwap(key, 0)
+			s.settle(t)
+			s.mu.Unlock()
+			if fired {
+				s.fires.Add(1)
+				t.fn()
+			}
+			continue
+		}
+		// Final stretch toward a live deadline: busy-wait for precision,
+		// watching the deadline so a Stop or re-arm ends the spin, and
+		// the wake channel so an earlier arming is noticed promptly.
+		s.sleepingTo = key
+		s.mu.Unlock()
+	spin:
+		for t.deadline.Load() == key && s.now() < key {
 			select {
 			case <-s.wake:
-				// State changed; re-evaluate from the top.
-				goto reeval
+				break spin
 			default:
 			}
 		}
-	reeval:
+		s.spinNS.Add(s.now() - now)
 	}
 }
 
@@ -185,9 +269,15 @@ type Timer struct {
 	svc *Service
 	fn  func()
 
-	mu    sync.Mutex
-	seq   uint64 // current arm generation
-	armed bool
+	// deadline is when the timer should fire, on the service clock; 0
+	// means disarmed. It is the whole of the timer's armed state.
+	deadline atomic.Int64
+	// key is where the timer's node sits in the service heap, 0 when it
+	// has none; written under svc.mu, read without it by arm. A node's key
+	// may lag its timer's deadline — the service catches up when the key
+	// comes due — but never exceeds it once arm has returned.
+	key   atomic.Int64
+	index int // heap index; guarded by svc.mu
 }
 
 // NewTimer creates a timer that runs fn on the service goroutine when it
@@ -201,70 +291,64 @@ func (s *Service) NewTimer(fn func()) *Timer {
 // previous arming is cancelled. Start returns ErrServiceStopped if the
 // owning service has been stopped.
 func (t *Timer) Start(d time.Duration) error {
-	return t.StartAt(time.Now().Add(d))
+	return t.arm(t.svc.now() + int64(d))
 }
 
 // StartAt arms the timer to fire at the absolute time when.
 func (t *Timer) StartAt(when time.Time) error {
-	t.mu.Lock()
-	t.seq++
-	seq := t.seq
-	t.armed = true
-	t.mu.Unlock()
+	return t.arm(int64(when.Sub(t.svc.epoch)))
+}
 
+// arm stores the wanted deadline and involves the service only when the
+// timer's node cannot serve it: there is none, or it is keyed later than
+// the deadline.
+func (t *Timer) arm(when int64) error {
 	s := t.svc
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		t.mu.Lock()
-		if t.seq == seq {
-			t.armed = false
-		}
-		t.mu.Unlock()
+	if s.stopped.Load() {
 		return ErrServiceStopped
 	}
-	heap.Push(&s.queue, &entry{when: when, fn: t.fn, seq: seq, timer: t})
+	if when <= 0 {
+		when = 1 // 0 means disarmed
+	}
+	t.deadline.Store(when)
+	if key := t.key.Load(); key != 0 && key <= when {
+		return nil
+	}
+	s.mu.Lock()
+	if s.stopped.Load() {
+		s.mu.Unlock()
+		t.deadline.CompareAndSwap(when, 0)
+		return ErrServiceStopped
+	}
+	s.settle(t)
+	key := t.key.Load()
+	wake := key != 0 && key < s.sleepingTo
+	if wake {
+		s.sleepingTo = key
+	}
 	s.mu.Unlock()
-	s.signal()
+	if wake {
+		s.signal()
+	}
 	return nil
 }
 
 // Stop disarms the timer. It reports whether the timer was armed and had
 // not yet fired; false means the timer already fired or was never armed.
-// The superseded heap entry is left to expire harmlessly.
+// The timer's heap node stays where it is until the service next looks at
+// it, so a timer that is stopped and re-armed over and over never touches
+// the service.
 func (t *Timer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.armed {
-		return false
-	}
-	t.armed = false
-	t.seq++ // invalidate outstanding entry
-	return true
+	return t.deadline.Swap(0) != 0
 }
 
 // Reset re-arms the timer to fire after d, regardless of its current
 // state. It is equivalent to Stop followed by Start.
 func (t *Timer) Reset(d time.Duration) error {
-	t.Stop()
 	return t.Start(d)
 }
 
 // Armed reports whether the timer is currently armed.
 func (t *Timer) Armed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.armed
-}
-
-// fire transitions the timer to the fired state if seq is still the
-// current arming; it reports whether the callback should run.
-func (t *Timer) fire(seq uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.seq != seq || !t.armed {
-		return false
-	}
-	t.armed = false
-	return true
+	return t.deadline.Load() != 0
 }

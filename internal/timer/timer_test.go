@@ -149,7 +149,7 @@ func TestTimerAccuracyWithinBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("accuracy measurement skipped in short mode")
 	}
-	s := NewService(ServiceOptions{LockOSThread: true})
+	s := NewService(ServiceOptions{})
 	defer s.Stop()
 	rep := s.MeasureAccuracy(200, 2*time.Millisecond)
 	if rep.Samples != 200 {
@@ -234,5 +234,261 @@ func TestMeasureAccuracyZeroSamples(t *testing.T) {
 	rep := s.MeasureAccuracy(0, time.Millisecond)
 	if rep.Samples != 0 || rep.Mean != 0 {
 		t.Errorf("zero-sample report = %+v", rep)
+	}
+}
+
+// waitFire waits for one value on ch, failing the test after a generous
+// bound.
+func waitFire(t *testing.T, ch <-chan time.Time, what string) time.Time {
+	t.Helper()
+	select {
+	case at := <-ch:
+		return at
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: timer did not fire", what)
+		return time.Time{}
+	}
+}
+
+// TestStopLeavesNoHeapEntry pins the fix for the heap that grew with arm
+// rate × interval: a timer owns one node however often it is armed and
+// stopped, a stopped timer costs the service nothing, and an arm/stop pair
+// allocates nothing.
+func TestStopLeavesNoHeapEntry(t *testing.T) {
+	s := newTestService(t)
+	tm := s.NewTimer(func() { t.Error("stopped timer fired") })
+	pair := func() {
+		if err := tm.Start(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !tm.Stop() {
+			t.Fatal("Stop reported the timer unarmed")
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		pair()
+	}
+	st := s.Stats()
+	if st.HeapLen > 1 {
+		t.Errorf("heap holds %d nodes after 100000 arm/stop pairs on one timer, want <= 1", st.HeapLen)
+	}
+	if st.Wakeups > 2 {
+		t.Errorf("service woke %d times for 100000 arm/stop pairs, want <= 2", st.Wakeups)
+	}
+	if avg := testing.AllocsPerRun(1000, pair); avg != 0 {
+		t.Errorf("%v allocs per arm/stop pair, want 0", avg)
+	}
+}
+
+func TestFiresOncePerArming(t *testing.T) {
+	s := newTestService(t)
+	var fired atomic.Int32
+	ch := make(chan time.Time, 1)
+	tm := s.NewTimer(func() { fired.Add(1); ch <- time.Now() })
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := tm.Start(200 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		waitFire(t, ch, "arming")
+	}
+	// An arming that is stopped in time does not fire, now or later.
+	if err := tm.Start(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop should report the timer was armed")
+	}
+	time.Sleep(30 * time.Millisecond)
+	if got := fired.Load(); got != n {
+		t.Errorf("fired %d times for %d un-stopped armings", got, n)
+	}
+	if got := s.Stats().Fires; got != n {
+		t.Errorf("Stats().Fires = %d, want %d", got, n)
+	}
+}
+
+// TestResetShorterFiresAtShorter is the SetParams/SetDestParams tighten
+// path: the node is keyed far out, the new deadline precedes it.
+func TestResetShorterFiresAtShorter(t *testing.T) {
+	s := newTestService(t)
+	ch := make(chan time.Time, 1)
+	tm := s.NewTimer(func() { ch <- time.Now() })
+	if err := tm.Start(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // let the service go to sleep toward 2 s
+	start := time.Now()
+	if err := tm.Reset(5 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := waitFire(t, ch, "shortened timer").Sub(start)
+	if elapsed < 5*time.Millisecond {
+		t.Errorf("fired early after %v", elapsed)
+	}
+	if elapsed > time.Second {
+		t.Errorf("fired after %v: the shorter deadline was not honoured", elapsed)
+	}
+}
+
+// TestResetLongerFiresAtLongerWithoutWakeup: re-arming for later is one
+// store; the service finds out when the old key comes due and moves the
+// node without firing or spinning.
+func TestResetLongerFiresAtLongerWithoutWakeup(t *testing.T) {
+	s := newTestService(t)
+	ch := make(chan time.Time, 1)
+	tm := s.NewTimer(func() { ch <- time.Now() })
+	if err := tm.Start(60 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // let the service go to sleep toward the key
+	before := s.Stats()
+	start := time.Now()
+	if err := tm.Reset(150 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if after := s.Stats(); after.Wakeups != before.Wakeups {
+		t.Errorf("re-arming for later woke the service (%d -> %d wake-ups)", before.Wakeups, after.Wakeups)
+	}
+	elapsed := waitFire(t, ch, "lengthened timer").Sub(start)
+	if elapsed < 150*time.Millisecond {
+		t.Errorf("fired after %v, before the longer deadline", elapsed)
+	}
+	if st := s.Stats(); st.Rekeys == 0 || st.Fires != 1 {
+		t.Errorf("stats = %+v, want at least one re-key and exactly one fire", st)
+	}
+}
+
+// TestStartRacingDropIsNotLost arms a timer while the service is dropping
+// its disarmed node. Odd iterations arm later than the node's key, which
+// is the path that does not take the service lock.
+func TestStartRacingDropIsNotLost(t *testing.T) {
+	s := newTestService(t)
+	ch := make(chan time.Time, 1)
+	tm := s.NewTimer(func() { ch <- time.Now() })
+	var sink int
+	for i := 0; i < 10000; i++ {
+		// A disarmed node whose key is inside the spin window: the
+		// service is awake and about to drop it.
+		if err := tm.Start(20 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		if !tm.Stop() {
+			// It fired before the Stop; consume that firing.
+			waitFire(t, ch, "short arming")
+		}
+		for j := 0; j < i%97; j++ {
+			sink += j
+		}
+		d := time.Duration(0)
+		if i%2 == 1 {
+			d = 40 * time.Microsecond
+		}
+		if err := tm.Start(d); err != nil {
+			t.Fatal(err)
+		}
+		waitFire(t, ch, "arming that raced the drop")
+	}
+	_ = sink
+}
+
+func TestStartAfterServiceStopFastPath(t *testing.T) {
+	s := NewService(ServiceOptions{})
+	tm := s.NewTimer(func() {})
+	if err := tm.Start(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	// Later than the node's key: no service lock needed to arm.
+	if err := tm.Start(time.Second); err != ErrServiceStopped {
+		t.Errorf("Start after stop = %v, want ErrServiceStopped", err)
+	}
+	if err := tm.Reset(time.Second); err != ErrServiceStopped {
+		t.Errorf("Reset after stop = %v, want ErrServiceStopped", err)
+	}
+}
+
+// TestStopInsideSpinWindowEndsSpin: the service busy-waits only toward a
+// deadline somebody still wants.
+func TestStopInsideSpinWindowEndsSpin(t *testing.T) {
+	const window = 200 * time.Millisecond
+	s := NewService(ServiceOptions{SpinWindow: window})
+	defer s.Stop()
+	var fired atomic.Int32
+	tm := s.NewTimer(func() { fired.Add(1) })
+	if err := tm.Start(window - 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // the service is now spinning
+	if !tm.Stop() {
+		t.Fatal("Stop should report the timer was armed")
+	}
+	time.Sleep(window)
+	if spun := time.Duration(s.spinNS.Load()); spun > window/4 {
+		t.Errorf("service spun %v toward a stopped deadline (window %v)", spun, window)
+	}
+	if fired.Load() != 0 {
+		t.Error("stopped timer fired")
+	}
+	if n := s.Stats().HeapLen; n != 0 {
+		t.Errorf("heap holds %d nodes after the stopped deadline passed, want 0", n)
+	}
+}
+
+// TestConcurrentArmStopNeverOverfires hammers one timer from 8 goroutines
+// while the service fires it: every firing and every successful Stop uses
+// up one arming, so their sum can never exceed the armings made.
+func TestConcurrentArmStopNeverOverfires(t *testing.T) {
+	s := newTestService(t)
+	var arms, stops, fires atomic.Int64
+	var tm *Timer
+	tm = s.NewTimer(func() {
+		f := fires.Add(1)
+		st := stops.Load()
+		if a := arms.Load(); f+st > a {
+			t.Errorf("%d firings + %d stops exceed %d armings", f, st, a)
+		}
+	})
+	deadline := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; time.Now().Before(deadline); i++ {
+				d := time.Duration(i%7) * 50 * time.Microsecond
+				switch i % 3 {
+				case 0:
+					arms.Add(1) // before the call: never under-counted
+					_ = tm.Start(d)
+				case 1:
+					arms.Add(1)
+					_ = tm.Reset(d)
+				case 2:
+					if tm.Stop() {
+						stops.Add(1) // after the call: never over-counted
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if tm.Stop() {
+		stops.Add(1)
+	}
+	time.Sleep(5 * time.Millisecond)
+	f, st, a := fires.Load(), stops.Load(), arms.Load()
+	if f+st > a {
+		t.Errorf("%d firings + %d stops exceed %d armings", f, st, a)
+	}
+	if f == 0 {
+		t.Error("the service never fired during the run")
+	}
+	if got := s.Stats().Fires; got != uint64(f) {
+		t.Errorf("Stats().Fires = %d, callback ran %d times", got, f)
+	}
+	if n := s.Stats().HeapLen; n > 1 {
+		t.Errorf("heap holds %d nodes for one timer", n)
 	}
 }

@@ -36,8 +36,9 @@ func BenchmarkCoalescerPut(b *testing.B) {
 // TestZeroAllocSendPath asserts the acceptance criterion directly:
 // steady-state bundle encoding, the borrowing decode, the port send
 // pipeline, a message's whole life in the reliable layer (send, deliver,
-// ACK, window release), the reliable scanner's idle tick and a TCP frame
-// write all perform zero allocations per operation, and a coalescing
+// ACK, window release) — also at 64 KiB over a loopback socket — the
+// reliable scanner's idle tick and a TCP frame write all perform zero
+// allocations per operation, and a coalescing
 // queue's arm → fill → stop cycle allocates nothing per batch.
 func TestZeroAllocSendPath(t *testing.T) {
 	if testing.Short() {
@@ -72,6 +73,7 @@ func TestZeroAllocSendPath(t *testing.T) {
 		{"PortEnqueueWake/" + IdleProbeNoneQueued, func(b *testing.B) { PortEnqueueWake(b, IdleProbeNoneQueued) }},
 		{"ReliableSendAck", ReliableSendAck},
 		{"ReliableIdleSweep", ReliableIdleSweep},
+		{"ReliableLargeTCP", ReliableLargeTCP},
 		{"TCPSendFrame", TCPSendFrame},
 	} {
 		r := testing.Benchmark(tc.fn)
@@ -126,6 +128,7 @@ func BenchmarkReliableChaos(b *testing.B) {
 func BenchmarkReliableLinkDownDetection(b *testing.B) { ReliableLinkDownDetection(b) }
 func BenchmarkReliableSendAck(b *testing.B)           { ReliableSendAck(b) }
 func BenchmarkReliableIdleSweep(b *testing.B)         { ReliableIdleSweep(b) }
+func BenchmarkReliableLargeTCP(b *testing.B)          { ReliableLargeTCP(b) }
 
 func BenchmarkSchedSpawnExecute(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {

@@ -193,6 +193,47 @@ func ReliableSendAck(b *testing.B) {
 	send(b.N)
 }
 
+// ReliableLargeTCP measures a 64 KiB message's whole life over loopback
+// TCP: Send (trailer appended in place, window entry), the socket write
+// from the window's own buffer, the socket read into the buffer the
+// handler is handed, the standalone ACK and the window release. The
+// payload has the spare capacity the port leaves behind a bundle
+// (network.FrameSlack). At most 24 frames stay unacknowledged — fewer than
+// the 128 KiB pool class has slots, so a steady state that allocates shows
+// as B/op — and ACKs come every 100 µs so that the window, not the ACK
+// cadence, is what the sender waits for: ns/op is then CPU per message on
+// both sides of the socket.
+func ReliableLargeTCP(b *testing.B) {
+	const size, window = 64 << 10, 24
+	tcp, err := network.NewTCPFabric(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel := reliable.New(tcp, reliable.Config{AckDelay: 100 * time.Microsecond, Tick: 100 * time.Microsecond})
+	defer rel.Close()
+	for l := 0; l < 2; l++ {
+		rel.SetHandler(l, func(_ int, p []byte) { network.PutPayload(p) })
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			for rel.Pending() >= window {
+				goruntime.Gosched()
+			}
+			if err := rel.Send(0, 1, network.GetPayload(size + network.FrameSlack)[:size]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for rel.Pending() > 0 {
+			goruntime.Gosched()
+		}
+	}
+	send(512) // dial, grow the window ring, warm the pools
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	send(b.N)
+}
+
 // ReliableIdleSweep measures the scanner on established but idle links:
 // each iteration sleeps through one scanner tick, so any allocation the
 // tick makes shows as allocs/op.

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -40,18 +39,9 @@ type PeerFabric struct {
 	conns    map[int]net.Conn
 	accepted map[net.Conn]struct{}
 	wf       frameWriter // writes happen under mu
-	closed   atomic.Bool
 	wg       sync.WaitGroup
-	fault    atomic.Pointer[FaultHook]
-
-	msgs    atomic.Uint64
-	bytes   atomic.Uint64
-	msgsIn  atomic.Uint64
-	bytesIn atomic.Uint64
-	drops   atomic.Uint64
-	dupes   atomic.Uint64
-	delays  atomic.Uint64
-	badHs   atomic.Uint64
+	sockCore
+	badHs atomic.Uint64
 }
 
 // PeerConfig configures one locality's PeerFabric.
@@ -160,7 +150,7 @@ func (f *PeerFabric) SetHandler(dst int, h Handler) {
 
 // SetFaultHook installs (or removes) a fault-injection hook, mirroring
 // the other fabrics: drops skip the write, duplicates write twice,
-// delays write from a timer goroutine. The hook is additionally
+// delays write a copy from a timer goroutine. The hook is additionally
 // consulted on *receive* (as hook(peer, self, payload)), where only
 // FaultDrop is honored — that is what lets a single process's FaultPlan
 // express a two-way partition when the other end of the link belongs to
@@ -171,19 +161,6 @@ func (f *PeerFabric) SetFaultHook(h FaultHook) {
 		return
 	}
 	f.fault.Store(&h)
-}
-
-// Stats implements Fabric.
-func (f *PeerFabric) Stats() Stats {
-	return Stats{
-		MessagesSent:     f.msgs.Load(),
-		BytesSent:        f.bytes.Load(),
-		MessagesReceived: f.msgsIn.Load(),
-		BytesReceived:    f.bytesIn.Load(),
-		Dropped:          f.drops.Load(),
-		Duplicated:       f.dupes.Load(),
-		Delayed:          f.delays.Load(),
-	}
 }
 
 // BadHandshakes returns how many inbound connections were rejected for
@@ -233,14 +210,12 @@ func (f *PeerFabric) serve(conn net.Conn) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
-	br := bufio.NewReaderSize(conn, tcpReadBufferSize)
-	var hdr [8]byte
+	fr := newFrameReader(conn)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		src, n, err := fr.header()
+		if err != nil {
 			return
 		}
-		src := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		n := binary.LittleEndian.Uint32(hdr[4:8])
 		if src != peer || n > maxPeerFrame {
 			// A frame claiming a source other than the authenticated hello
 			// identity (or an absurd length) marks the stream hostile or
@@ -248,9 +223,8 @@ func (f *PeerFabric) serve(conn net.Conn) {
 			f.badHs.Add(1)
 			return
 		}
-		payload := GetPayload(int(n))
-		if _, err := io.ReadFull(br, payload); err != nil {
-			PutPayload(payload)
+		payload, err := fr.payload(n)
+		if err != nil {
 			return
 		}
 		if f.closed.Load() {
@@ -297,11 +271,23 @@ func (f *PeerFabric) checkHello(h [helloSize]byte) (int, bool) {
 	return peer, true
 }
 
-// Send implements Fabric. src must be the hosted locality. A send to
-// self delivers inline (the runtime normally short-circuits local
+// Send implements Fabric: SendBorrowed, then the payload — which the
+// socket write (or the self-delivery) has copied — goes back to the pool
+// on the caller's behalf. On error the caller retains ownership.
+func (f *PeerFabric) Send(src, dst int, payload []byte) error {
+	err := f.SendBorrowed(src, dst, payload)
+	if err == nil {
+		PutPayload(payload)
+	}
+	return err
+}
+
+// SendBorrowed transmits frame without taking ownership of it, as
+// TCPFabric.SendBorrowed does. src must be the hosted locality. A send to
+// self delivers a copy inline (the runtime normally short-circuits local
 // invocations above the fabric, but a reliability layer may still route
 // self traffic here).
-func (f *PeerFabric) Send(src, dst int, payload []byte) error {
+func (f *PeerFabric) SendBorrowed(src, dst int, frame []byte) error {
 	if f.closed.Load() {
 		return ErrClosed
 	}
@@ -311,64 +297,22 @@ func (f *PeerFabric) Send(src, dst int, payload []byte) error {
 	if dst == f.self {
 		if hp := f.handler.Load(); hp != nil {
 			f.msgs.Add(1)
-			f.bytes.Add(uint64(len(payload)))
+			f.bytes.Add(uint64(len(frame)))
 			f.msgsIn.Add(1)
-			f.bytesIn.Add(uint64(len(payload)))
-			(*hp)(src, payload)
-			return nil
+			f.bytesIn.Add(uint64(len(frame)))
+			own := GetPayload(len(frame))
+			copy(own, frame)
+			(*hp)(src, own)
 		}
-		PutPayload(payload)
 		return nil
 	}
-
-	duplicate := false
-	if hook := f.fault.Load(); hook != nil {
-		fault := (*hook)(src, dst, payload)
-		switch fault.Action {
-		case FaultDrop:
-			f.drops.Add(1)
-			PutPayload(payload)
-			return nil
-		case FaultDuplicate:
-			f.dupes.Add(1)
-			duplicate = true
-		case FaultDelay, FaultReorder:
-			f.delays.Add(1)
-			delay := fault.Delay
-			if delay <= 0 {
-				delay = DefaultFaultDelay
-			}
-			time.AfterFunc(delay, func() {
-				if f.closed.Load() {
-					PutPayload(payload)
-					return
-				}
-				if err := f.writeFrame(dst, payload); err == nil {
-					f.msgs.Add(1)
-					f.bytes.Add(uint64(len(payload)))
-				}
-				PutPayload(payload)
-			})
-			return nil
-		}
-	}
-
-	if err := f.writeFrame(dst, payload); err != nil {
-		return err
-	}
-	if duplicate {
-		_ = f.writeFrame(dst, payload)
-	}
-	PutPayload(payload)
-	f.msgs.Add(1)
-	f.bytes.Add(uint64(len(payload)))
-	return nil
+	return f.sendBorrowed(f, src, dst, frame)
 }
 
 // writeFrame frames and writes one message on the cached (dialing if
 // needed) connection toward dst. A write error evicts the connection so
 // the next send redials; the message is reported lost to the caller.
-func (f *PeerFabric) writeFrame(dst int, payload []byte) error {
+func (f *PeerFabric) writeFrame(_, dst int, payload []byte) error {
 	conn, err := f.getConn(dst)
 	if err != nil {
 		return err

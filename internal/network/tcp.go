@@ -29,17 +29,87 @@ type TCPFabric struct {
 	mu       sync.Mutex
 	conns    map[linkKey]*tcpConn
 	accepted map[net.Conn]struct{}
-	closed   atomic.Bool
 	wg       sync.WaitGroup
-	fault    atomic.Pointer[FaultHook]
+	sockCore
+}
 
-	msgs    atomic.Uint64
-	bytes   atomic.Uint64
-	msgsIn  atomic.Uint64
-	bytesIn atomic.Uint64
-	drops   atomic.Uint64
-	dupes   atomic.Uint64
-	delays  atomic.Uint64
+// sockCore is the state the two socket fabrics share besides framing: the
+// closed flag, the fault hook and the traffic counts.
+type sockCore struct {
+	closed atomic.Bool
+	fault  atomic.Pointer[FaultHook]
+
+	msgs, bytes, msgsIn, bytesIn, drops, dupes, delays atomic.Uint64
+}
+
+// Stats implements Fabric.
+func (s *sockCore) Stats() Stats {
+	return Stats{
+		MessagesSent:     s.msgs.Load(),
+		BytesSent:        s.bytes.Load(),
+		MessagesReceived: s.msgsIn.Load(),
+		BytesReceived:    s.bytesIn.Load(),
+		Dropped:          s.drops.Load(),
+		Duplicated:       s.dupes.Load(),
+		Delayed:          s.delays.Load(),
+	}
+}
+
+// linkWriter is the half of a socket fabric sendBorrowed drives: one
+// framed write on the (dialing if needed) connection of a link.
+type linkWriter interface {
+	writeFrame(src, dst int, frame []byte) error
+}
+
+// sendBorrowed is SendBorrowed for both socket fabrics, past their own
+// argument checks: it applies the fault hook's verdict and writes frame
+// with w, and frame stays the caller's. Only a fault that outlives the
+// call needs the bytes for longer, and takes a copy: FaultDelay and
+// FaultReorder write from a timer goroutine. FaultDuplicate writes twice
+// before returning and FaultDrop writes nothing; neither releases the
+// frame.
+func (st *sockCore) sendBorrowed(w linkWriter, src, dst int, frame []byte) error {
+	duplicate := false
+	if hook := st.fault.Load(); hook != nil {
+		switch fault := (*hook)(src, dst, frame); fault.Action {
+		case FaultDrop:
+			st.drops.Add(1)
+			return nil
+		case FaultDuplicate:
+			st.dupes.Add(1)
+			duplicate = true
+		case FaultDelay, FaultReorder:
+			st.delays.Add(1)
+			delay := fault.Delay
+			if delay <= 0 {
+				delay = DefaultFaultDelay
+			}
+			late := GetPayload(len(frame))
+			copy(late, frame)
+			// The timer goroutine is not tracked by the fabric's wait
+			// group: firing after Close just recycles the copy, so Close
+			// need not wait.
+			time.AfterFunc(delay, func() {
+				// Best effort: a late write on a dead connection is just
+				// another injected loss.
+				if !st.closed.Load() && w.writeFrame(src, dst, late) == nil {
+					st.msgs.Add(1)
+					st.bytes.Add(uint64(len(late)))
+				}
+				PutPayload(late)
+			})
+			return nil
+		}
+	}
+	if err := w.writeFrame(src, dst, frame); err != nil {
+		return err
+	}
+	if duplicate {
+		_ = w.writeFrame(src, dst, frame) // a lost duplicate is no loss
+	}
+	st.msgs.Add(1)
+	st.bytes.Add(uint64(len(frame)))
+	return nil
 }
 
 // tcpConn is one cached outbound connection. wmu serializes whole frames
@@ -72,8 +142,56 @@ func (w *frameWriter) write(conn net.Conn, src int, payload []byte) error {
 	w.vec = [2][]byte{w.hdr[:], payload}
 	w.bufs = w.vec[:] // WriteTo consumes bufs; vec keeps the backing array
 	_, err := w.bufs.WriteTo(conn)
-	w.vec[1] = nil // the payload goes back to its pool; keep no reference
+	w.vec[1] = nil // the caller's buffer: keep no reference past the call
 	return err
+}
+
+// tcpReadBufferSize sizes a connection's read buffer, which exists for
+// the 8-byte frame headers and for small frames: one read syscall drains a
+// burst of them — the receive-side mirror of the vectored write. It is
+// deliberately much smaller than a large coalesced message (a 16-parcel
+// bundle of 4 KiB arguments is 66 KiB): a header read fills the whole
+// buffer, so whatever it holds of the payload behind that header is copied
+// a second time, and at 256 KiB that was four whole messages.
+const tcpReadBufferSize = 4 << 10
+
+// frameReader reads framed messages off one connection. The part of a
+// payload that is not already in the read buffer is read from the
+// connection straight into the pooled buffer the handler will own.
+type frameReader struct {
+	conn net.Conn
+	br   *bufio.Reader
+	hdr  [8]byte
+}
+
+func newFrameReader(conn net.Conn) *frameReader {
+	return &frameReader{conn: conn, br: bufio.NewReaderSize(conn, tcpReadBufferSize)}
+}
+
+// header reads the next frame's source locality and payload length.
+func (r *frameReader) header() (src int, n uint32, err error) {
+	if _, err = io.ReadFull(r.br, r.hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	return int(binary.LittleEndian.Uint32(r.hdr[0:4])), binary.LittleEndian.Uint32(r.hdr[4:8]), nil
+}
+
+// payload reads the n payload bytes that follow a header into a pooled
+// buffer, which the caller owns.
+func (r *frameReader) payload(n uint32) ([]byte, error) {
+	p := GetPayload(int(n))
+	// Buffered bytes come first; Read copies them out without touching
+	// the connection. Once the buffer is empty the rest of this payload is
+	// all the stream holds up to the next header.
+	k := min(len(p), r.br.Buffered())
+	if k > 0 {
+		k, _ = r.br.Read(p[:k]) // cannot fail: k bytes are buffered
+	}
+	if _, err := io.ReadFull(r.conn, p[k:]); err != nil {
+		PutPayload(p)
+		return nil, err
+	}
+	return p, nil
 }
 
 // NewTCPFabric creates a TCP fabric connecting n localities, each
@@ -125,12 +243,6 @@ func (f *TCPFabric) accept(dst int, l net.Listener) {
 	}
 }
 
-// tcpReadBufferSize sizes the per-connection read buffer. Coalesced
-// messages are tens of kilobytes at most, so a 256 KiB buffer lets one
-// read syscall drain many queued frames under load — the receive-side
-// mirror of Send's vectored (writev) framing.
-const tcpReadBufferSize = 256 << 10
-
 func (f *TCPFabric) readLoop(dst int, conn net.Conn) {
 	defer f.wg.Done()
 	defer func() {
@@ -139,23 +251,16 @@ func (f *TCPFabric) readLoop(dst int, conn net.Conn) {
 		delete(f.accepted, conn)
 		f.mu.Unlock()
 	}()
-	// Batched socket reads: the buffered reader turns per-frame ReadFull
-	// pairs into large socket reads, so a burst of small frames costs one
-	// syscall instead of two per frame. Framing is unchanged — only where
-	// the bytes wait differs.
-	br := bufio.NewReaderSize(conn, tcpReadBufferSize)
-	var hdr [8]byte
+	fr := newFrameReader(conn)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		src, n, err := fr.header()
+		if err != nil {
 			return
 		}
-		src := binary.LittleEndian.Uint32(hdr[0:4])
-		n := binary.LittleEndian.Uint32(hdr[4:8])
 		// Pooled receive buffer: the handler owns it and recycles it via
 		// PutPayload after decoding.
-		payload := GetPayload(int(n))
-		if _, err := io.ReadFull(br, payload); err != nil {
-			PutPayload(payload)
+		payload, err := fr.payload(n)
+		if err != nil {
 			return
 		}
 		if f.closed.Load() {
@@ -165,7 +270,7 @@ func (f *TCPFabric) readLoop(dst int, conn net.Conn) {
 		if hp := f.handlers[dst].Load(); hp != nil {
 			f.msgsIn.Add(1)
 			f.bytesIn.Add(uint64(len(payload)))
-			(*hp)(int(src), payload)
+			(*hp)(src, payload)
 		} else {
 			PutPayload(payload)
 		}
@@ -186,25 +291,12 @@ func (f *TCPFabric) SetHandler(dst int, h Handler) {
 	f.handlers[dst].Store(&h)
 }
 
-// Stats implements Fabric.
-func (f *TCPFabric) Stats() Stats {
-	return Stats{
-		MessagesSent:     f.msgs.Load(),
-		BytesSent:        f.bytes.Load(),
-		MessagesReceived: f.msgsIn.Load(),
-		BytesReceived:    f.bytesIn.Load(),
-		Dropped:          f.drops.Load(),
-		Duplicated:       f.dupes.Load(),
-		Delayed:          f.delays.Load(),
-	}
-}
-
 // SetFaultHook installs (or, with nil, removes) a fault-injection hook,
 // mirroring SimFabric.SetFaultHook. Drops skip the socket write entirely;
 // duplicates write the frame twice; FaultDelay (and FaultReorder, which a
 // byte-stream transport can only express as a delay — later frames
-// overtake the delayed one) writes the frame from a timer goroutine after
-// the extra latency.
+// overtake the delayed one) writes a copy of the frame from a timer
+// goroutine after the extra latency.
 func (f *TCPFabric) SetFaultHook(h FaultHook) {
 	if h == nil {
 		f.fault.Store(nil)
@@ -213,68 +305,34 @@ func (f *TCPFabric) SetFaultHook(h FaultHook) {
 	f.fault.Store(&h)
 }
 
-// Send implements Fabric. Writes on a given (src,dst) pair are serialized
-// by the connection's write mutex, so framing is never interleaved. A
-// dial or write error evicts the cached connection (closing it) so the next Send
-// redials instead of failing forever on a dead socket; the message itself
-// is reported lost to the caller, which retains payload ownership —
-// redelivery is the reliability layer's job.
+// Send implements Fabric: SendBorrowed, then the payload — which the socket
+// write has copied — goes back to the pool on the caller's behalf. On
+// error the caller retains ownership.
 func (f *TCPFabric) Send(src, dst int, payload []byte) error {
+	err := f.SendBorrowed(src, dst, payload)
+	if err == nil {
+		PutPayload(payload)
+	}
+	return err
+}
+
+// SendBorrowed transmits frame without taking ownership of it: the fabric
+// reads frame only until the call returns, and the caller keeps the
+// buffer whatever the outcome — the reliability layer sends its
+// retransmission window's own buffers this way. Writes on a given
+// (src,dst) pair are serialized by the connection's write mutex, so
+// framing is never interleaved. A dial or write error evicts the cached
+// connection (closing it) so the next send redials instead of failing
+// forever on a dead socket; the message itself is reported lost —
+// redelivery is the reliability layer's job.
+func (f *TCPFabric) SendBorrowed(src, dst int, frame []byte) error {
 	if f.closed.Load() {
 		return ErrClosed
 	}
 	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
 		return fmt.Errorf("%w: src=%d dst=%d n=%d", ErrBadLocality, src, dst, f.n)
 	}
-
-	duplicate := false
-	if hook := f.fault.Load(); hook != nil {
-		fault := (*hook)(src, dst, payload)
-		switch fault.Action {
-		case FaultDrop:
-			f.drops.Add(1)
-			PutPayload(payload)
-			return nil
-		case FaultDuplicate:
-			f.dupes.Add(1)
-			duplicate = true
-		case FaultDelay, FaultReorder:
-			f.delays.Add(1)
-			delay := fault.Delay
-			if delay <= 0 {
-				delay = DefaultFaultDelay
-			}
-			// The timer goroutine is not tracked by f.wg: firing after
-			// Close just recycles the payload, so Close need not wait.
-			time.AfterFunc(delay, func() {
-				if f.closed.Load() {
-					PutPayload(payload)
-					return
-				}
-				// Best effort: a late write on a dead connection is just
-				// another injected loss.
-				if err := f.writeFrame(src, dst, payload); err == nil {
-					f.msgs.Add(1)
-					f.bytes.Add(uint64(len(payload)))
-				}
-				PutPayload(payload)
-			})
-			return nil
-		}
-	}
-
-	if err := f.writeFrame(src, dst, payload); err != nil {
-		return err
-	}
-	if duplicate {
-		_ = f.writeFrame(src, dst, payload)
-	}
-	// The socket write copied the bytes; this transport is done with the
-	// caller's buffer, so recycle it on its behalf (Send owns it).
-	PutPayload(payload)
-	f.msgs.Add(1)
-	f.bytes.Add(uint64(len(payload)))
-	return nil
+	return f.sendBorrowed(f, src, dst, frame)
 }
 
 // writeFrame frames and writes one message on the cached (dialing if

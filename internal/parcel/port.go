@@ -519,7 +519,8 @@ func (p *Port) transmit(m outMessage) {
 			size += pc.encodedSize()
 		}
 	}
-	buf := network.GetPayload(bundleSize(count, size))
+	// The slack lets the reliability layer append its trailer in place.
+	buf := network.GetPayload(bundleSize(count, size) + network.FrameSlack)
 	payload := appendBundleHeader(buf[:0], count)
 	if m.single != nil {
 		payload = appendParcel(payload, m.single)

@@ -47,12 +47,13 @@ func (g gatedFabric) SetHandler(dst int, h network.Handler) {
 }
 
 func (w *wireScript) hook(src, dst int, frame []byte) network.Fault {
-	if len(frame) < headerBytes {
+	_, t, ok := parseFrame(frame)
+	if !ok {
 		return network.Fault{}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	switch frame[1] {
+	switch t.kind {
 	case kindAck:
 		if w.dropAck != nil && w.dropAck(w) {
 			return network.Fault{Action: network.FaultDrop}
@@ -61,7 +62,7 @@ func (w *wireScript) hook(src, dst int, frame []byte) network.Fault {
 		if src != 0 {
 			break
 		}
-		seq := binary.LittleEndian.Uint64(frame[2:10])
+		seq := t.seq
 		if w.sent == nil {
 			w.sent = map[uint64]int{}
 		}
@@ -69,7 +70,7 @@ func (w *wireScript) hook(src, dst int, frame []byte) network.Fault {
 		nth := w.sent[seq]
 		if nth > 1 {
 			w.resent = true
-			if binary.LittleEndian.Uint64(frame[10:18]) != 0 {
+			if t.ack != 0 {
 				w.piggy = true
 			}
 		}
@@ -516,14 +517,14 @@ func TestFailPeerMidRecoveryLeavesNothingMarked(t *testing.T) {
 // when it names another session or a frame never sent.
 func FuzzAckFrame(f *testing.F) {
 	f.Add(uint64(3), true, []byte{0b0111_0000}, uint8(0))
-	f.Add(uint64(0), true, []byte{0xFE, 0xFF, 0xFF}, uint8(0))                 // bits beyond next-1
-	f.Add(uint64(8), true, []byte(nil), uint8(0))                              // everything
-	f.Add(uint64(9), true, []byte{0xFF}, uint8(0))                             // a frame never sent
-	f.Add(^uint64(0), true, []byte{0xFF}, uint8(0))                            // wraps
-	f.Add(uint64(2), false, []byte{0xFF, 0xFF}, uint8(0))                      // wrong epoch
-	f.Add(uint64(2), true, make([]byte, 4*sackBytes), uint8(0))                // oversized bitmap
-	f.Add(uint64(2), true, []byte{0xFF, 0xFF, 0xFF, 0xFF}, uint8(headerBytes)) // truncated into the header
-	f.Add(uint64(1), true, []byte{0x01}, uint8(0))                             // bit 0: the frame the receiver lacks
+	f.Add(uint64(0), true, []byte{0xFE, 0xFF, 0xFF}, uint8(0))                  // bits beyond next-1
+	f.Add(uint64(8), true, []byte(nil), uint8(0))                               // everything
+	f.Add(uint64(9), true, []byte{0xFF}, uint8(0))                              // a frame never sent
+	f.Add(^uint64(0), true, []byte{0xFF}, uint8(0))                             // wraps
+	f.Add(uint64(2), false, []byte{0xFF, 0xFF}, uint8(0))                       // wrong epoch
+	f.Add(uint64(2), true, make([]byte, 4*sackBytes), uint8(0))                 // oversized bitmap
+	f.Add(uint64(2), true, []byte{0xFF, 0xFF, 0xFF, 0xFF}, uint8(trailerBytes)) // truncated to less than a trailer
+	f.Add(uint64(1), true, []byte{0x01}, uint8(0))                              // bit 0: the frame the receiver lacks
 	f.Fuzz(func(t *testing.T, ack uint64, sameEpoch bool, sack []byte, cut uint8) {
 		const sent = 8
 		fab := stubbed(t)
@@ -534,11 +535,11 @@ func FuzzAckFrame(f *testing.F) {
 			epoch++
 		}
 		frame := encodeFrame(kindAck, 0, ack, 0, epoch, sack)
-		frame = frame[:len(frame)-min(int(cut), len(frame))]
-		valid := len(frame) >= headerBytes
+		frame = frame[min(int(cut), len(frame)):] // the trailer ends the frame: cut from the front
+		payload, _, valid := parseFrame(frame)
 		var bitmap []byte // what survives of sack; onFrame recycles frame
 		if valid {
-			bitmap = append(bitmap, frame[headerBytes:]...)
+			bitmap = append(bitmap, payload...)
 		}
 		fab.onFrame(1, 0, frame)
 

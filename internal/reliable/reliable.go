@@ -22,7 +22,12 @@
 // and a bounded reorder buffer so handlers observe exactly-once, in-order
 // delivery no matter what the wire does underneath.
 //
-// Frame format (little-endian), prepended to the inner payload:
+// Frame format (little-endian): the inner payload, then a 26-byte
+// trailer. The protocol bytes follow the payload so that a frame minus
+// its trailer is the payload at the buffer's own base and capacity: the
+// sender frames in place, in the buffer it retains for retransmission,
+// and the receiver hands the buffer a frame arrived in up to the port —
+// this layer never copies a payload (ownership protocol: network/buf.go).
 //
 //	byte  0     magic (0xD7)
 //	byte  1     kind: 1 = data, 2 = standalone ACK, 3 = probe
@@ -73,11 +78,11 @@ import (
 )
 
 const (
-	frameMagic  = 0xD7
-	kindData    = 1
-	kindAck     = 2
-	kindProbe   = 3
-	headerBytes = 26
+	frameMagic   = 0xD7
+	kindData     = 1
+	kindAck      = 2
+	kindProbe    = 3
+	trailerBytes = 26
 
 	// sackBytes is the size of the SACK bitmap a standalone ACK carries
 	// while the reorder buffer is non-empty: the 256 sequence numbers
@@ -206,10 +211,26 @@ func (e *rttEstimator) rto(lo, hi time.Duration) time.Duration {
 // txEntry is one unacknowledged data frame retained for retransmission.
 // Its sequence number is its position in the window.
 type txEntry struct {
-	payload []byte // original payload; recycled once cumulatively acknowledged
-	sentAt  int64  // last transmission, ns since Fabric.t0
-	rexmit  bool   // transmitted more than once: its ACK times nothing (Karn)
-	sacked  bool   // selectively acknowledged: never resent while the mark stands
+	// payload is the sender's buffer, recycled once cumulatively
+	// acknowledged; the frame's trailer lies past its length.
+	payload []byte
+	sentAt  int64 // last transmission, ns since Fabric.t0
+	rexmit  bool  // transmitted more than once: its ACK times nothing (Karn)
+	sacked  bool  // selectively acknowledged: never resent while the mark stands
+	// busy marks a frame that Fabric.write is putting on the wire outside
+	// the link lock. That writer alone may touch the trailer, nobody else
+	// starts a second write, and whoever releases the entry meanwhile
+	// leaves the buffer for the writer to recycle.
+	busy bool
+}
+
+// release recycles the entry's buffer, unless a writer still holds it, and
+// clears the entry.
+func (e *txEntry) release() {
+	if !e.busy {
+		network.PutPayload(e.payload)
+	}
+	*e = txEntry{}
 }
 
 // txState is the sender side of one link. The window [una, next) lives in
@@ -255,7 +276,8 @@ func (ts *txState) entry(seq uint64) *txEntry {
 	return &ts.ring[seq&uint64(len(ts.ring)-1)]
 }
 
-// push appends payload to the window and returns its sequence number.
+// push appends payload to the window, busy, and returns its sequence
+// number.
 func (ts *txState) push(payload []byte, now int64) uint64 {
 	if int(ts.next-ts.una) == len(ts.ring) {
 		ring := make([]txEntry, max(2*len(ts.ring), minRing))
@@ -266,7 +288,7 @@ func (ts *txState) push(payload []byte, now int64) uint64 {
 	}
 	seq := ts.next
 	ts.next++
-	*ts.entry(seq) = txEntry{payload: payload, sentAt: now}
+	*ts.entry(seq) = txEntry{payload: payload, sentAt: now, busy: true}
 	return seq
 }
 
@@ -274,9 +296,7 @@ func (ts *txState) push(payload []byte, now int64) uint64 {
 // the timer: link down, FailPeer, ReopenPeer, Close.
 func (ts *txState) discard() {
 	for ; ts.una != ts.next; ts.una++ {
-		e := ts.entry(ts.una)
-		network.PutPayload(e.payload)
-		*e = txEntry{}
+		ts.entry(ts.una).release()
 	}
 	ts.nSacked, ts.hiSacked, ts.rackSent = 0, 0, 0
 	ts.timeouts, ts.recover = 0, 0
@@ -362,6 +382,7 @@ func (rs *rxState) clearReorder() {
 // implements network.Fabric itself; Close closes the inner fabric.
 type Fabric struct {
 	inner  network.Fabric
+	borrow borrowSender // inner, when it can send without taking ownership
 	cfg    Config
 	n      int
 	t0     time.Time // origin of every int64 time in this package
@@ -409,6 +430,13 @@ type Fabric struct {
 	staleEpochs   *counters.Raw // /network/reliability/stale-epoch
 }
 
+// borrowSender is implemented by the socket fabrics: SendBorrowed reads
+// frame only until it returns and leaves the buffer with the caller, so
+// the window's own buffer goes on the wire uncopied.
+type borrowSender interface {
+	SendBorrowed(src, dst int, frame []byte) error
+}
+
 // New wraps inner in a reliability layer. The returned fabric owns inner:
 // closing it closes inner.
 func New(inner network.Fabric, cfg Config) *Fabric {
@@ -421,8 +449,10 @@ func New(inner network.Fabric, cfg Config) *Fabric {
 		return c
 	}
 	n := inner.Localities()
+	borrow, _ := inner.(borrowSender)
 	f := &Fabric{
 		inner:         inner,
+		borrow:        borrow,
 		cfg:           cfg,
 		n:             n,
 		t0:            time.Now(),
@@ -681,9 +711,10 @@ func (f *Fabric) SendProbe(src, dst int, payload []byte) error {
 }
 
 // SetProbeHandler installs the probe delivery callback for dst (nil
-// removes it). The handler receives a pooled copy it owns and must
-// eventually release via network.PutPayload (directly or through a
-// decoder that takes ownership).
+// removes it). The handler owns the pooled buffer it receives — the one
+// the frame arrived in — and must eventually release it via
+// network.PutPayload (directly or through a decoder that takes
+// ownership).
 func (f *Fabric) SetProbeHandler(dst int, h func(src int, payload []byte)) {
 	if dst < 0 || dst >= len(f.probeHandlers) {
 		return
@@ -759,25 +790,72 @@ func (f *Fabric) cumAck(local, remote int) (uint64, uint32) {
 	return rs.delivered, rs.epoch
 }
 
-func putHeader(frame []byte, kind byte, seq, ack uint64, epoch, ackEpoch uint32) {
-	frame[0] = frameMagic
-	frame[1] = kind
-	binary.LittleEndian.PutUint64(frame[2:10], seq)
+// trailer is a frame's decoded protocol fields.
+type trailer struct {
+	kind            byte
+	seq, ack        uint64
+	epoch, ackEpoch uint32
+}
+
+// parseFrame splits frame into its payload — frame minus the trailer,
+// with the buffer's base and capacity — and its protocol fields; ok is
+// false for anything too short to end in a trailer or lacking the magic.
+func parseFrame(frame []byte) (payload []byte, t trailer, ok bool) {
+	n := len(frame) - trailerBytes
+	if n < 0 || frame[n] != frameMagic {
+		return nil, trailer{}, false
+	}
+	b := frame[n:]
+	return frame[:n], trailer{
+		kind:     b[1],
+		seq:      binary.LittleEndian.Uint64(b[2:10]),
+		ack:      binary.LittleEndian.Uint64(b[10:18]),
+		epoch:    binary.LittleEndian.Uint32(b[18:22]),
+		ackEpoch: binary.LittleEndian.Uint32(b[22:26]),
+	}, true
+}
+
+// putTrailer writes the trailer that ends frame.
+func putTrailer(frame []byte, kind byte, seq, ack uint64, epoch, ackEpoch uint32) {
+	b := frame[len(frame)-trailerBytes:]
+	b[0] = frameMagic
+	b[1] = kind
+	binary.LittleEndian.PutUint64(b[2:10], seq)
+	binary.LittleEndian.PutUint32(b[18:22], epoch)
 	putAck(frame, ack, ackEpoch)
-	binary.LittleEndian.PutUint32(frame[18:22], epoch)
 }
 
+// putAck rewrites the cumulative ACK in frame's trailer.
 func putAck(frame []byte, ack uint64, ackEpoch uint32) {
-	binary.LittleEndian.PutUint64(frame[10:18], ack)
-	binary.LittleEndian.PutUint32(frame[22:26], ackEpoch)
+	b := frame[len(frame)-trailerBytes:]
+	binary.LittleEndian.PutUint64(b[10:18], ack)
+	binary.LittleEndian.PutUint32(b[22:26], ackEpoch)
 }
 
-// encodeFrame builds a wire frame in a pooled buffer. payload may be nil
-// (plain ACK frames).
+// The port leaves network.FrameSlack spare bytes behind what it encodes;
+// the trailer must fit in them.
+const _ = uint(network.FrameSlack - trailerBytes)
+
+// frameFor returns payload extended by room for the trailer: in place
+// when the buffer has the spare capacity, which is every payload the port
+// encodes, otherwise in a larger buffer that replaces it.
+func frameFor(payload []byte) []byte {
+	n := len(payload)
+	if cap(payload)-n >= trailerBytes {
+		return payload[:n+trailerBytes]
+	}
+	frame := network.GetPayload(n + trailerBytes)
+	copy(frame, payload)
+	network.PutPayload(payload)
+	return frame
+}
+
+// encodeFrame builds an ACK or probe frame in a pooled buffer. payload
+// may be nil (plain ACK frames).
 func encodeFrame(kind byte, seq, ack uint64, epoch, ackEpoch uint32, payload []byte) []byte {
-	frame := network.GetPayload(headerBytes + len(payload))
-	putHeader(frame, kind, seq, ack, epoch, ackEpoch)
-	copy(frame[headerBytes:], payload)
+	frame := network.GetPayload(len(payload) + trailerBytes)
+	copy(frame, payload)
+	putTrailer(frame, kind, seq, ack, epoch, ackEpoch)
 	return frame
 }
 
@@ -791,12 +869,13 @@ func (f *Fabric) jittered(d time.Duration) time.Duration {
 }
 
 // Send implements network.Fabric. The payload is assigned the link's next
-// sequence number, retained for retransmission, and framed onto the inner
-// fabric. Send returns nil once the frame is committed to the
-// retransmission window — delivery is then guaranteed unless the link's
-// retry budget is exhausted, in which case this and subsequent Sends
-// return ErrLinkDown (wrapping network.ErrLinkDown). On error the caller
-// retains payload ownership, per the Fabric contract.
+// sequence number, framed where it lies, retained for retransmission, and
+// written to the inner fabric from that same buffer. Send returns nil
+// once the frame is committed to the retransmission window — delivery is
+// then guaranteed unless the link's retry budget is exhausted, in which
+// case this and subsequent Sends return ErrLinkDown (wrapping
+// network.ErrLinkDown). On error the caller retains payload ownership,
+// per the Fabric contract.
 func (f *Fabric) Send(src, dst int, payload []byte) error {
 	if f.closed.Load() {
 		return network.ErrClosed
@@ -821,63 +900,91 @@ func (f *Fabric) Send(src, dst int, payload []byte) error {
 		ts.mu.Unlock()
 		return fmt.Errorf("%w: %d->%d retry budget exhausted", network.ErrLinkDown, src, dst)
 	}
-	seq := ts.push(payload, now)
+	frame := frameFor(payload)
+	seq := ts.push(frame[:len(frame)-trailerBytes], now)
 	if ts.deadline.Load() == 0 {
 		ts.deadline.Store(now + int64(ts.rto)) // RFC 6298 §5.1
 	}
-	// Encode while still holding the lock: the moment the entry is in
-	// the window, an ACK, FailPeer or retry-budget exhaustion may recycle
-	// payload back to the pool.
-	frame := encodeFrame(kindData, seq, ack, ts.epoch, ackEpoch, payload)
+	putTrailer(frame, kindData, seq, ack, ts.epoch, ackEpoch)
 	ts.mu.Unlock()
-
-	// An inner-fabric send error (e.g. a TCP connection reset) is a
-	// transient loss: the frame stays in the window and is retransmitted
-	// like any other lost frame.
-	_ = f.inner.Send(src, dst, frame)
+	f.write(ts, frame)
 	return nil
 }
 
+// write puts a data frame on the wire, outside the link lock, and then
+// gives up the busy mark its window entry was handed over with. An ACK,
+// FailPeer, ReopenPeer, retry-budget exhaustion or Close may release the
+// entry while the write is in flight; they leave a busy entry's buffer
+// alone, and the writer, finding its entry gone, recycles it.
+//
+// An inner-fabric send error (e.g. a TCP connection reset) is a transient
+// loss: the frame stays in the window and is retransmitted like any other
+// lost frame.
+func (f *Fabric) write(ts *txState, frame []byte) {
+	if f.borrow != nil {
+		_ = f.borrow.SendBorrowed(ts.src, ts.dst, frame)
+	} else {
+		// The inner fabric takes ownership of what it is sent (SimFabric
+		// hands that very buffer to the receiver), so it gets a copy: for
+		// an in-process fabric this copy is the wire.
+		wire := network.GetPayload(len(frame))
+		copy(wire, frame)
+		if f.inner.Send(ts.src, ts.dst, wire) != nil {
+			network.PutPayload(wire)
+		}
+	}
+	_, t, _ := parseFrame(frame)
+	ts.mu.Lock()
+	if t.epoch == ts.epoch && t.seq >= ts.una {
+		ts.entry(t.seq).busy = false
+	} else {
+		network.PutPayload(frame)
+	}
+	ts.mu.Unlock()
+}
+
 // onFrame processes one frame arriving at locality dst from locality src,
-// on the inner fabric's delivery goroutine.
+// on the inner fabric's delivery goroutine. It owns frame, and passes the
+// buffer on — minus the trailer — wherever the payload is kept: to the
+// delivery or probe handler, or into the reorder buffer.
 func (f *Fabric) onFrame(src, dst int, frame []byte) {
-	if f.closed.Load() || len(frame) < headerBytes || frame[0] != frameMagic || src < 0 || src >= f.n {
+	payload, t, ok := parseFrame(frame)
+	if f.closed.Load() || !ok || src < 0 || src >= f.n {
 		network.PutPayload(frame)
 		return
 	}
-	kind := frame[1]
-	seq := binary.LittleEndian.Uint64(frame[2:10])
-	ack := binary.LittleEndian.Uint64(frame[10:18])
-	epoch := binary.LittleEndian.Uint32(frame[18:22])
-	ackEpoch := binary.LittleEndian.Uint32(frame[22:26])
-
-	switch kind {
+	switch t.kind {
 	case kindProbe:
 		// Probe frames bypass the reliability machinery entirely: no ACK
 		// processing, no dedup, no reorder — straight to the probe
-		// handler, which owns the pooled copy it receives.
+		// handler, which owns the buffer it receives.
 		if php := f.probeHandlers[dst].Load(); php != nil {
-			cp := network.GetPayload(len(frame) - headerBytes)
-			copy(cp, frame[headerBytes:])
-			(*php)(src, cp)
+			(*php)(src, payload)
+			return
 		}
 	case kindAck:
-		f.handleAck(dst, src, ack, ackEpoch, frame[headerBytes:])
+		f.handleAck(dst, src, t.ack, t.ackEpoch, payload)
 	case kindData:
 		// The piggybacked ACK acknowledges data this locality sent to src.
-		f.handleAck(dst, src, ack, ackEpoch, nil)
-		if ackNow, sack := f.receive(src, dst, seq, epoch, frame[headerBytes:]); ackNow != nil {
+		f.handleAck(dst, src, t.ack, t.ackEpoch, nil)
+		kept, ackNow, sack := f.receive(src, dst, t.seq, t.epoch, payload)
+		if ackNow != nil {
 			f.sendAck(dst, src, ackNow, sack)
+		}
+		if kept {
+			return
 		}
 	}
 	network.PutPayload(frame)
 }
 
-// receive runs one data frame through the link's resequencer. It returns
-// a standalone ACK frame (and whether it carries a SACK bitmap) when the
-// sender should hear about this arrival at once: the frame that fills a
-// gap, and any arrival while frames wait behind one.
-func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte) (ackNow []byte, sack bool) {
+// receive runs one data frame through the link's resequencer. kept
+// reports that the payload's buffer went to the handler or into the
+// reorder buffer; otherwise it is still the caller's. receive also
+// returns a standalone ACK frame (and whether it carries a SACK bitmap)
+// when the sender should hear about this arrival at once: the frame that
+// fills a gap, and any arrival while frames wait behind one.
+func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte) (kept bool, ackNow []byte, sack bool) {
 	rs := f.rxFor(src, dst)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -887,7 +994,7 @@ func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte)
 			// since abandoned: dropping it (rather than deduping or
 			// delivering) is the whole point of the epoch field.
 			f.staleEpochs.Inc()
-			return nil, false
+			return false, nil, false
 		}
 		// A newer epoch: the sender restarted this link (ReopenPeer
 		// after a healed partition, or a process restart). Reset the
@@ -906,6 +1013,7 @@ func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte)
 	case off == 1:
 		filled = rs.buffered > 0
 		f.deliverLocked(rs, payload)
+		kept = true
 	case off > uint64(f.cfg.Window):
 		// Beyond the window: dropped, redelivered by retransmission.
 	default:
@@ -913,9 +1021,8 @@ func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte)
 		if p := rs.slot(seq); *p != nil {
 			f.dupSuppressed.Inc()
 		} else {
-			cp := network.GetPayload(len(payload))
-			copy(cp, payload)
-			*p = cp
+			*p = payload
+			kept = true
 			if rs.buffered == 0 || seq > rs.hi {
 				rs.hi = seq
 			}
@@ -927,14 +1034,18 @@ func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte)
 		if rs.ackDue.Load() == 0 {
 			rs.ackDue.Store(f.now() + int64(f.cfg.AckDelay))
 		}
-		return nil, false
+		return kept, nil, false
 	}
-	return f.ackFrameLocked(rs)
+	ackNow, sack = f.ackFrameLocked(rs)
+	return kept, ackNow, sack
 }
 
 // deliverLocked hands the in-order payload to the installed handler and
 // drains any now-consecutive frames from the reorder buffer. Called with
-// rs.mu held, which serializes per-link delivery and preserves order.
+// rs.mu held, which serializes per-link delivery and preserves order. The
+// handler assumes ownership of the buffers themselves: nothing below
+// holds a reference to a frame once it has arrived, so the parcels the
+// port decodes may borrow from it until the bundle's last Release.
 func (f *Fabric) deliverLocked(rs *rxState, payload []byte) {
 	hp := f.handlers[rs.dst].Load()
 	emit := func(b []byte) {
@@ -944,15 +1055,7 @@ func (f *Fabric) deliverLocked(rs *rxState, payload []byte) {
 			network.PutPayload(b)
 		}
 	}
-	// The handler assumes ownership, so it gets its own pooled copy —
-	// the frame buffer is recycled by the caller. This copy is also what
-	// makes the layer transparent to the port's borrowed decode: parcels
-	// decoded downstream borrow from cp, whose lifetime ends only at the
-	// bundle's last Release, never from the reliability frame, which may
-	// be recycled (or retransmitted into) while those borrows are live.
-	cp := network.GetPayload(len(payload))
-	copy(cp, payload)
-	emit(cp)
+	emit(payload)
 	rs.delivered++
 	for rs.buffered > 0 {
 		p := rs.slot(rs.delivered + 1)
@@ -975,9 +1078,9 @@ func (f *Fabric) ackFrameLocked(rs *rxState) (frame []byte, sack bool) {
 	if rs.buffered == 0 {
 		return encodeFrame(kindAck, 0, rs.delivered, 0, rs.epoch, nil), false
 	}
-	frame = network.GetPayload(headerBytes + sackBytes)
-	putHeader(frame, kindAck, 0, rs.delivered, 0, rs.epoch)
-	bitmap := frame[headerBytes:]
+	frame = network.GetPayload(sackBytes + trailerBytes)
+	putTrailer(frame, kindAck, 0, rs.delivered, 0, rs.epoch)
+	bitmap := frame[:sackBytes]
 	clear(bitmap)
 	for s := rs.delivered + 2; s <= min(rs.hi, rs.delivered+sackBits); s++ {
 		if *rs.slot(s) != nil {
@@ -1023,13 +1126,13 @@ func (f *Fabric) handleAck(local, remote int, ack uint64, ackEpoch uint32, sack 
 		resend = f.ackLocked(ts, f.now(), ack, sack)
 	}
 	ts.mu.Unlock()
-	f.transmit(local, remote, resend)
+	f.transmit(ts, resend)
 }
 
 // ackLocked releases what ack covers, marks what sack reports, feeds the
 // round-trip estimator, restarts or stops the timer, and returns the
-// frames that the acknowledgement shows to be lost, encoded for
-// retransmission. Called with ts.mu held.
+// frames that the acknowledgement shows to be lost, marked busy for
+// transmit. Called with ts.mu held.
 func (f *Fabric) ackLocked(ts *txState, now int64, ack uint64, sack []byte) (resend [][]byte) {
 	sample := int64(-1)
 	first := ts.una
@@ -1042,8 +1145,7 @@ func (f *Fabric) ackLocked(ts *txState, now int64, ack uint64, sack []byte) (res
 			ts.arrived(e, now, &sample)
 		}
 		originals = originals || !e.rexmit
-		network.PutPayload(e.payload)
-		*e = txEntry{}
+		e.release()
 	}
 
 	sack = sack[:min(len(sack), sackBytes)]
@@ -1088,7 +1190,9 @@ marks:
 		}
 		for s, n := ts.una, 2*released; n > 0 && s <= ts.recover; s++ {
 			if e := ts.entry(s); !e.sacked && e.sentAt < ts.recoverAt {
-				resend = append(resend, f.resendLocked(ts, s, now, "retransmit"))
+				if frame := f.resendLocked(ts, s, now, "retransmit"); frame != nil {
+					resend = append(resend, frame)
+				}
 				n--
 			}
 		}
@@ -1113,17 +1217,25 @@ marks:
 			if e.rexmit && (ts.rackSent <= e.sentAt || now-e.sentAt < gate) {
 				continue
 			}
-			f.fastRetrans.Inc()
-			resend = append(resend, f.resendLocked(ts, s, now, "fast-retransmit"))
+			if frame := f.resendLocked(ts, s, now, "fast-retransmit"); frame != nil {
+				f.fastRetrans.Inc()
+				resend = append(resend, frame)
+			}
 		}
 	}
 	return resend
 }
 
 // resendLocked stamps entry seq as retransmitted now and returns its
-// frame; transmit fills in the piggybacked ACK outside the link lock.
+// frame, busy, for transmit to send outside the link lock. It returns nil
+// for a frame a writer already holds: a transmission that has not
+// finished has not been lost.
 func (f *Fabric) resendLocked(ts *txState, seq uint64, now int64, why string) []byte {
 	e := ts.entry(seq)
+	if e.busy {
+		return nil
+	}
+	e.busy = true
 	e.rexmit = true
 	e.sentAt = now
 	f.retransmits.Inc()
@@ -1131,20 +1243,20 @@ func (f *Fabric) resendLocked(ts *txState, seq uint64, now int64, why string) []
 		Kind: trace.KindRetransmit, Name: why,
 		Locality: ts.src, Start: f.t0.Add(time.Duration(now)), Arg: int64(seq),
 	})
-	return encodeFrame(kindData, seq, 0, ts.epoch, 0, e.payload)
+	return e.payload[:len(e.payload)+trailerBytes]
 }
 
-// transmit sends retransmission frames from local to remote, each
-// carrying the current cumulative ACK of the reverse link as an original
-// transmission would.
-func (f *Fabric) transmit(local, remote int, frames [][]byte) {
+// transmit sends the frames resendLocked returned, each carrying the
+// current cumulative ACK of the reverse link as an original transmission
+// would — the only bytes in which a retransmission differs from it.
+func (f *Fabric) transmit(ts *txState, frames [][]byte) {
 	if len(frames) == 0 {
 		return
 	}
-	ack, ackEpoch := f.cumAck(local, remote)
+	ack, ackEpoch := f.cumAck(ts.src, ts.dst)
 	for _, frame := range frames {
 		putAck(frame, ack, ackEpoch)
-		_ = f.inner.Send(local, remote, frame)
+		f.write(ts, frame)
 	}
 }
 
@@ -1246,7 +1358,9 @@ func (f *Fabric) expire(ts *txState, tick int64) {
 	// the clock would wait one tick more at every step.
 	ts.deadline.Store(tick + int64(f.jittered(ts.rto)))
 	ts.mu.Unlock()
-	f.transmit(ts.src, ts.dst, [][]byte{frame})
+	if frame != nil {
+		f.transmit(ts, [][]byte{frame})
+	}
 }
 
 // Close implements network.Fabric: it stops the scanner, closes the inner

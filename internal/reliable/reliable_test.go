@@ -106,10 +106,11 @@ func TestReliableExactlyOnceUnderDropAndDuplicate(t *testing.T) {
 	seen := 0
 	dropped := map[uint64]bool{}
 	inner.SetFaultHook(func(src, dst int, frame []byte) network.Fault {
-		if len(frame) < 18 || frame[1] != 1 {
+		_, tr, ok := parseFrame(frame)
+		if !ok || tr.kind != kindData {
 			return network.Fault{} // leave ACK frames alone
 		}
-		seq := binary.LittleEndian.Uint64(frame[2:10])
+		seq := tr.seq
 		mu.Lock()
 		defer mu.Unlock()
 		seen++

@@ -31,9 +31,9 @@ const (
 	ActionPingAck = "cluster/ping-ack"
 )
 
-// AddrBook receives peer addresses learned from membership gossip; the
-// network.PeerFabric implements it. nil (in-process fabrics) disables
-// address installation.
+// AddrBook receives peer addresses learned from membership gossip;
+// network.TCPFabric implements it (a no-op for the localities it hosts
+// itself). nil disables address installation.
 type AddrBook interface {
 	SetPeerAddr(id int, addr string) error
 }

@@ -1,8 +1,8 @@
 // Package cluster promotes the runtime to a multi-process distributed
-// system: each OS process hosts one locality over a network.PeerFabric,
-// discovers the others through a seed-based bootstrap/join protocol, and
-// maintains SWIM-style gossip membership on top of the phi-accrual
-// failure detector (internal/health).
+// system: each OS process hosts one locality over a network.TCPFabric
+// built by network.NewPeerFabric, discovers the others through a
+// seed-based bootstrap/join protocol, and maintains SWIM-style gossip
+// membership on top of the phi-accrual failure detector (internal/health).
 //
 // Membership follows the SWIM state machine (Das et al.): every member is
 // alive, suspect, or confirmed down, tagged with an incarnation number

@@ -242,7 +242,7 @@ const (
 // node is the running state of one amc-node process.
 type node struct {
 	spec   NodeSpec
-	fabric *network.PeerFabric
+	fabric *network.TCPFabric
 	rel    *reliable.Fabric
 	rt     *runtime.Runtime
 	svc    *Service
@@ -264,7 +264,7 @@ type node struct {
 // recording the rejoin latency. Every node runs the identical schedule
 // from its own clock; the schedules agree to within the join-barrier
 // skew, far below the outage durations being scheduled.
-func (n *node) rideOutPartition(fabric *network.PeerFabric) {
+func (n *node) rideOutPartition(fabric *network.TCPFabric) {
 	spec := n.spec
 	p := spec.Partition
 	plan := network.NewFaultPlan(1)

@@ -7,48 +7,33 @@ import (
 	"time"
 )
 
-// borrowSender is what both socket fabrics offer the reliability layer.
-type borrowSender interface {
-	Fabric
-	SendBorrowed(src, dst int, frame []byte) error
-	SetFaultHook(FaultHook)
-}
-
 // TestSendBorrowedLeavesFrameWithCaller pins the borrowed contract under
-// every fault action, on both socket fabrics: the moment SendBorrowed
-// returns the caller may overwrite or recycle the frame, and what arrives
-// — at once, twice, or late from the fault timer — is still what was
-// sent; a dropped frame is not released on the caller's behalf.
+// every fault action, on the socket fabric both ways it is constructed:
+// the moment SendBorrowed returns the caller may overwrite or recycle the
+// frame, and what arrives — at once, twice, or late from the fault timer —
+// is still what was sent; a dropped frame is not released on the caller's
+// behalf. The drop rows also pin where the hook is consulted: a frame meets
+// it once — when sent if its source is hosted by the fabric that holds the
+// hook, when received if not (the receiver's hook is then the only one that
+// can cut the link: the sender is another process).
 func TestSendBorrowedLeavesFrameWithCaller(t *testing.T) {
 	PoisonReleasedPayloads(true)
 	t.Cleanup(func() { PoisonReleasedPayloads(false) })
 
-	fabrics := map[string]func(t *testing.T) (tx, rx borrowSender){
-		"tcp": func(t *testing.T) (borrowSender, borrowSender) {
-			f, err := NewTCPFabric(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f, f
-		},
-		"peer": func(t *testing.T) (borrowSender, borrowSender) {
-			a, b := newPeerPair(t)
-			return a, b
-		},
-	}
 	faults := []struct {
-		name     string
-		fault    Fault
-		arrivals int
+		name       string
+		fault      Fault
+		arrivals   int
+		atReceiver bool // the hook goes on rx, not tx (the same fabric in-process)
 	}{
-		{"deliver", Fault{}, 1},
-		{"drop", Fault{Action: FaultDrop}, 0},
-		{"duplicate", Fault{Action: FaultDuplicate}, 2},
-		{"delay", Fault{Action: FaultDelay, Delay: 2 * time.Millisecond}, 1},
-		{"reorder", Fault{Action: FaultReorder}, 1},
+		{"deliver", Fault{}, 1, false},
+		{"drop", Fault{Action: FaultDrop}, 0, false},
+		{"drop-at-receiver", Fault{Action: FaultDrop}, 0, true},
+		{"duplicate", Fault{Action: FaultDuplicate}, 2, false},
+		{"delay", Fault{Action: FaultDelay, Delay: 2 * time.Millisecond}, 1, false},
+		{"reorder", Fault{Action: FaultReorder}, 1, false},
 	}
-	for name, build := range fabrics {
+	for name, build := range socketFabrics {
 		for _, tc := range faults {
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
 				tx, rx := build(t)
@@ -60,7 +45,11 @@ func TestSendBorrowedLeavesFrameWithCaller(t *testing.T) {
 					mu.Unlock()
 					PutPayload(p)
 				})
-				tx.SetFaultHook(func(int, int, []byte) Fault { return tc.fault })
+				hooked, other := tx, rx
+				if tc.atReceiver {
+					hooked, other = rx, tx
+				}
+				hooked.SetFaultHook(func(int, int, []byte) Fault { return tc.fault })
 
 				const size = 64 << 10
 				want := make([]byte, size)
@@ -85,6 +74,9 @@ func TestSendBorrowedLeavesFrameWithCaller(t *testing.T) {
 					return len(got)
 				}
 				waitFor(t, 5*time.Second, func() bool { return arrived() >= tc.arrivals }, "arrivals")
+				if tc.fault.Action == FaultDrop {
+					waitFor(t, 5*time.Second, func() bool { return hooked.Stats().Dropped >= 1 }, "the drop")
+				}
 				time.Sleep(5 * time.Millisecond) // nothing further may come
 				mu.Lock()
 				defer mu.Unlock()
@@ -94,6 +86,14 @@ func TestSendBorrowedLeavesFrameWithCaller(t *testing.T) {
 				for i, b := range got {
 					if !bytes.Equal(b, want) {
 						t.Errorf("arrival %d differs from what was sent", i)
+					}
+				}
+				if tc.fault.Action == FaultDrop {
+					if d := hooked.Stats().Dropped; d != 1 {
+						t.Errorf("the fabric holding the hook counts %d drops of one frame, want 1", d)
+					}
+					if other != hooked && other.Stats().Dropped != 0 {
+						t.Errorf("the fabric without a hook counts %d drops", other.Stats().Dropped)
 					}
 				}
 			})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,6 +380,44 @@ func TestTCPFabricLargePayload(t *testing.T) {
 	}
 }
 
+// socketFabrics builds two localities on the socket fabric each way it is
+// constructed: one in-process fabric hosting both (tx == rx), and a pair of
+// single-locality fabrics wired with SetPeerAddr as two cluster processes
+// are. tx hosts locality 0, rx locality 1.
+var socketFabrics = map[string]func(t *testing.T) (tx, rx *TCPFabric){
+	"tcp": func(t *testing.T) (*TCPFabric, *TCPFabric) {
+		f, err := NewTCPFabric(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = f.Close() })
+		return f, f
+	},
+	"peer": newPeerPair,
+}
+
+// bigFrame returns n patterned bytes, and checkBigFrame samples a received
+// copy of them.
+func bigFrame(n int) []byte {
+	big := make([]byte, n)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	return big
+}
+
+func checkBigFrame(t *testing.T, got, want []byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("payload len = %d, want %d", len(got), len(want))
+	}
+	for i := 0; i < len(want); i += 4099 {
+		if got[i] != want[i] {
+			t.Fatalf("payload corrupt at %d", i)
+		}
+	}
+}
+
 // TestTCPFabricFirstFrameExceedsSocketBuffers sends, as the first frame
 // on a fresh fabric, more bytes than the kernel will buffer for a
 // connection nobody reads (Linux caps the two socket buffers at about
@@ -386,68 +426,155 @@ func TestTCPFabricLargePayload(t *testing.T) {
 // hold the lock the accept loop needs: with the write under the
 // fabric-wide mutex this deadlocked, and Close behind it.
 func TestTCPFabricFirstFrameExceedsSocketBuffers(t *testing.T) {
-	f, err := NewTCPFabric(2)
+	for name, build := range socketFabrics {
+		t.Run(name, func(t *testing.T) {
+			tx, rx := build(t)
+			c := newCollector()
+			rx.SetHandler(1, c.handler)
+			big := bigFrame(16 << 20)
+			sent := make(chan error, 1)
+			go func() { sent <- tx.Send(0, 1, big) }()
+			c.wait(t, 1, 5*time.Second)
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			checkBigFrame(t, c.msgs[0].payload, big)
+		})
+	}
+}
+
+// TestTCPFabricFirstFramesCrossBothWays is the same first frame sent by
+// both ends at once: each write can finish only once the other end's accept
+// loop has registered the connection, so neither end may hold, across its
+// write, the lock its own accept loop needs — between two processes that
+// was a distributed deadlock, and each side's Close hung behind it.
+func TestTCPFabricFirstFramesCrossBothWays(t *testing.T) {
+	for name, build := range socketFabrics {
+		t.Run(name, func(t *testing.T) {
+			a, b := build(t)
+			c0, c1 := newCollector(), newCollector()
+			a.SetHandler(0, c0.handler)
+			b.SetHandler(1, c1.handler)
+			big := bigFrame(16 << 20)
+			sent := make(chan error, 2)
+			go func() { sent <- a.SendBorrowed(0, 1, big) }()
+			go func() { sent <- b.SendBorrowed(1, 0, big) }()
+			c0.wait(t, 1, 5*time.Second)
+			c1.wait(t, 1, 5*time.Second)
+			for i := 0; i < 2; i++ {
+				if err := <-sent; err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range []*collector{c0, c1} {
+				c.mu.Lock()
+				checkBigFrame(t, c.msgs[0].payload, big)
+				c.mu.Unlock()
+			}
+		})
+	}
+}
+
+// TestTCPFabricStalledPeerDoesNotStallOthers: a peer that accepts a
+// connection and stops reading holds up the sends to it and no others —
+// the fabric carries the heartbeats that decide who is alive, so one stuck
+// link must not silence a healthy one. Locality 2 is a raw listener that
+// reads the hello and the frame header, which proves the 32 MiB write is
+// under way, and nothing after: the write blocks on full socket buffers.
+func TestTCPFabricStalledPeerDoesNotStallOthers(t *testing.T) {
+	newPeer := func(self int) *TCPFabric {
+		f, err := NewPeerFabric(PeerConfig{Localities: 3, Self: self})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = f.Close() })
+		return f
+	}
+	a, b := newPeer(0), newPeer(1)
+	stalled, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer stalled.Close()
+	writing := make(chan net.Conn, 1)
+	go func() {
+		conn, err := stalled.Accept()
+		if err != nil {
+			return
+		}
+		var head [helloSize + 8]byte
+		_, _ = io.ReadFull(conn, head[:])
+		writing <- conn // kept open, never read again
+	}()
+	_ = a.SetPeerAddr(1, b.Addr())
+	_ = a.SetPeerAddr(2, stalled.Addr().String())
 	c := newCollector()
-	f.SetHandler(1, c.handler)
-	big := make([]byte, 16<<20)
-	for i := range big {
-		big[i] = byte(i * 7)
+	b.SetHandler(1, c.handler)
+
+	blocked := make(chan error, 1)
+	go func() { blocked <- a.SendBorrowed(0, 2, make([]byte, 32<<20)) }()
+	var conn net.Conn
+	select {
+	case conn = <-writing:
+		defer conn.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stalled peer never saw the frame begin")
 	}
-	sent := make(chan error, 1)
-	go func() { sent <- f.Send(0, 1, big) }()
-	c.wait(t, 1, 5*time.Second)
-	if err := <-sent; err != nil {
+	if err := a.Send(0, 1, payloadFor("heartbeat")); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	got := c.msgs[0].payload
-	if len(got) != len(big) {
-		t.Fatalf("payload len = %d, want %d", len(got), len(big))
+	c.wait(t, 1, time.Second)
+	select {
+	case err := <-blocked:
+		t.Fatalf("the send to the stalled peer returned (%v): the test stalled nothing", err)
+	default:
 	}
-	for i := 0; i < len(big); i += 4099 {
-		if got[i] != big[i] {
-			t.Fatalf("payload corrupt at %d", i)
+	// Close must not wait for the stalled write either; it fails it.
+	_ = a.Close()
+	select {
+	case err := <-blocked:
+		if err == nil {
+			t.Error("a 32 MiB write nobody read reported success")
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the stalled write blocked")
 	}
 }
 
 // TestTCPFabricConcurrentFirstSends has many senders race the first dial
 // of one link: every frame must arrive whole, whichever dial wins.
 func TestTCPFabricConcurrentFirstSends(t *testing.T) {
-	f, err := NewTCPFabric(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c := newCollector()
-	f.SetHandler(1, c.handler)
-	const senders, each, size = 8, 50, 3000
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if err := f.Send(0, 1, bytes.Repeat([]byte{byte(s)}, size)); err != nil {
-					t.Error(err)
-					return
+	for name, build := range socketFabrics {
+		t.Run(name, func(t *testing.T) {
+			tx, rx := build(t)
+			c := newCollector()
+			rx.SetHandler(1, c.handler)
+			const senders, each, size = 8, 50, 3000
+			var wg sync.WaitGroup
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						if err := tx.Send(0, 1, bytes.Repeat([]byte{byte(s)}, size)); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(s)
+			}
+			wg.Wait()
+			c.wait(t, senders*each, 5*time.Second)
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			for i, m := range c.msgs {
+				if len(m.payload) != size || bytes.Count(m.payload, m.payload[:1]) != size {
+					t.Fatalf("frame %d interleaved or truncated (%d bytes)", i, len(m.payload))
 				}
 			}
-		}(s)
-	}
-	wg.Wait()
-	c.wait(t, senders*each, 5*time.Second)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, m := range c.msgs {
-		if len(m.payload) != size || bytes.Count(m.payload, m.payload[:1]) != size {
-			t.Fatalf("frame %d interleaved or truncated (%d bytes)", i, len(m.payload))
-		}
+		})
 	}
 }
 

@@ -3,12 +3,14 @@ package network
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
 
-func newPeerPair(t *testing.T) (*PeerFabric, *PeerFabric) {
+func newPeerPair(t *testing.T) (*TCPFabric, *TCPFabric) {
 	t.Helper()
 	a, err := NewPeerFabric(PeerConfig{Localities: 2, Self: 0})
 	if err != nil {
@@ -187,6 +189,80 @@ func TestPeerFabricBadHandshakeRejected(t *testing.T) {
 		t.Fatal("spoofed frame was delivered")
 	default:
 	}
+}
+
+// TestTCPFabricStrayConnectionRejected: the in-process constructor's
+// listeners are loopback ports anything on the machine can connect to, and
+// they hold a stray or corrupt stream to the same checks: no hello, no
+// frames; and no length read off a socket is believed beyond maxPeerFrame —
+// a header asking for 4 GiB drops the connection before a buffer is sized
+// by it.
+func TestTCPFabricStrayConnectionRejected(t *testing.T) {
+	f, err := NewTCPFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	delivered := make(chan struct{}, 1)
+	f.SetHandler(1, func(src int, payload []byte) {
+		delivered <- struct{}{}
+		PutPayload(payload)
+	})
+
+	// No hello: what would have parsed as a frame header is refused.
+	c, err := net.Dial("tcp", f.PeerAddr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, _ = c.Write([]byte("\x00\x00\x00\x00\x03\x00\x00\x00abc, a frame from 0"))
+	waitFor(t, 2*time.Second, func() bool { return f.BadHandshakes() >= 1 }, "no-hello rejection")
+
+	// Valid hello from locality 0, then a header claiming a 4 GiB payload.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c2, err := net.Dial("tcp", f.PeerAddr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	hello := [helloSize]byte{helloMagic, helloVersion}
+	binary.LittleEndian.PutUint32(hello[2:6], 0)
+	binary.LittleEndian.PutUint32(hello[6:10], 2)
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], 0)
+	binary.LittleEndian.PutUint32(hdr[4:8], 0xFFFFFFFF)
+	_, _ = c2.Write(append(hello[:], hdr[:]...))
+	waitFor(t, 2*time.Second, func() bool { return f.BadHandshakes() >= 2 }, "oversize-frame rejection")
+	_ = c2.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := c2.Read(hdr[:]); err != io.EOF {
+		t.Errorf("read on the rejected connection = %v, want EOF (dropped)", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxPeerFrame {
+		t.Errorf("%d bytes allocated while rejecting the frame: its length was believed", grew)
+	}
+	select {
+	case <-delivered:
+		t.Fatal("a frame from a rejected connection was delivered")
+	default:
+	}
+}
+
+// TestPeerFabricSetHandlerNotHosted: a handler for a locality another
+// process hosts would never be called; registering one is a wiring bug.
+func TestPeerFabricSetHandlerNotHosted(t *testing.T) {
+	a, err := NewPeerFabric(PeerConfig{Localities: 2, Self: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("SetHandler for a locality hosted elsewhere did not panic")
+		}
+	}()
+	a.SetHandler(1, func(int, []byte) {})
 }
 
 func TestPeerFabricCloseWithLingeringDialer(t *testing.T) {

@@ -430,7 +430,7 @@ type Fabric struct {
 	staleEpochs   *counters.Raw // /network/reliability/stale-epoch
 }
 
-// borrowSender is implemented by the socket fabrics: SendBorrowed reads
+// borrowSender is implemented by the socket fabric: SendBorrowed reads
 // frame only until it returns and leaves the buffer with the caller, so
 // the window's own buffer goes on the wire uncopied.
 type borrowSender interface {

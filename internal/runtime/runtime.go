@@ -99,7 +99,8 @@ type Config struct {
 	// and a detected crash triggers DeclareDown.
 	Health health.Config
 	// Hosted lists the locality ids this process actually runs (cluster
-	// mode: one process per locality over a PeerFabric). nil hosts every
+	// mode: one process per locality, each over a network.TCPFabric that
+	// hosts the same ids — network.NewPeerFabric). nil hosts every
 	// locality, the in-process default. Non-hosted localities exist only
 	// as routing stubs — deterministic root GIDs, no scheduler, port or
 	// monitor — and AGAS switches to static routing so GIDs allocated by

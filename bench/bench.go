@@ -8,10 +8,8 @@
 // bundle encode/decode (serialization), port enqueue/send (the sharded
 // outbound queue plus pooled payload buffers), and coalescer Put under
 // increasing sender concurrency (the striped destination queues). The
-// encode and port-send benchmarks are the ones the pipeline promises
-// 0 allocs/op on; the coalescer benchmarks are paired with a
-// single-mutex baseline so the striping speedup is measured, not
-// assumed.
+// encode, decode and port-send benchmarks are the ones the pipeline
+// promises 0 allocs/op on.
 package bench
 
 import (
@@ -24,11 +22,9 @@ import (
 
 	"repro/internal/agas"
 	"repro/internal/coalescing"
-	"repro/internal/counters"
 	"repro/internal/network"
 	"repro/internal/parcel"
 	"repro/internal/runtime"
-	"repro/internal/stats"
 	"repro/internal/timer"
 )
 
@@ -113,29 +109,6 @@ func DecodeBundle(b *testing.B) {
 			b.Fatal(err)
 		}
 		parcel.ReleaseBundle(ps)
-	}
-}
-
-// DecodeBundleCopy measures the copying decoder — the pre-borrowing
-// receive path and the CopyDecode baseline of the e2e suite — staged
-// exactly like the port's CopyDecode branch (pooled payload in, decode
-// with copies out, payload recycled) so the DecodeBundle/DecodeBundleCopy
-// gap isolates the decoder itself. Every iteration allocates the parcels,
-// their Action strings and Args copies.
-func DecodeBundleCopy(b *testing.B) {
-	wire := parcel.EncodeBundle(makeParcels(16, 1, 64))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(wire)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := network.GetPayload(len(wire))
-		copy(buf, wire)
-		ps, err := parcel.DecodeBundle(buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		network.PutPayload(buf)
-		_ = ps
 	}
 }
 
@@ -344,23 +317,6 @@ func CoalescerPut(b *testing.B, workers int) {
 	})
 }
 
-// CoalescerPutBaseline is CoalescerPut against a single-mutex coalescer
-// replicating the pre-striping design Put-for-Put: one lock around all
-// destination queues, unbatched per-Put arrival statistics under that
-// lock, unpooled batch slices grown by append, and the same flush-timer
-// arming. The striped/baseline ratio is the speedup the sharding work
-// claims.
-func CoalescerPutBaseline(b *testing.B, workers int) {
-	svc := timer.NewService(timer.ServiceOptions{})
-	defer svc.Stop()
-	sink := &countingSink{}
-	c := newBaselineCoalescer(sink, svc, coalescing.Params{NParcels: 64, Interval: time.Second})
-	runSenders(b, workers, func(worker, i int, p *parcel.Parcel) {
-		p.DestLocality = worker
-		c.Put(p)
-	})
-}
-
 // runSenders drives b.N Puts split across workers goroutines, giving
 // each goroutine its own reusable parcel.
 func runSenders(b *testing.B, workers int, put func(worker, i int, p *parcel.Parcel)) {
@@ -384,128 +340,8 @@ func runSenders(b *testing.B, workers int, put func(worker, i int, p *parcel.Par
 	wg.Wait()
 }
 
-// baselineCoalescer replicates the seed's single-mutex coalescer
-// Put-for-Put (see the pre-striping internal/coalescing): one action-wide
-// lock, per-Put arrival statistics recorded under it, the sparse-bypass
-// check, batch slices grown by plain append with no pooling, the flush
-// timer armed on a queue's first parcel and stopped when it fills, and an
-// outBatch slice allocated per flush.
-type baselineCoalescer struct {
-	mu          sync.Mutex
-	sink        coalescing.Enqueuer
-	svc         *timer.Service
-	params      coalescing.Params
-	queues      map[int]*baselineQueue
-	lastArrival time.Time
-	parcels     *counters.Raw
-	messages    *counters.Raw
-	avgPerMsg   *counters.Average
-	avgArrival  *counters.Average
-	arrivalHist *stats.Histogram
-}
-
-type baselineQueue struct {
-	dst      int
-	parcels  []*parcel.Parcel
-	bytes    int
-	flushTmr *timer.Timer
-}
-
-type baselineBatch struct {
-	dst     int
-	parcels []*parcel.Parcel
-}
-
-func newBaselineCoalescer(sink coalescing.Enqueuer, svc *timer.Service, params coalescing.Params) *baselineCoalescer {
-	if params.MaxBufferBytes <= 0 {
-		params.MaxBufferBytes = coalescing.DefaultMaxBufferBytes
-	}
-	return &baselineCoalescer{
-		sink:        sink,
-		svc:         svc,
-		params:      params,
-		queues:      make(map[int]*baselineQueue),
-		parcels:     counters.NewRaw(counters.Path{Object: "coalescing", Name: "count/parcels"}),
-		messages:    counters.NewRaw(counters.Path{Object: "coalescing", Name: "count/messages"}),
-		avgPerMsg:   counters.NewAverage(counters.Path{Object: "coalescing", Name: "count/average-parcels-per-message"}),
-		avgArrival:  counters.NewAverage(counters.Path{Object: "coalescing", Name: "time/average-parcel-arrival"}),
-		arrivalHist: stats.NewHistogram(0, 10000, 100),
-	}
-}
-
-func (c *baselineCoalescer) Put(p *parcel.Parcel) {
-	now := time.Now()
-	var ready []baselineBatch
-
-	c.mu.Lock()
-	params := c.params
-	c.parcels.Inc()
-
-	tslp := time.Duration(-1)
-	if !c.lastArrival.IsZero() {
-		tslp = now.Sub(c.lastArrival)
-		us := float64(tslp) / float64(time.Microsecond)
-		c.avgArrival.Record(us)
-		c.arrivalHist.Observe(us)
-	}
-	c.lastArrival = now
-
-	q := c.queues[p.DestLocality]
-	bypass := tslp >= 0 && tslp > params.Interval && (q == nil || len(q.parcels) == 0)
-	if params.NParcels <= 1 || bypass {
-		c.messages.Inc()
-		c.avgPerMsg.Record(1)
-		c.mu.Unlock()
-		c.sink.EnqueueMessage(p.DestLocality, []*parcel.Parcel{p})
-		return
-	}
-
-	if q == nil {
-		dst := p.DestLocality
-		q = &baselineQueue{dst: dst}
-		q.flushTmr = c.svc.NewTimer(func() { c.flushDest(dst) })
-		c.queues[dst] = q
-	}
-	q.parcels = append(q.parcels, p)
-	q.bytes += p.WireSize()
-
-	switch {
-	case len(q.parcels) == 1:
-		_ = q.flushTmr.Start(params.Interval)
-	case len(q.parcels) >= params.NParcels || q.bytes >= params.MaxBufferBytes:
-		q.flushTmr.Stop()
-		ready = append(ready, baselineBatch{dst: q.dst, parcels: q.parcels})
-		q.parcels, q.bytes = nil, 0
-	}
-	c.mu.Unlock()
-	for _, batch := range ready {
-		c.messages.Inc()
-		c.avgPerMsg.Record(float64(len(batch.parcels)))
-		c.sink.EnqueueMessage(batch.dst, batch.parcels)
-	}
-}
-
-func (c *baselineCoalescer) flushDest(dst int) {
-	c.mu.Lock()
-	q := c.queues[dst]
-	var ready []baselineBatch
-	if q != nil && len(q.parcels) > 0 {
-		ready = append(ready, baselineBatch{dst: dst, parcels: q.parcels})
-		q.parcels, q.bytes = nil, 0
-	}
-	c.mu.Unlock()
-	for _, batch := range ready {
-		c.messages.Inc()
-		c.avgPerMsg.Record(float64(len(batch.parcels)))
-		c.sink.EnqueueMessage(batch.dst, batch.parcels)
-	}
-}
-
-// Name helpers shared with cmd/amc-bench.
-func CoalescerBenchName(baseline bool, workers int) string {
-	kind := "Striped"
-	if baseline {
-		kind = "Baseline"
-	}
-	return fmt.Sprintf("CoalescerPut%s/goroutines=%d", kind, workers)
+// CoalescerBenchName names a CoalescerPut variant consistently for
+// bench_test.go and cmd/amc-bench.
+func CoalescerBenchName(workers int) string {
+	return fmt.Sprintf("CoalescerPut/goroutines=%d", workers)
 }

@@ -9,12 +9,11 @@ import (
 // Thin wrappers so the suite runs under `go test -bench`; the bodies in
 // bench.go are shared with cmd/amc-bench.
 
-func BenchmarkEncodeBundle(b *testing.B)     { EncodeBundle(b) }
-func BenchmarkDecodeBundle(b *testing.B)     { DecodeBundle(b) }
-func BenchmarkDecodeBundleCopy(b *testing.B) { DecodeBundleCopy(b) }
-func BenchmarkPortEnqueue(b *testing.B)      { PortEnqueue(b) }
-func BenchmarkPortSend(b *testing.B)         { PortSend(b) }
-func BenchmarkTCPSendFrame(b *testing.B)     { TCPSendFrame(b) }
+func BenchmarkEncodeBundle(b *testing.B) { EncodeBundle(b) }
+func BenchmarkDecodeBundle(b *testing.B) { DecodeBundle(b) }
+func BenchmarkPortEnqueue(b *testing.B)  { PortEnqueue(b) }
+func BenchmarkPortSend(b *testing.B)     { PortSend(b) }
+func BenchmarkTCPSendFrame(b *testing.B) { TCPSendFrame(b) }
 
 func BenchmarkPortEnqueueWake(b *testing.B) {
 	for _, mode := range []string{WakeNoHook, WakeNoneParked, WakeParked, IdleProbeNoneQueued} {
@@ -24,11 +23,8 @@ func BenchmarkPortEnqueueWake(b *testing.B) {
 
 func BenchmarkCoalescerPut(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
-		b.Run(CoalescerBenchName(false, workers), func(b *testing.B) {
+		b.Run(CoalescerBenchName(workers), func(b *testing.B) {
 			CoalescerPut(b, workers)
-		})
-		b.Run(CoalescerBenchName(true, workers), func(b *testing.B) {
-			CoalescerPutBaseline(b, workers)
 		})
 	}
 }
@@ -83,32 +79,6 @@ func TestZeroAllocSendPath(t *testing.T) {
 	}
 }
 
-// TestE2EQuick smoke-runs the end-to-end suite at CI size so the full
-// stack sweep (both fabrics, both decoders) stays exercised by go test.
-func TestE2EQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e sweep skipped in -short mode")
-	}
-	res, err := RunE2E(E2EConfig{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) == 0 {
-		t.Fatal("e2e: no points measured")
-	}
-	for _, p := range res.Points {
-		if p.ParcelsPerSec <= 0 {
-			t.Errorf("e2e %s/%dB/coalesce=%d/%s: nonpositive throughput", p.Fabric, p.ArgsBytes, p.CoalesceN, p.Decode)
-		}
-		if p.WireMsgs == 0 {
-			t.Errorf("e2e %s/%dB/coalesce=%d/%s: rx stats counted no wire messages", p.Fabric, p.ArgsBytes, p.CoalesceN, p.Decode)
-		}
-	}
-	if res.GeomeanImprovement <= 0 {
-		t.Errorf("e2e: geomean improvement %v, want > 0", res.GeomeanImprovement)
-	}
-}
-
 func BenchmarkTaskbenchGraph(b *testing.B) {
 	for _, pattern := range []taskbench.Pattern{taskbench.Stencil1D, taskbench.FFT, taskbench.Random} {
 		b.Run(TaskbenchBenchName(pattern), func(b *testing.B) {
@@ -132,34 +102,12 @@ func BenchmarkReliableLargeTCP(b *testing.B)          { ReliableLargeTCP(b) }
 
 func BenchmarkSchedSpawnExecute(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
-		for _, stealing := range []bool{true, false} {
-			b.Run(SchedBenchName("SpawnExecute", stealing, workers), func(b *testing.B) {
-				SchedSpawnExecute(b, stealing, workers, 0)
-			})
-		}
-	}
-}
-
-func BenchmarkSchedEmptyTaskLatency(b *testing.B) {
-	for _, stealing := range []bool{true, false} {
-		b.Run(SchedBenchName("EmptyTaskLatency", stealing, 4), func(b *testing.B) {
-			SchedEmptyTaskLatency(b, stealing, 4)
+		b.Run(SchedBenchName("SpawnExecute", workers), func(b *testing.B) {
+			SchedSpawnExecute(b, workers, 0)
 		})
 	}
 }
 
-func BenchmarkSchedStealImbalance(b *testing.B) {
-	for _, stealing := range []bool{true, false} {
-		b.Run(SchedBenchName("StealImbalance", stealing, 16), func(b *testing.B) {
-			SchedStealImbalance(b, stealing, 16)
-		})
-	}
-}
-
-func BenchmarkSchedBackgroundStarvation(b *testing.B) {
-	for _, stealing := range []bool{true, false} {
-		b.Run(SchedBenchName("BackgroundStarvation", stealing, 4), func(b *testing.B) {
-			SchedBackgroundStarvation(b, stealing, 4)
-		})
-	}
-}
+func BenchmarkSchedEmptyTaskLatency(b *testing.B)     { SchedEmptyTaskLatency(b, 4) }
+func BenchmarkSchedStealImbalance(b *testing.B)       { SchedStealImbalance(b, 16) }
+func BenchmarkSchedBackgroundStarvation(b *testing.B) { SchedBackgroundStarvation(b, 4) }

@@ -11,34 +11,18 @@ import (
 	"repro/internal/timer"
 )
 
-// Scheduler micro-benchmarks. The work-stealing scheduler
-// (runtime.SchedBench) is always measured against the seed's
-// single-channel design (runtime.ChanSchedBench) so the speedup is a
-// measurement, not a claim: spawn/execute throughput at several worker
-// counts on fine-grained tasks, cold-start empty-task latency through
-// the park/wake path, a steal-heavy imbalanced load, and background
-// network work under task saturation.
-
-// schedPool abstracts the two scheduler implementations under test.
-type schedPool interface {
-	Spawn(fn func()) bool
-	Stats() runtime.SchedStats
-	Stop()
-}
-
-func newPool(stealing bool, cfg runtime.SchedBenchConfig) schedPool {
-	if stealing {
-		return runtime.NewSchedBench(cfg)
-	}
-	return runtime.NewChanSchedBench(cfg)
-}
+// Scheduler micro-benchmarks, on the work-stealing scheduler without a
+// runtime around it (runtime.SchedBench): spawn/execute throughput at
+// several worker counts on fine-grained tasks, cold-start empty-task
+// latency through the park/wake path, a steal-heavy imbalanced load, and
+// background network work under task saturation.
 
 // SchedSpawnExecute measures end-to-end spawn+execute throughput:
 // `workers` producer goroutines spawn b.N fine-grained tasks
 // (taskSpin of busy work each; 0 means empty) and wait for all of them
 // to finish. ns/op is the per-task cost of the whole scheduling cycle.
-func SchedSpawnExecute(b *testing.B, stealing bool, workers int, taskSpin time.Duration) {
-	p := newPool(stealing, runtime.SchedBenchConfig{Workers: workers})
+func SchedSpawnExecute(b *testing.B, workers int, taskSpin time.Duration) {
+	p := runtime.NewSchedBench(runtime.SchedBenchConfig{Workers: workers})
 	defer p.Stop()
 	body := func() {}
 	if taskSpin > 0 {
@@ -84,9 +68,9 @@ func SchedSpawnExecute(b *testing.B, stealing bool, workers int, taskSpin time.D
 
 // SchedEmptyTaskLatency measures the cold-path latency of one task
 // spawned into an otherwise idle scheduler: the spawn, the wake of a
-// parked (or sleeping) worker, the execution and the completion signal.
-func SchedEmptyTaskLatency(b *testing.B, stealing bool, workers int) {
-	p := newPool(stealing, runtime.SchedBenchConfig{Workers: workers})
+// parked worker, the execution and the completion signal.
+func SchedEmptyTaskLatency(b *testing.B, workers int) {
+	p := runtime.NewSchedBench(runtime.SchedBenchConfig{Workers: workers})
 	defer p.Stop()
 	done := make(chan struct{})
 	task := func() { done <- struct{}{} }
@@ -103,36 +87,17 @@ func SchedEmptyTaskLatency(b *testing.B, stealing bool, workers int) {
 }
 
 // SchedStealImbalance preloads every task onto a single worker's inject
-// queue, so the rest of the pool makes progress only by stealing. The
-// single-channel baseline has no per-worker queues — all workers share
-// the one channel — so it is reported for scale, not contrast, via the
-// plain Spawn path.
-func SchedStealImbalance(b *testing.B, stealing bool, workers int) {
-	cfg := runtime.SchedBenchConfig{Workers: workers}
-	b.ReportAllocs()
-	if stealing {
-		p := runtime.NewSchedBench(cfg)
-		defer p.Stop()
-		var wg sync.WaitGroup
-		wg.Add(b.N)
-		task := func() { timer.Spin(time.Microsecond); wg.Done() }
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !p.SpawnTo(0, task) {
-				b.Fatal("spawn failed")
-			}
-		}
-		wg.Wait()
-		return
-	}
-	p := runtime.NewChanSchedBench(cfg)
+// queue, so the rest of the pool makes progress only by stealing.
+func SchedStealImbalance(b *testing.B, workers int) {
+	p := runtime.NewSchedBench(runtime.SchedBenchConfig{Workers: workers})
 	defer p.Stop()
+	b.ReportAllocs()
 	var wg sync.WaitGroup
 	wg.Add(b.N)
 	task := func() { timer.Spin(time.Microsecond); wg.Done() }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !p.Spawn(task) {
+		if !p.SpawnTo(0, task) {
 			b.Fatal("spawn failed")
 		}
 	}
@@ -142,17 +107,15 @@ func SchedStealImbalance(b *testing.B, stealing bool, workers int) {
 // SchedBackgroundStarvation saturates the pool with a steady task
 // stream while background network work is always available, and reports
 // how many background units were processed per executed task
-// (bg-units/task). The work-stealing scheduler interleaves a periodic
-// background batch even when tasks are runnable; the single-channel
-// baseline only reaches the network when a worker happens to find its
-// queue empty.
-func SchedBackgroundStarvation(b *testing.B, stealing bool, workers int) {
+// (bg-units/task): the scheduler interleaves a periodic background batch
+// even when tasks are runnable.
+func SchedBackgroundStarvation(b *testing.B, workers int) {
 	var bgDone atomic.Int64
 	bg := func(maxUnits int) int {
 		bgDone.Add(int64(maxUnits))
 		return maxUnits
 	}
-	p := newPool(stealing, runtime.SchedBenchConfig{Workers: workers, Background: bg})
+	p := runtime.NewSchedBench(runtime.SchedBenchConfig{Workers: workers, Background: bg})
 	defer p.Stop()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -170,10 +133,6 @@ func SchedBackgroundStarvation(b *testing.B, stealing bool, workers int) {
 
 // SchedBenchName names a scheduler benchmark variant consistently for
 // bench_test.go and cmd/amc-bench.
-func SchedBenchName(kind string, stealing bool, workers int) string {
-	impl := "WorkStealing"
-	if !stealing {
-		impl = "Chan"
-	}
-	return fmt.Sprintf("Sched%s%s/workers=%d", kind, impl, workers)
+func SchedBenchName(kind string, workers int) string {
+	return fmt.Sprintf("Sched%s/workers=%d", kind, workers)
 }

@@ -3,27 +3,15 @@
 // committed BENCH_parcel.json and BENCH_sched.json snapshots.
 //
 // The parcel suite measures the three layers of the zero-allocation
-// pipeline — bundle encode plus borrowed decode (with the copying
-// decoder as baseline), port enqueue/send, and coalescer Put under
-// 1/4/16 concurrent senders against a single-mutex baseline — and its
-// report includes the striped-vs-baseline speedup at each concurrency
-// level plus pass/fail fields for the pipeline's headline claims
-// (0 allocs/op on encode, borrowed decode and send; >=2x coalescer
-// speedup at 16 senders).
+// pipeline — bundle encode and borrowed decode, port enqueue/send, and
+// coalescer Put under 1/4/16 concurrent senders — and its report has
+// pass/fail fields for the pipeline's headline claims (0 allocs/op on
+// encode, decode and send).
 //
-// The e2e suite measures end-to-end delivered messages/sec/core through
-// the full stack (Apply → coalescing → fabric → batched rx → decode →
-// task) on both the simulated and the TCP fabric, across parcel sizes
-// and coalescing settings, A/B-ing the borrowing decode against the
-// copying baseline; -quick shrinks it to a CI-smoke size.
-//
-// The sched suite measures the work-stealing task scheduler against the
-// seed's single-channel design: spawn/execute throughput at 1/4/16
-// workers, cold-start empty-task latency through the park/wake path, a
-// steal-heavy imbalanced load, and background network work under task
-// saturation. Its report includes the per-worker-count speedups and a
-// pass/fail field for the scheduler's headline claim (>=2x throughput
-// at 16 workers on fine-grained tasks).
+// The sched suite measures the work-stealing task scheduler:
+// spawn/execute throughput at 1/4/16 workers, cold-start empty-task
+// latency through the park/wake path, a steal-heavy imbalanced load, and
+// background network work under task saturation.
 //
 // The taskbench suite is the Task Bench-style workload harness
 // (internal/taskbench): all eight dependence patterns are executed
@@ -92,38 +80,17 @@ type result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// speedup compares the striped coalescer against the single-mutex
-// baseline at one sender count.
-type speedup struct {
-	Goroutines int     `json:"goroutines"`
-	StripedNs  float64 `json:"striped_ns_per_op"`
-	BaselineNs float64 `json:"baseline_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-}
-
 // report is the BENCH_parcel.json schema.
 type report struct {
 	partialStatus
-	GoVersion         string    `json:"go_version"`
-	GOMAXPROCS        int       `json:"gomaxprocs"`
-	Benchtime         string    `json:"benchtime"`
-	Results           []result  `json:"results"`
-	CoalescerSpeedups []speedup `json:"coalescer_speedups"`
-	ZeroAllocSendPath bool      `json:"zero_alloc_send_path"`
-	// ZeroAllocRecvPath: the borrowed DecodeBundle reached 0 allocs/op.
-	// DecodeSpeedup is copying-decode ns/op over borrowed-decode ns/op.
-	ZeroAllocRecvPath bool    `json:"zero_alloc_recv_path"`
-	DecodeSpeedup     float64 `json:"decode_speedup_vs_copy"`
-	Speedup16OK       bool    `json:"coalescer_16x_speedup_ge_2"`
-}
-
-// schedSpeedup compares the work-stealing scheduler against the
-// single-channel baseline at one worker count.
-type schedSpeedup struct {
-	Workers        int     `json:"workers"`
-	WorkStealingNs float64 `json:"work_stealing_ns_per_op"`
-	ChanNs         float64 `json:"chan_ns_per_op"`
-	Speedup        float64 `json:"speedup"`
+	GoVersion  string   `json:"go_version"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Benchtime  string   `json:"benchtime"`
+	Results    []result `json:"results"`
+	// ZeroAllocSendPath: EncodeBundle and PortSend reached 0 allocs/op;
+	// ZeroAllocRecvPath: DecodeBundle did.
+	ZeroAllocSendPath bool `json:"zero_alloc_send_path"`
+	ZeroAllocRecvPath bool `json:"zero_alloc_recv_path"`
 }
 
 // lossPoint is one chaos measurement of the reliable-delivery layer at a
@@ -179,14 +146,10 @@ var largeTCPBefore = largeTCPPoint{Commit: "5a3fa9c", NsPerOp: 45131}
 // schedReport is the BENCH_sched.json schema.
 type schedReport struct {
 	partialStatus
-	GoVersion            string         `json:"go_version"`
-	GOMAXPROCS           int            `json:"gomaxprocs"`
-	Benchtime            string         `json:"benchtime"`
-	Results              []result       `json:"results"`
-	SpawnExecuteSpeedups []schedSpeedup `json:"spawn_execute_speedups"`
-	Speedup16OK          bool           `json:"spawn_execute_16x_speedup_ge_2"`
-	EmptyTaskLatency     schedSpeedup   `json:"empty_task_latency"`
-	StealImbalance       schedSpeedup   `json:"steal_imbalance"`
+	GoVersion  string   `json:"go_version"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Benchtime  string   `json:"benchtime"`
+	Results    []result `json:"results"`
 }
 
 // runner measures one benchmark, records it in a result list, and
@@ -249,12 +212,11 @@ type suiteDef struct {
 // suites is the registry the -suite flag is validated against; "all"
 // runs every entry with its default output file.
 var suites = []suiteDef{
-	{"parcel", "BENCH_parcel.json", "zero-allocation send+receive pipeline and striped coalescer vs single-mutex baseline", runParcel},
-	{"sched", "BENCH_sched.json", "work-stealing task scheduler vs single-channel baseline", runSched},
+	{"parcel", "BENCH_parcel.json", "zero-allocation send+receive pipeline and striped coalescer Put", runParcel},
+	{"sched", "BENCH_sched.json", "work-stealing task scheduler: spawn/execute, wake latency, stealing, background share", runSched},
 	{"reliable", "BENCH_reliable.json", "goodput and Eq. 4 overhead under injected frame loss; link-down detection", runReliable},
 	{"taskbench", "BENCH_taskbench.json", "Task Bench-style pattern sweep: per-pattern overhead/time correlation + adaptive phase demo", runTaskbench},
 	{"health", "BENCH_health.json", "crash-stop chaos: phi-accrual detection latency, false-positive soak, survive-crash workload", runHealth},
-	{"e2e", "BENCH_e2e.json", "end-to-end messages/sec/core on both fabrics: borrowed vs copying decode across sizes and coalescing", runE2E},
 	{"adaptive", "BENCH_adaptive.json", "controller A/B: global OverheadTuner vs per-destination MultiTuner on uniform and skewed workloads", runAdaptive},
 	{"cluster", "BENCH_cluster.json", "multi-process cluster: weak/strong scaling over real TCP sockets + crash-recovery run", runCluster},
 	{"fft", "BENCH_fft.json", "distributed 2-D FFT on collectives: all-to-all variants x coalescing arms, Eq. 4 correlation, 3-node cluster runs", runFFT},
@@ -363,81 +325,20 @@ func runParcel(out string, opts options) error {
 
 	encode := rn.run("EncodeBundle", bench.EncodeBundle)
 	decode := rn.run("DecodeBundle", bench.DecodeBundle)
-	decodeCopy := rn.run("DecodeBundleCopy", bench.DecodeBundleCopy)
 	rn.run("PortEnqueue", bench.PortEnqueue)
 	send := rn.run("PortSend", bench.PortSend)
-	rep.ZeroAllocRecvPath = decode.AllocsPerOp() == 0
-	if ns := nsPerOp(decode); ns > 0 {
-		rep.DecodeSpeedup = nsPerOp(decodeCopy) / ns
-	}
-
 	for _, workers := range []int{1, 4, 16} {
 		w := workers
-		striped := rn.run(bench.CoalescerBenchName(false, w),
-			func(b *testing.B) { bench.CoalescerPut(b, w) })
-		baseline := rn.run(bench.CoalescerBenchName(true, w),
-			func(b *testing.B) { bench.CoalescerPutBaseline(b, w) })
-		s := speedup{
-			Goroutines: w,
-			StripedNs:  nsPerOp(striped),
-			BaselineNs: nsPerOp(baseline),
-		}
-		if s.StripedNs > 0 {
-			s.Speedup = s.BaselineNs / s.StripedNs
-		}
-		rep.CoalescerSpeedups = append(rep.CoalescerSpeedups, s)
-		if w == 16 {
-			rep.Speedup16OK = s.Speedup >= 2
-		}
+		rn.run(bench.CoalescerBenchName(w), func(b *testing.B) { bench.CoalescerPut(b, w) })
 	}
 	rep.ZeroAllocSendPath = encode.AllocsPerOp() == 0 && send.AllocsPerOp() == 0
+	rep.ZeroAllocRecvPath = decode.AllocsPerOp() == 0
 
 	if err := writeJSON(out, rep); err != nil {
 		return err
 	}
-	fmt.Fprintf(statusW(out), "wrote %s (%d benchmarks, zero-alloc send=%v recv=%v, decode speedup=%.2fx, 16-sender speedup ok=%v)\n",
-		out, len(rep.Results), rep.ZeroAllocSendPath, rep.ZeroAllocRecvPath, rep.DecodeSpeedup, rep.Speedup16OK)
-	return nil
-}
-
-// e2eReport is the BENCH_e2e.json schema: end-to-end delivered active
-// messages per second per core through the full runtime stack on both
-// fabrics, with the borrowing decode measured against the copying
-// baseline in every cell (the improvement the receive-path work claims).
-type e2eReport struct {
-	partialStatus
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Quick      bool            `json:"quick"`
-	E2E        bench.E2EResult `json:"e2e"`
-	// BorrowedFasterOK: the geomean borrowed/copy throughput ratio is
-	// >= 1, i.e. the zero-allocation receive path did not lose end-to-end.
-	BorrowedFasterOK bool `json:"borrowed_geomean_improvement_ge_1"`
-}
-
-func runE2E(out string, opts options) error {
-	rep := e2eReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      opts.quick,
-	}
-	cfg := bench.E2EConfig{Quick: opts.quick}
-	if opts.verbose {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	res, err := bench.RunE2E(cfg)
-	rep.E2E = res // partial sweep progress is meaningful even on error
-	if err != nil {
-		return failPartial(out, &rep, &rep.partialStatus, err)
-	}
-	rep.BorrowedFasterOK = res.GeomeanImprovement >= 1
-	if err := writeJSON(out, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(statusW(out), "wrote %s (%d points, geomean borrowed/copy improvement=%.3fx, ok=%v)\n",
-		out, len(rep.E2E.Points), rep.E2E.GeomeanImprovement, rep.BorrowedFasterOK)
+	fmt.Fprintf(statusW(out), "wrote %s (%d benchmarks, zero-alloc send=%v recv=%v)\n",
+		out, len(rep.Results), rep.ZeroAllocSendPath, rep.ZeroAllocRecvPath)
 	return nil
 }
 
@@ -449,47 +350,18 @@ func runSched(out string, opts options) error {
 	}
 	rn := runner{verbose: opts.verbose, results: &rep.Results}
 
-	pair := func(workers int, kind string, fn func(b *testing.B, stealing bool)) schedSpeedup {
-		ws := rn.run(bench.SchedBenchName(kind, true, workers),
-			func(b *testing.B) { fn(b, true) })
-		ch := rn.run(bench.SchedBenchName(kind, false, workers),
-			func(b *testing.B) { fn(b, false) })
-		s := schedSpeedup{
-			Workers:        workers,
-			WorkStealingNs: nsPerOp(ws),
-			ChanNs:         nsPerOp(ch),
-		}
-		if s.WorkStealingNs > 0 {
-			s.Speedup = s.ChanNs / s.WorkStealingNs
-		}
-		return s
-	}
-
 	for _, workers := range []int{1, 4, 16} {
 		w := workers
-		s := pair(w, "SpawnExecute", func(b *testing.B, stealing bool) {
-			bench.SchedSpawnExecute(b, stealing, w, 0)
-		})
-		rep.SpawnExecuteSpeedups = append(rep.SpawnExecuteSpeedups, s)
-		if w == 16 {
-			rep.Speedup16OK = s.Speedup >= 2
-		}
+		rn.run(bench.SchedBenchName("SpawnExecute", w), func(b *testing.B) { bench.SchedSpawnExecute(b, w, 0) })
 	}
-	rep.EmptyTaskLatency = pair(4, "EmptyTaskLatency", func(b *testing.B, stealing bool) {
-		bench.SchedEmptyTaskLatency(b, stealing, 4)
-	})
-	rep.StealImbalance = pair(16, "StealImbalance", func(b *testing.B, stealing bool) {
-		bench.SchedStealImbalance(b, stealing, 16)
-	})
-	pair(4, "BackgroundStarvation", func(b *testing.B, stealing bool) {
-		bench.SchedBackgroundStarvation(b, stealing, 4)
-	})
+	rn.run(bench.SchedBenchName("EmptyTaskLatency", 4), func(b *testing.B) { bench.SchedEmptyTaskLatency(b, 4) })
+	rn.run(bench.SchedBenchName("StealImbalance", 16), func(b *testing.B) { bench.SchedStealImbalance(b, 16) })
+	rn.run(bench.SchedBenchName("BackgroundStarvation", 4), func(b *testing.B) { bench.SchedBackgroundStarvation(b, 4) })
 
 	if err := writeJSON(out, rep); err != nil {
 		return err
 	}
-	fmt.Fprintf(statusW(out), "wrote %s (%d benchmarks, 16-worker spawn/execute speedup ok=%v)\n",
-		out, len(rep.Results), rep.Speedup16OK)
+	fmt.Fprintf(statusW(out), "wrote %s (%d benchmarks)\n", out, len(rep.Results))
 	return nil
 }
 

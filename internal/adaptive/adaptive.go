@@ -20,6 +20,10 @@
 //     Params overrides), and leaves cold destinations on the global
 //     policy. See multituner.go.
 //
+//     The two share one hill-climb step, one action-wide climb and one
+//     Start/Stop lifecycle (climb.go): under uniform traffic MultiTuner
+//     runs OverheadTuner's code, not a copy of it.
+//
 //   - PICSTuner reproduces the prior state of the art the paper compares
 //     against (Charm++'s PICS, which "converged to a decision on
 //     coalescing buffer size in 5 decisions"): it requires an iterative
@@ -105,90 +109,24 @@ func (c TunerConfig) withDefaults() TunerConfig {
 }
 
 // OverheadTuner hill-climbs NParcels against the instantaneous network
-// overhead metric on its own goroutine.
+// overhead metric on its own goroutine. It is the climb MultiTuner runs
+// under uniform traffic (tuner.climbGlobal), and nothing else.
 type OverheadTuner struct {
-	rt     *runtime.Runtime
-	action string
-	cfg    TunerConfig
-
-	mu  sync.Mutex
-	err error
-	log *decisionLog
-
-	stop chan struct{}
-	done chan struct{}
+	tuner
+	cfg TunerConfig
 }
 
 // NewOverheadTuner creates (but does not start) a tuner for one coalesced
 // action. Coalescing must already be enabled for the action.
 func NewOverheadTuner(rt *runtime.Runtime, action string, cfg TunerConfig) *OverheadTuner {
 	cfg = cfg.withDefaults()
-	return &OverheadTuner{
-		rt:     rt,
-		action: action,
-		cfg:    cfg,
-		log:    newDecisionLog(cfg.MaxDecisions),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-}
-
-// Start launches the sampling loop.
-func (t *OverheadTuner) Start() { go t.run() }
-
-// Stop terminates the loop and waits for it to exit. Stop is idempotent.
-func (t *OverheadTuner) Stop() {
-	select {
-	case <-t.stop:
-	default:
-		close(t.stop)
-	}
-	<-t.done
-}
-
-// Decisions returns the retained decision log (oldest first). When more
-// than MaxDecisions decisions have been made, the oldest are dropped —
-// use DecisionCount for the cumulative total.
-func (t *OverheadTuner) Decisions() []Decision {
-	return t.log.all()
-}
-
-// DecisionCount returns the total number of decisions ever made,
-// including ones the bounded log has since dropped.
-func (t *OverheadTuner) DecisionCount() int64 { return t.log.count() }
-
-// DroppedDecisions returns how many decisions the bounded log discarded.
-func (t *OverheadTuner) DroppedDecisions() int64 { return t.log.droppedCount() }
-
-// Err reports the error that terminated the sampling loop, if any. A nil
-// result after Stop means the loop exited cleanly.
-func (t *OverheadTuner) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-// fail records a terminal decision carrying the error reason and stops
-// the loop; the error is surfaced via Err.
-func (t *OverheadTuner) fail(overhead float64, params coalescing.Params, err error) {
-	t.mu.Lock()
-	t.err = err
-	t.mu.Unlock()
-	t.log.add(Decision{
-		When:     time.Now(),
-		Dest:     GlobalDest,
-		Overhead: overhead,
-		From:     params,
-		To:       params,
-		Reason:   "terminated: " + err.Error(),
-	})
+	t := &OverheadTuner{tuner: newTuner(rt, action, cfg.MaxDecisions), cfg: cfg}
+	t.loop = t.run
+	return t
 }
 
 func (t *OverheadTuner) run() {
-	defer close(t.done)
 	last := metrics.Snapshot(t.rt)
-	prevOverhead := -1.0
-	direction := +1 // +1: double NParcels, -1: halve
 	ticker := time.NewTicker(t.cfg.SampleInterval)
 	defer ticker.Stop()
 	for {
@@ -197,72 +135,29 @@ func (t *OverheadTuner) run() {
 			return
 		case <-ticker.C:
 		}
-		now := metrics.Snapshot(t.rt)
-		window := metrics.Phase{
-			Tasks:          now.Tasks - last.Tasks,
-			TaskDuration:   now.TaskDuration - last.TaskDuration,
-			ExecDuration:   now.ExecDuration - last.ExecDuration,
-			BackgroundWork: now.BackgroundWork - last.BackgroundWork,
-		}
-		last = now
+		window := t.window(&last)
 		if window.Tasks < t.cfg.MinWindowTasks {
 			// Quiet window: no information; also reset the baseline so a
 			// new phase is judged fresh.
-			prevOverhead = -1
+			t.global.reset()
 			continue
 		}
 		overhead := window.NetworkOverhead()
 		params, err := t.rt.CoalescingParams(t.action)
 		if err != nil {
-			t.fail(overhead, coalescing.Params{}, err)
+			t.fail(GlobalDest, overhead, coalescing.Params{}, err)
 			return
 		}
-		if prevOverhead >= 0 {
-			change := overhead - prevOverhead
-			switch {
-			case change > t.cfg.Tolerance*prevOverhead:
-				// The last move made things worse: reverse.
-				direction = -direction
-			case change < -t.cfg.Tolerance*prevOverhead:
-				// Improving: keep direction.
-			default:
-				// Within noise: hold position, refresh baseline.
-				prevOverhead = overhead
-				continue
-			}
-		}
-		prevOverhead = overhead
-
-		next := params
-		if direction > 0 {
-			next.NParcels = params.NParcels * 2
-		} else {
-			next.NParcels = params.NParcels / 2
-		}
-		if next.NParcels < t.cfg.MinNParcels {
-			next.NParcels = t.cfg.MinNParcels
-			direction = +1
-		}
-		if next.NParcels > t.cfg.MaxNParcels {
-			next.NParcels = t.cfg.MaxNParcels
-			direction = -1
-		}
-		if next.NParcels == params.NParcels {
-			continue
-		}
-		if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
-			t.fail(overhead, params, err)
+		if t.tick(overhead, params) {
 			return
 		}
-		t.log.add(Decision{
-			When:     time.Now(),
-			Dest:     GlobalDest,
-			Overhead: overhead,
-			From:     params,
-			To:       next,
-			Reason:   fmt.Sprintf("n_oh=%.4f dir=%+d", overhead, direction),
-		})
 	}
+}
+
+// tick judges one busy window. It returns true if the loop must
+// terminate.
+func (t *OverheadTuner) tick(overhead float64, params coalescing.Params) bool {
+	return t.climbGlobal(overhead, t.cfg.Tolerance, params, t.cfg.MinNParcels, t.cfg.MaxNParcels, "")
 }
 
 // PICSTuner is the iteration-driven baseline: the application calls

@@ -97,12 +97,43 @@ func TestOverheadTunerImprovesToyRun(t *testing.T) {
 	}
 }
 
-func TestOverheadTunerStopIdempotent(t *testing.T) {
-	rt := newToyRuntime(t, coalescing.Params{NParcels: 4, Interval: time.Millisecond})
-	tuner := NewOverheadTuner(rt, toy.Action, TunerConfig{})
-	tuner.Start()
-	tuner.Stop()
-	tuner.Stop()
+// TestTunerLifecycle: Stop returns however often Start was called before
+// it — never, once or twice — and one loop runs at most.
+func TestTunerLifecycle(t *testing.T) {
+	type startStopper interface {
+		Start()
+		Stop()
+	}
+	constructors := map[string]func(rt *runtime.Runtime) startStopper{
+		"OverheadTuner": func(rt *runtime.Runtime) startStopper {
+			return NewOverheadTuner(rt, toy.Action, TunerConfig{SampleInterval: time.Millisecond})
+		},
+		"MultiTuner": func(rt *runtime.Runtime) startStopper {
+			return NewMultiTuner(rt, toy.Action, MultiTunerConfig{SampleInterval: time.Millisecond})
+		},
+	}
+	sequences := map[string]func(startStopper){
+		"Stop before Start": func(c startStopper) { c.Stop(); c.Start(); c.Stop() },
+		"Start Stop Stop":   func(c startStopper) { c.Start(); c.Stop(); c.Stop() },
+		"Start Start Stop":  func(c startStopper) { c.Start(); c.Start(); c.Stop() },
+	}
+	for cname, construct := range constructors {
+		for sname, sequence := range sequences {
+			t.Run(cname+"/"+sname, func(t *testing.T) {
+				rt := newToyRuntime(t, coalescing.Params{NParcels: 4, Interval: time.Millisecond})
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					sequence(construct(rt))
+				}()
+				select {
+				case <-done:
+				case <-time.After(2 * time.Second):
+					t.Fatal("Stop did not return")
+				}
+			})
+		}
+	}
 }
 
 func TestOverheadTunerQuietWindowsMakeNoDecisions(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps/toy"
 	"repro/internal/coalescing"
+	"repro/internal/runtime"
 )
 
 // The golden tables pin the hill-climb's decisions — every From, To and
@@ -122,43 +123,60 @@ func renderNew(ds []Decision, seen int, suffix string) string {
 	}
 	var parts []string
 	for _, d := range ds[seen:] {
-		if d.Dest != GlobalDest {
-			parts = append(parts, fmt.Sprintf("dest=%d", d.Dest))
-		}
 		parts = append(parts, fmt.Sprintf("%d->%d %s", d.From.NParcels, d.To.NParcels, strings.TrimSuffix(d.Reason, suffix)))
 	}
 	return strings.Join(parts, "; ")
 }
 
-func TestGoldenGlobalClimbMultiTuner(t *testing.T) {
-	for _, tc := range globalSeries {
-		t.Run(tc.name, func(t *testing.T) {
-			rt := newToyRuntime(t, coalescing.Params{NParcels: tc.start, Interval: time.Millisecond})
-			tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MinNParcels: tc.lo, MaxNParcels: tc.hi})
-			for i, oh := range tc.windows {
-				seen := len(tuner.Decisions())
-				if oh == quiet {
-					tuner.gPrevOH = -1 // what run does with a quiet window
-				} else {
-					g, err := rt.CoalescingParams(toy.Action)
-					if err != nil {
-						t.Fatal(err)
+// TestGoldenGlobalClimb runs every series through both controllers'
+// per-window functions: the decisions must be the same ones, MultiTuner's
+// carrying the uniform-fallback suffix.
+func TestGoldenGlobalClimb(t *testing.T) {
+	type tickFunc = func(overhead float64, params coalescing.Params) bool
+	controllers := []struct {
+		name   string
+		suffix string
+		build  func(rt *runtime.Runtime, lo, hi int) (tickFunc, *tuner)
+	}{
+		{"MultiTuner.tickGlobal", globalUniformSuffix, func(rt *runtime.Runtime, lo, hi int) (tickFunc, *tuner) {
+			mt := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MinNParcels: lo, MaxNParcels: hi})
+			return mt.tickGlobal, &mt.tuner
+		}},
+		{"OverheadTuner.tick", "", func(rt *runtime.Runtime, lo, hi int) (tickFunc, *tuner) {
+			ot := NewOverheadTuner(rt, toy.Action, TunerConfig{MinNParcels: lo, MaxNParcels: hi})
+			return ot.tick, &ot.tuner
+		}},
+	}
+	for _, ctl := range controllers {
+		for _, tc := range globalSeries {
+			t.Run(ctl.name+"/"+tc.name, func(t *testing.T) {
+				rt := newToyRuntime(t, coalescing.Params{NParcels: tc.start, Interval: time.Millisecond})
+				tick, tn := ctl.build(rt, tc.lo, tc.hi)
+				for i, oh := range tc.windows {
+					seen := len(tn.Decisions())
+					if oh == quiet {
+						tn.global.reset() // what run does with a quiet window
+					} else {
+						g, err := rt.CoalescingParams(toy.Action)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if tick(oh, g) {
+							t.Fatalf("window %d: stopped (err=%v)", i, tn.Err())
+						}
 					}
-					if tuner.tickGlobal(oh, g) {
-						t.Fatalf("window %d: stopped (err=%v)", i, tuner.Err())
+					ds := tn.Decisions()
+					for _, d := range ds[seen:] {
+						if !strings.HasSuffix(d.Reason, ctl.suffix) {
+							t.Errorf("window %d: reason %q lacks %q", i, d.Reason, ctl.suffix)
+						}
+					}
+					if got := renderNew(ds, seen, ctl.suffix); got != tc.want[i] {
+						t.Errorf("window %d (oh=%v): got %q, want %q", i, oh, got, tc.want[i])
 					}
 				}
-				ds := tuner.Decisions()
-				for _, d := range ds[seen:] {
-					if !strings.HasSuffix(d.Reason, globalUniformSuffix) {
-						t.Errorf("window %d: reason %q lacks %q", i, d.Reason, globalUniformSuffix)
-					}
-				}
-				if got := renderNew(ds, seen, globalUniformSuffix); got != tc.want[i] {
-					t.Errorf("window %d (oh=%v): got %q, want %q", i, oh, got, tc.want[i])
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -53,12 +53,6 @@ type MultiTunerConfig struct {
 	// MaxDecisions caps the retained decision log (default
 	// DefaultMaxDecisions).
 	MaxDecisions int
-	// TuneBackground additionally hill-climbs the scheduler's
-	// background-batch size against the same overhead signal.
-	TuneBackground bool
-	// MinBackgroundBatch and MaxBackgroundBatch bound that search
-	// (defaults 1 and 64).
-	MinBackgroundBatch, MaxBackgroundBatch int
 }
 
 func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
@@ -101,12 +95,6 @@ func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
 	if c.KnobPeriod <= 0 {
 		c.KnobPeriod = 3
 	}
-	if c.MinBackgroundBatch <= 0 {
-		c.MinBackgroundBatch = 1
-	}
-	if c.MaxBackgroundBatch <= 0 {
-		c.MaxBackgroundBatch = 64
-	}
 	return c
 }
 
@@ -142,28 +130,14 @@ type destClimb struct {
 // leaves cold destinations on the action's global policy. Tracked
 // destinations are capped; the least-recently-hot is evicted (its
 // override cleared) when the cap is exceeded or after IdleWindows quiet
-// windows. With TuneBackground it co-tunes the scheduler's
-// background-batch size against the same signal.
+// windows.
 type MultiTuner struct {
-	rt     *runtime.Runtime
-	action string
-	cfg    MultiTunerConfig
+	tuner
+	cfg MultiTunerConfig
 
+	// mu guards tracked and the climbs, the action-wide one included.
 	mu      sync.Mutex
-	err     error
 	tracked map[int]*destClimb
-	log     *decisionLog
-
-	// global NParcels climb state (uniform-traffic fallback).
-	gPrevOH float64
-	gDir    int
-
-	// background-batch climb state (TuneBackground).
-	bgPrevOH float64
-	bgDir    int
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewMultiTuner creates (but does not start) a per-destination tuner for
@@ -171,50 +145,13 @@ type MultiTuner struct {
 // action.
 func NewMultiTuner(rt *runtime.Runtime, action string, cfg MultiTunerConfig) *MultiTuner {
 	cfg = cfg.withDefaults()
-	return &MultiTuner{
-		rt:       rt,
-		action:   action,
-		cfg:      cfg,
-		tracked:  make(map[int]*destClimb),
-		log:      newDecisionLog(cfg.MaxDecisions),
-		gPrevOH:  -1,
-		gDir:     +1,
-		bgPrevOH: -1,
-		bgDir:    +1,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+	t := &MultiTuner{
+		tuner:   newTuner(rt, action, cfg.MaxDecisions),
+		cfg:     cfg,
+		tracked: make(map[int]*destClimb),
 	}
-}
-
-// Start launches the sampling loop.
-func (t *MultiTuner) Start() { go t.run() }
-
-// Stop terminates the loop and waits for it to exit. Stop is idempotent.
-func (t *MultiTuner) Stop() {
-	select {
-	case <-t.stop:
-	default:
-		close(t.stop)
-	}
-	<-t.done
-}
-
-// Decisions returns the retained decision log (oldest first); use
-// DecisionCount for the cumulative total.
-func (t *MultiTuner) Decisions() []Decision { return t.log.all() }
-
-// DecisionCount returns the total number of decisions ever made,
-// including ones the bounded log has since dropped.
-func (t *MultiTuner) DecisionCount() int64 { return t.log.count() }
-
-// DroppedDecisions returns how many decisions the bounded log discarded.
-func (t *MultiTuner) DroppedDecisions() int64 { return t.log.droppedCount() }
-
-// Err reports the error that terminated the sampling loop, if any.
-func (t *MultiTuner) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
+	t.loop = t.run
+	return t
 }
 
 // TrackedDests returns the destinations currently under independent
@@ -228,20 +165,6 @@ func (t *MultiTuner) TrackedDests() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// fail records a terminal decision carrying the error reason and stops
-// the loop; the error is surfaced via Err.
-func (t *MultiTuner) fail(overhead float64, err error) {
-	t.mu.Lock()
-	t.err = err
-	t.mu.Unlock()
-	t.log.add(Decision{
-		When:     time.Now(),
-		Dest:     GlobalDest,
-		Overhead: overhead,
-		Reason:   "terminated: " + err.Error(),
-	})
 }
 
 // destParcels aggregates cumulative sent-parcel counts per destination
@@ -258,7 +181,6 @@ func (t *MultiTuner) destParcels() map[int]int64 {
 }
 
 func (t *MultiTuner) run() {
-	defer close(t.done)
 	last := metrics.Snapshot(t.rt)
 	prevParcels := t.destParcels()
 	var seq int64
@@ -271,14 +193,7 @@ func (t *MultiTuner) run() {
 		case <-ticker.C:
 		}
 		seq++
-		now := metrics.Snapshot(t.rt)
-		window := metrics.Phase{
-			Tasks:          now.Tasks - last.Tasks,
-			TaskDuration:   now.TaskDuration - last.TaskDuration,
-			ExecDuration:   now.ExecDuration - last.ExecDuration,
-			BackgroundWork: now.BackgroundWork - last.BackgroundWork,
-		}
-		last = now
+		window := t.window(&last)
 
 		curParcels := t.destParcels()
 		deltas := make(map[int]int64, len(curParcels))
@@ -299,15 +214,14 @@ func (t *MultiTuner) run() {
 			for _, cl := range t.tracked {
 				cl.prevOH = -1
 			}
-			t.gPrevOH = -1
-			t.bgPrevOH = -1
+			t.global.reset()
 			t.mu.Unlock()
 			continue
 		}
 		overhead := window.NetworkOverhead()
 		global, err := t.rt.CoalescingParams(t.action)
 		if err != nil {
-			t.fail(overhead, err)
+			t.fail(GlobalDest, overhead, coalescing.Params{}, err)
 			return
 		}
 
@@ -321,11 +235,8 @@ func (t *MultiTuner) run() {
 			}
 		} else {
 			t.mu.Lock()
-			t.gPrevOH = -1
+			t.global.reset()
 			t.mu.Unlock()
-		}
-		if t.cfg.TuneBackground {
-			t.tickBackground(overhead, global)
 		}
 	}
 }
@@ -378,15 +289,7 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 			continue
 		}
 		if err := t.rt.SetCoalescingParamsDest(t.action, d, next); err != nil {
-			t.err = err
-			t.log.add(Decision{
-				When:     time.Now(),
-				Dest:     d,
-				Overhead: destOH,
-				From:     cl.params,
-				To:       cl.params,
-				Reason:   "terminated: " + err.Error(),
-			})
+			t.fail(d, destOH, cl.params, err)
 			return hot, true
 		}
 		t.log.add(Decision{
@@ -445,66 +348,41 @@ func (t *MultiTuner) evict(d int, why string) {
 }
 
 // step advances one destination's coordinate descent and returns the
-// next parameters, a reason string, and whether a move was made.
+// next parameters, a reason string, and whether a move was made. The
+// climb itself is climb.step on whichever knob the descent is on; what a
+// destination adds is the rotation between knobs.
 func (cl *destClimb) step(destOH float64, cfg MultiTunerConfig) (coalescing.Params, string, bool) {
-	if cl.prevOH >= 0 {
-		change := destOH - cl.prevOH
-		switch {
-		case change > cfg.Tolerance*cl.prevOH:
-			// The last move made things worse: reverse.
-			cl.dir = -cl.dir
-			cl.holds = 0
-		case change < -cfg.Tolerance*cl.prevOH:
-			// Improving: keep direction.
-			cl.holds = 0
-		default:
-			// Within noise: hold, and after two quiet windows rotate to
-			// the other knob — this knob has plateaued.
-			cl.prevOH = destOH
-			cl.holds++
-			if cl.holds >= 2 {
-				cl.rotate()
-			}
-			return coalescing.Params{}, "", false
-		}
+	cur, lo, hi := int64(cl.params.NParcels), int64(cfg.MinNParcels), int64(cfg.MaxNParcels)
+	if cl.knob == knobInterval {
+		cur, lo, hi = int64(cl.params.Interval), int64(cfg.MinInterval), int64(cl.ivCap)
 	}
-	cl.prevOH = destOH
+	judged := cl.prevOH >= 0
+	c := climb{prev: cl.prevOH, dir: cl.dir}
+	n, out := c.step(destOH, cfg.Tolerance, cur, lo, hi)
+	cl.prevOH, cl.dir = c.prev, c.dir
 
-	next := cl.params
-	switch cl.knob {
-	case knobNParcels:
-		if cl.dir > 0 {
-			next.NParcels = cl.params.NParcels * 2
-		} else {
-			next.NParcels = cl.params.NParcels / 2
+	if out == held {
+		// After two windows within noise rotate to the other knob — this
+		// one has plateaued.
+		cl.holds++
+		if cl.holds >= 2 {
+			cl.rotate()
 		}
-		if next.NParcels < cfg.MinNParcels {
-			next.NParcels = cfg.MinNParcels
-			cl.dir = +1
-		}
-		if next.NParcels > cfg.MaxNParcels {
-			next.NParcels = cfg.MaxNParcels
-			cl.dir = -1
-		}
-	case knobInterval:
-		if cl.dir > 0 {
-			next.Interval = cl.params.Interval * 2
-		} else {
-			next.Interval = cl.params.Interval / 2
-		}
-		if next.Interval < cfg.MinInterval {
-			next.Interval = cfg.MinInterval
-			cl.dir = +1
-		}
-		if next.Interval > cl.ivCap {
-			next.Interval = cl.ivCap
-			cl.dir = -1
-		}
+		return coalescing.Params{}, "", false
 	}
-	if next == cl.params {
+	if judged {
+		cl.holds = 0
+	}
+	if out == pinned {
 		// Pinned at a bound: rotate to the other knob rather than stall.
 		cl.rotate()
 		return coalescing.Params{}, "", false
+	}
+	next := cl.params
+	if cl.knob == knobInterval {
+		next.Interval = time.Duration(n)
+	} else {
+		next.NParcels = int(n)
 	}
 	cl.moves++
 	if cl.moves >= cfg.KnobPeriod {
@@ -533,106 +411,9 @@ func (cl *destClimb) rotate() {
 
 // tickGlobal is the uniform-traffic fallback: with no hot destination to
 // single out, hill-climb the action-wide NParcels exactly as
-// OverheadTuner would. It returns true if the loop must terminate.
+// OverheadTuner does. It returns true if the loop must terminate.
 func (t *MultiTuner) tickGlobal(overhead float64, global coalescing.Params) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.gPrevOH >= 0 {
-		change := overhead - t.gPrevOH
-		switch {
-		case change > t.cfg.Tolerance*t.gPrevOH:
-			t.gDir = -t.gDir
-		case change < -t.cfg.Tolerance*t.gPrevOH:
-		default:
-			t.gPrevOH = overhead
-			return false
-		}
-	}
-	t.gPrevOH = overhead
-
-	next := global
-	if t.gDir > 0 {
-		next.NParcels = global.NParcels * 2
-	} else {
-		next.NParcels = global.NParcels / 2
-	}
-	if next.NParcels < t.cfg.MinNParcels {
-		next.NParcels = t.cfg.MinNParcels
-		t.gDir = +1
-	}
-	if next.NParcels > t.cfg.MaxNParcels {
-		next.NParcels = t.cfg.MaxNParcels
-		t.gDir = -1
-	}
-	if next.NParcels == global.NParcels {
-		return false
-	}
-	if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
-		t.err = err
-		t.log.add(Decision{
-			When:     time.Now(),
-			Dest:     GlobalDest,
-			Overhead: overhead,
-			From:     global,
-			To:       global,
-			Reason:   "terminated: " + err.Error(),
-		})
-		return true
-	}
-	t.log.add(Decision{
-		When:     time.Now(),
-		Dest:     GlobalDest,
-		Overhead: overhead,
-		From:     global,
-		To:       next,
-		Reason:   fmt.Sprintf("n_oh=%.4f dir=%+d (uniform fallback)", overhead, t.gDir),
-	})
-	return false
-}
-
-// tickBackground hill-climbs the scheduler's background-batch size
-// against the global overhead signal.
-func (t *MultiTuner) tickBackground(overhead float64, global coalescing.Params) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.bgPrevOH >= 0 {
-		change := overhead - t.bgPrevOH
-		switch {
-		case change > t.cfg.Tolerance*t.bgPrevOH:
-			t.bgDir = -t.bgDir
-		case change < -t.cfg.Tolerance*t.bgPrevOH:
-		default:
-			t.bgPrevOH = overhead
-			return
-		}
-	}
-	t.bgPrevOH = overhead
-
-	cur := t.rt.BackgroundBatch()
-	next := cur
-	if t.bgDir > 0 {
-		next = cur * 2
-	} else {
-		next = cur / 2
-	}
-	if next < t.cfg.MinBackgroundBatch {
-		next = t.cfg.MinBackgroundBatch
-		t.bgDir = +1
-	}
-	if next > t.cfg.MaxBackgroundBatch {
-		next = t.cfg.MaxBackgroundBatch
-		t.bgDir = -1
-	}
-	if next == cur {
-		return
-	}
-	t.rt.SetBackgroundBatch(next)
-	t.log.add(Decision{
-		When:     time.Now(),
-		Dest:     GlobalDest,
-		Overhead: overhead,
-		From:     global,
-		To:       global,
-		Reason:   fmt.Sprintf("bgbatch %d -> %d", cur, next),
-	})
+	return t.climbGlobal(overhead, t.cfg.Tolerance, global, t.cfg.MinNParcels, t.cfg.MaxNParcels, " (uniform fallback)")
 }

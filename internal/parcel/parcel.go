@@ -164,9 +164,9 @@ func EncodeBundle(parcels []*Parcel) []byte {
 // DecodeBundle reconstructs the parcels of a wire message, copying every
 // field out of data — the returned parcels are owned and data may be
 // recycled immediately. Decoded parcels have DestLocality unresolved
-// (-1). The allocation-free variant is DecodeBundleBorrowed (borrow.go);
-// this copying decoder remains as the misuse-proof baseline and the
-// reference the borrowing fuzzer checks against.
+// (-1). The port decodes with DecodeBundleBorrowed (borrow.go); this
+// copying decoder is the reference the borrowing decoder's tests and
+// fuzzers compare it against.
 func DecodeBundle(data []byte) ([]*Parcel, error) {
 	r := serialization.NewReader(data)
 	if magic := r.U8(); magic != bundleMagic {

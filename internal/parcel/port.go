@@ -87,13 +87,6 @@ type Config struct {
 	// timer goroutine, the fabric's delivery goroutine — so it must be
 	// cheap and must never block.
 	Wake func()
-	// CopyDecode selects the copying decoder (DecodeBundle) for received
-	// messages instead of the default zero-allocation borrowing decode.
-	// Delivered parcels then own their memory and Release is a no-op.
-	// It exists as the A/B baseline for the e2e benchmark suite and as
-	// an escape hatch for delivery sinks that cannot follow the
-	// borrow-and-release discipline.
-	CopyDecode bool
 }
 
 // outShardCount shards the outbound queue by destination so senders
@@ -124,12 +117,11 @@ type outShard struct {
 // encoded into pooled buffers (internal/network) that the receiving port
 // releases after decoding.
 type Port struct {
-	locality   int
-	fabric     network.Fabric
-	resolve    Resolver
-	deliver    Deliver
-	wake       func()
-	copyDecode bool
+	locality int
+	fabric   network.Fabric
+	resolve  Resolver
+	deliver  Deliver
+	wake     func()
 
 	handlersMu sync.RWMutex
 	handlers   map[string]MessageHandler
@@ -210,7 +202,6 @@ func NewPort(cfg Config) *Port {
 		resolve:      cfg.Resolve,
 		deliver:      cfg.Deliver,
 		wake:         cfg.Wake,
-		copyDecode:   cfg.CopyDecode,
 		handlers:     make(map[string]MessageHandler),
 		trc:          cfg.Trace,
 		rxDepth:      depth,
@@ -558,12 +549,11 @@ func (p *Port) transmit(m outMessage) {
 
 // receiveOne decodes one queued incoming message, if any.
 //
-// The default path is the zero-allocation borrowing decode: on success
-// payload ownership transfers to the decoded bundle, each delivered
-// parcel aliases the wire buffer until its consumer Releases it, and the
-// batch slice goes back to the pool as soon as dispatch is done (the
-// parcels outlive it). With CopyDecode the port is itself the explicit
-// release point, recycling the payload right after the copying decode.
+// The decode is the zero-allocation borrowing one: on success payload
+// ownership transfers to the decoded bundle, each delivered parcel
+// aliases the wire buffer until its consumer Releases it, and the batch
+// slice goes back to the pool as soon as dispatch is done (the parcels
+// outlive it).
 func (p *Port) receiveOne() bool {
 	if p.rxPending.Load() == 0 {
 		return false
@@ -579,20 +569,11 @@ func (p *Port) receiveOne() bool {
 	// worker doing background work.
 	timer.Spin(p.fabric.Model().RecvCPU(len(m.payload)))
 	nbytes := len(m.payload)
-	var parcels []*Parcel
-	var err error
-	if p.copyDecode {
-		parcels, err = DecodeBundle(m.payload)
-		network.PutPayload(m.payload)
-	} else {
-		parcels, err = DecodeBundleBorrowed(m.payload)
-		if err != nil {
-			// On error the decoder leaves payload ownership with the
-			// caller; recycle it here.
-			network.PutPayload(m.payload)
-		}
-	}
+	parcels, err := DecodeBundleBorrowed(m.payload)
 	if err != nil {
+		// On error the decoder leaves payload ownership with the
+		// caller; recycle it here.
+		network.PutPayload(m.payload)
 		p.decodeErrors.Inc()
 		return true
 	}

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -264,34 +263,21 @@ func TestOutsidePutIntoParkedLocalityWaitsForTimer(t *testing.T) {
 	}
 }
 
-// TestFunctionSourcesIgnoreIdleHook: the benchmark schedulers' function-
-// backed sources satisfy the widened interface with a no-op, so a worker
+// TestFunctionSourcesIgnoreIdleHook: the benchmark scheduler's function-
+// backed source satisfies the widened interface with a no-op, so a worker
 // running dry over one does its background work exactly as before.
 func TestFunctionSourcesIgnoreIdleHook(t *testing.T) {
 	var _ backgroundWorker = BackgroundFunc(nil)
 	BackgroundFunc(nil).FlushIdle()
-	for _, stealing := range []bool{true, false} {
-		t.Run(fmt.Sprintf("stealing=%v", stealing), func(t *testing.T) {
-			cfg := SchedBenchConfig{Workers: 2, Background: func(int) int { return 0 }}
-			var spawn func(func()) bool
-			if stealing {
-				b := NewSchedBench(cfg)
-				defer b.Stop()
-				spawn = b.Spawn
-			} else {
-				b := NewChanSchedBench(cfg)
-				defer b.Stop()
-				spawn = b.Spawn
-			}
-			for i := 0; i < 100; i++ {
-				done := make(chan struct{})
-				spawn(func() { close(done) })
-				select {
-				case <-done:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("task %d never ran", i)
-				}
-			}
-		})
+	b := NewSchedBench(SchedBenchConfig{Workers: 2, Background: func(int) int { return 0 }})
+	defer b.Stop()
+	for i := 0; i < 100; i++ {
+		done := make(chan struct{})
+		b.Spawn(func() { close(done) })
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("task %d never ran", i)
+		}
 	}
 }

@@ -89,14 +89,13 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 		registry:     l.registry,
 	}, nil)
 	l.port = parcel.NewPort(parcel.Config{
-		Locality:   id,
-		Fabric:     rt.fabric,
-		Resolve:    l.cache.Resolve,
-		Deliver:    l.deliverParcel,
-		Registry:   l.registry,
-		Trace:      rt.cfg.Trace,
-		Wake:       l.sched.maybeWake,
-		CopyDecode: rt.cfg.CopyDecode,
+		Locality: id,
+		Fabric:   rt.fabric,
+		Resolve:  l.cache.Resolve,
+		Deliver:  l.deliverParcel,
+		Registry: l.registry,
+		Trace:    rt.cfg.Trace,
+		Wake:     l.sched.maybeWake,
 	})
 	l.sched.bg = l.port
 	l.actionErrors = counters.NewRaw(counters.Path{

@@ -87,11 +87,6 @@ type Config struct {
 	// transmission, coalescing flushes) into a bounded ring buffer for
 	// Chrome-trace export; nil disables all probes.
 	Trace *trace.Buffer
-	// CopyDecode makes every port decode received bundles with the
-	// copying decoder instead of the zero-allocation borrowing decode —
-	// the A/B baseline the e2e benchmark suite measures against. See
-	// parcel.Config.CopyDecode.
-	CopyDecode bool
 	// Health configures phi-accrual failure detection. Disabled by
 	// default (Health.Enabled false): no monitors run, no heartbeats are
 	// sent, and the runtime behaves exactly as before the health
@@ -473,28 +468,6 @@ func (rt *Runtime) Coalescers(action string) []*coalescing.Coalescer {
 	rt.coalMu.Lock()
 	defer rt.coalMu.Unlock()
 	return append([]*coalescing.Coalescer{}, rt.coalescers[action]...)
-}
-
-// SetBackgroundBatch adjusts every locality scheduler's live
-// background-batch size (how many background network-work units a
-// worker performs per idle visit) — a scheduler knob the adaptive
-// controller can co-tune against the Eq. 4 overhead signal.
-func (rt *Runtime) SetBackgroundBatch(n int) {
-	for _, l := range rt.locs {
-		if l.hosted {
-			l.sched.setBackgroundBatch(n)
-		}
-	}
-}
-
-// BackgroundBatch returns the live background-batch size.
-func (rt *Runtime) BackgroundBatch() int {
-	for _, l := range rt.locs {
-		if l.hosted {
-			return l.sched.backgroundBatch()
-		}
-	}
-	return 0
 }
 
 // FlushAllCoalescers forces every coalescing queue on every locality to

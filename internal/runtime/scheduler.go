@@ -185,12 +185,6 @@ type scheduler struct {
 
 	stopping atomic.Bool
 
-	// bgBatch is the live background-batch size: how many background
-	// work units a worker performs per idle visit. Initialized from
-	// cfg.bgBatch and adjustable at runtime (SetBackgroundBatch) so the
-	// adaptive controller can co-tune it against the Eq. 4 signal.
-	bgBatch atomic.Int32
-
 	// injSoftCap is the per-worker inject-queue occupancy beyond which
 	// spawn yields after enqueueing (soft backpressure; see spawn).
 	injSoftCap int
@@ -266,7 +260,6 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 		parks:       counters.NewRaw(path("count/parks")),
 		parkTimeout: counters.NewRaw(path("count/park-timeouts")),
 	}
-	s.bgBatch.Store(int32(cfg.bgBatch))
 	s.hintPool.New = func() any {
 		return &spawnHint{idx: (s.hintSeq.Add(1) - 1) % uint32(cfg.workers)}
 	}
@@ -612,18 +605,6 @@ func (s *scheduler) stealDeque(w, v *worker) (t task, more, ok bool) {
 	return t, more, true
 }
 
-// setBackgroundBatch adjusts the live background-batch size (values < 1
-// clamp to 1).
-func (s *scheduler) setBackgroundBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.bgBatch.Store(int32(n))
-}
-
-// backgroundBatch returns the live background-batch size.
-func (s *scheduler) backgroundBatch() int { return int(s.bgBatch.Load()) }
-
 // doBackground runs one background-work batch, charging the time to the
 // worker's private accounting; it reports whether any work was done.
 //
@@ -638,12 +619,12 @@ func (s *scheduler) backgroundBatch() int { return int(s.bgBatch.Load()) }
 // locality keep Algorithm 1's timer.
 func (s *scheduler) doBackground(w *worker, outOfTasks bool) bool {
 	bgStart := time.Since(s.base)
-	n := s.bg.DoBackgroundWork(int(s.bgBatch.Load()))
+	n := s.bg.DoBackgroundWork(s.cfg.bgBatch)
 	if n == 0 && outOfTasks && w.busy {
 		w.busy = false
 		if s.nBusy.Add(-1) == 0 {
 			s.bg.FlushIdle()
-			n = s.bg.DoBackgroundWork(int(s.bgBatch.Load()))
+			n = s.bg.DoBackgroundWork(s.cfg.bgBatch)
 		}
 	}
 	if n > 0 {

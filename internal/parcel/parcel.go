@@ -64,6 +64,22 @@ func (p *Parcel) WireSize() int {
 	return 8 + 8 + 4 + 4 + len(p.Action) + 4 + len(p.Args)
 }
 
+// Forward returns a new owned parcel carrying p's wire fields to locality
+// loc. It copies field by field rather than *p so that it never touches
+// the borrow word, which a delivery wrapper may be Releasing on another
+// goroutine; p must be owned (tx-side or Detached), as Action and Args
+// are shared, not cloned.
+func (p *Parcel) Forward(loc int) *Parcel {
+	return &Parcel{
+		Dest:         p.Dest,
+		DestLocality: loc,
+		Action:       p.Action,
+		Args:         p.Args,
+		Continuation: p.Continuation,
+		Source:       p.Source,
+	}
+}
+
 // String renders a compact description for diagnostics.
 func (p *Parcel) String() string {
 	return fmt.Sprintf("parcel{%s@%v from L%d, %dB args, cont=%v}",

@@ -208,11 +208,6 @@ type scheduler struct {
 	// keeps it above zero, so its batches are not cut short by idle peers.
 	nBusy atomic.Int32
 
-	// base anchors monotonic time for task instrumentation:
-	// time.Since(base) reads only the monotonic clock, which is cheaper
-	// than time.Now's wall+monotonic pair and is taken twice per task.
-	base time.Time
-
 	startNano atomic.Int64 // wall clock at start(), 0 before
 	stopNano  atomic.Int64 // wall clock at stop() completion, 0 while running
 
@@ -250,7 +245,6 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 	s := &scheduler{
 		cfg:         cfg,
 		bg:          bg,
-		base:        time.Now(),
 		quit:        make(chan struct{}),
 		numTasks:    counters.NewRaw(path("count/cumulative")),
 		cumFunc:     counters.NewElapsed(path("time/cumulative")),
@@ -374,13 +368,23 @@ func (s *scheduler) stop() {
 // if the scheduler is stopping; it never blocks, so a spawn racing stop
 // cannot hang (the task may simply be dropped).
 func (s *scheduler) spawn(fn func()) bool {
-	if s.stopping.Load() {
-		return false
-	}
 	h := s.hintPool.Get().(*spawnHint)
 	w := s.workers[h.idx]
 	s.hintPool.Put(h)
+	return s.enqueue(w, fn)
+}
 
+// spawnTo enqueues a task directly onto worker i's inject queue,
+// bypassing the spawn hint. Tests and benchmarks use it to construct
+// imbalanced (steal-heavy) workloads.
+func (s *scheduler) spawnTo(i int, fn func()) bool {
+	return s.enqueue(s.workers[i%len(s.workers)], fn)
+}
+
+func (s *scheduler) enqueue(w *worker, fn func()) bool {
+	if s.stopping.Load() {
+		return false
+	}
 	w.injMu.Lock()
 	overloaded := w.inj.Len() >= s.injSoftCap
 	w.inj.Push(task{run: fn})
@@ -394,26 +398,6 @@ func (s *scheduler) spawn(fn func()) bool {
 		// producer running ahead of the pool yields so consumers catch
 		// up instead of growing the rings — and the GC load of scanning
 		// them — without bound.
-		goruntime.Gosched()
-	}
-	return true
-}
-
-// spawnTo enqueues a task directly onto worker i's inject queue,
-// bypassing the spawn hint. Tests and benchmarks use it to construct
-// imbalanced (steal-heavy) workloads.
-func (s *scheduler) spawnTo(i int, fn func()) bool {
-	if s.stopping.Load() {
-		return false
-	}
-	w := s.workers[i%len(s.workers)]
-	w.injMu.Lock()
-	overloaded := w.inj.Len() >= s.injSoftCap
-	w.inj.Push(task{run: fn})
-	w.injCount++
-	w.injMu.Unlock()
-	s.maybeWake()
-	if overloaded {
 		goruntime.Gosched()
 	}
 	return true
@@ -618,7 +602,7 @@ func (s *scheduler) stealDeque(w, v *worker) (t task, more, ok bool) {
 // dry does not flush, so parcels put from outside the pool into an idle
 // locality keep Algorithm 1's timer.
 func (s *scheduler) doBackground(w *worker, outOfTasks bool) bool {
-	bgStart := time.Since(s.base)
+	bgStart := timer.Mono()
 	n := s.bg.DoBackgroundWork(s.cfg.bgBatch)
 	if n == 0 && outOfTasks && w.busy {
 		w.busy = false
@@ -628,7 +612,7 @@ func (s *scheduler) doBackground(w *worker, outOfTasks bool) bool {
 		}
 	}
 	if n > 0 {
-		w.dBg.Add(int64(time.Since(s.base) - bgStart))
+		w.dBg.Add(timer.Mono() - bgStart)
 		return true
 	}
 	return false
@@ -778,65 +762,49 @@ func (s *scheduler) executeBatch(w *worker, t task, more bool) {
 		}
 		w.mu.Unlock()
 	}
-	start := time.Since(s.base)
+	start := timer.Mono()
 	t.run()
 	for i := 0; i < n; i++ {
 		buf[i].run()
 	}
-	dur := int64(time.Since(s.base) - start)
+	dur := timer.Mono() - start
 	// Without the overhead simulation t_func and t_exec are the same
 	// measurement (no thread-management phases to separate).
-	w.dFunc.Add(dur)
-	w.dExec.Add(dur)
-	w.dTasks.Add(int64(n + 1))
-
-	w.sinceFlush += n + 1
-	if w.sinceFlush >= flushEvery {
-		w.sinceFlush = 0
-		s.flushWorker(w)
-	}
-	w.sinceBgCheck += n + 1
-	if w.sinceBgCheck >= bgCheckEvery {
-		w.sinceBgCheck = 0
-		s.doBackground(w, false)
-	}
+	s.account(w, n+1, dur, dur)
 }
 
-// execute runs one task with the Section III instrumentation. The
-// configured per-task thread-management cost (stack setup, context
-// switch, cleanup — 1–2 µs for an HPX lightweight thread) is spent
-// before and after the user function: it is part of t_func (Eq. 1) but
-// not of t_exec, so Eq. 2's task-overhead counter reports it. With the
-// cost disabled, t_func and t_exec are the same measurement, and the
-// task pays only two monotonic clock reads (time.Since against the
-// scheduler's base instant skips the wall-clock half of time.Now) and
-// three cache-local atomic adds.
+// execute runs one task under the task-overhead model. The configured
+// per-task thread-management cost (stack setup, context switch, cleanup —
+// 1–2 µs for an HPX lightweight thread) is spun away half before and half
+// after the user function: it is part of t_func (Eq. 1) but not of t_exec,
+// so Eq. 2's task-overhead counter reports it. The task is stamped with
+// two clock reads of its own, funcStart and execEnd; execStart and funcEnd
+// are the readings that ended the two spins, so t_func − t_exec is the
+// two spin spans to the nanosecond and none of the stamping is charged to
+// Eq. 2 as if it were thread management.
 func (s *scheduler) execute(w *worker, t task) {
-	var funcDur, execDur time.Duration
-	if s.cfg.taskOverhead > 0 {
-		funcStart := time.Since(s.base)
-		timer.Spin(s.cfg.taskOverhead / 2)
-		execStart := time.Since(s.base)
-		t.run()
-		execDur = time.Since(s.base) - execStart
-		timer.Spin(s.cfg.taskOverhead / 2)
-		funcDur = time.Since(s.base) - funcStart
-	} else {
-		start := time.Since(s.base)
-		t.run()
-		execDur = time.Since(s.base) - start
-		funcDur = execDur
-	}
-	w.dFunc.Add(int64(funcDur))
-	w.dExec.Add(int64(execDur))
-	w.dTasks.Add(1)
+	half := s.cfg.taskOverhead / 2
+	funcStart := timer.Mono()
+	execStart := timer.SpinFrom(funcStart, half)
+	t.run()
+	execEnd := timer.Mono()
+	funcEnd := timer.SpinFrom(execEnd, half)
+	s.account(w, 1, funcEnd-funcStart, execEnd-execStart)
+}
 
-	w.sinceFlush++
+// account adds a timed span of n tasks to w's private deltas and runs the
+// periodic flush and in-band background check the span brought due.
+func (s *scheduler) account(w *worker, n int, funcNs, execNs int64) {
+	w.dFunc.Add(funcNs)
+	w.dExec.Add(execNs)
+	w.dTasks.Add(int64(n))
+
+	w.sinceFlush += n
 	if w.sinceFlush >= flushEvery {
 		w.sinceFlush = 0
 		s.flushWorker(w)
 	}
-	w.sinceBgCheck++
+	w.sinceBgCheck += n
 	if w.sinceBgCheck >= bgCheckEvery {
 		w.sinceBgCheck = 0
 		s.doBackground(w, false)
@@ -894,7 +862,10 @@ type schedStats struct {
 }
 
 // stats flushes all workers' accounting batches and returns the exact
-// Section III snapshot.
+// Section III snapshot. A task is completed, and counted, once its worker
+// has added its deltas — after the trailing overhead spin, so up to a few
+// µs after its body returned: a caller that learns of completion from
+// inside the body (a WaitGroup, a channel) may read Tasks one short.
 func (s *scheduler) stats() schedStats {
 	s.flushAll()
 	return schedStats{

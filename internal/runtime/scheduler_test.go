@@ -75,7 +75,9 @@ func TestSchedulerExecutesTasks(t *testing.T) {
 	if ran.Load() != n {
 		t.Errorf("ran %d tasks", ran.Load())
 	}
-	st := s.stats()
+	// wg.Wait returns inside the last task's body; the task is counted
+	// once its accounting epilogue has run.
+	st := waitTasks(t, s, n)
 	if st.Tasks != n {
 		t.Errorf("task counter = %d", st.Tasks)
 	}
@@ -460,5 +462,95 @@ func TestSchedulerBackgroundNotStarvedUnderLoad(t *testing.T) {
 	close(stop)
 	if bg.done.Load() == 0 {
 		t.Error("background work starved under continuous task load")
+	}
+}
+
+// steppingClock stands behind timer.Mono for the duration of a test: every
+// read advances it by step and is counted, so every span is exact and the
+// number of readings a code path takes is observable.
+type steppingClock struct{ now, reads, step int64 }
+
+func (c *steppingClock) read() int64 { c.reads++; c.now += c.step; return c.now }
+
+// TestExecuteSharesItsReadingsWithTheSpins pins the modelled task's clock
+// budget. execute reads the clock twice itself (funcStart, execEnd); the
+// other two stamps are the readings that ended the two spins. Eq. 2's
+// numerator, Σt_func − Σt_exec, is therefore the two spin spans to the
+// nanosecond: no stamping is charged to it. The scheduler is not started:
+// the test goroutine is the worker, so every reading is its own.
+func TestExecuteSharesItsReadingsWithTheSpins(t *testing.T) {
+	const (
+		n         = 50 // below bgCheckEvery: no background span interleaves
+		step      = 7
+		overhead  = 2 * time.Microsecond
+		bodyReads = 3
+	)
+	clk := &steppingClock{step: step}
+	defer timer.SetClockForTest(clk.read)()
+	s := newScheduler(schedConfig{workers: 1, taskOverhead: overhead}, &fakeBg{})
+	w := s.workers[0]
+	body := task{run: func() {
+		for i := 0; i < bodyReads; i++ {
+			timer.Mono()
+		}
+	}}
+	for i := 0; i < n; i++ {
+		s.executeBatch(w, body, false)
+	}
+	reads := clk.reads
+	st := s.stats()
+
+	// A spin from a reading r polls until the clock is at or past r+half.
+	polls := (int64(overhead/2) + step - 1) / step
+	spinSpan := time.Duration(polls * step)
+	if want := int64(n) * (2 + bodyReads + 2*polls); reads != want {
+		t.Errorf("%d clock reads for %d tasks, want %d: 2 per task beside %d in the body and %d in each spin",
+			reads, n, want, bodyReads, polls)
+	}
+	if st.Tasks != n {
+		t.Fatalf("tasks = %d, want %d", st.Tasks, n)
+	}
+	if got, want := st.CumFunc-st.CumExec, n*2*spinSpan; got != want {
+		t.Errorf("Σt_func − Σt_exec = %v, want the %d spin spans of %v = %v", got, 2*n, spinSpan, want)
+	}
+	if want := time.Duration(n * (bodyReads + 1) * step); st.CumExec != want {
+		t.Errorf("Σt_exec = %v, want %v (execStart → body's reads → execEnd)", st.CumExec, want)
+	}
+}
+
+// TestExecuteBatchReadsTheClockTwicePerSpan: with the model off a span of
+// up to batchRun back-to-back tasks costs two readings, whatever its length.
+func TestExecuteBatchReadsTheClockTwicePerSpan(t *testing.T) {
+	const (
+		n    = batchRun + 8 // two spans, and still below bgCheckEvery
+		step = 7
+	)
+	clk := &steppingClock{step: step}
+	defer timer.SetClockForTest(clk.read)()
+	s := newScheduler(schedConfig{workers: 1}, &fakeBg{})
+	w := s.workers[0]
+	ran := 0
+	for i := 0; i < n; i++ {
+		w.dq.Push(task{run: func() { ran++ }})
+	}
+	spans := int64(0)
+	for {
+		first, more, ok := s.findTask(w)
+		if !ok {
+			break
+		}
+		s.executeBatch(w, first, more)
+		spans++
+	}
+	reads := clk.reads
+	st := s.stats()
+	if ran != n || st.Tasks != n || spans != 2 {
+		t.Fatalf("ran %d, counted %d in %d spans; want %d tasks in 2 spans", ran, st.Tasks, spans, n)
+	}
+	if reads != 2*spans {
+		t.Errorf("%d clock reads for %d spans, want 2 per span", reads, spans)
+	}
+	if want := time.Duration(spans * step); st.CumFunc != want || st.CumExec != want {
+		t.Errorf("Σt_func %v Σt_exec %v, want both %v", st.CumFunc, st.CumExec, want)
 	}
 }

@@ -1,6 +1,34 @@
 package timer
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
+
+// monoEpoch anchors Mono: time.Since against an instant that carries a
+// monotonic reading costs one clock read, where time.Now costs two (wall
+// and monotonic).
+var monoEpoch = time.Now()
+
+// testClock, when set, replaces the clock behind Mono; see SetClockForTest.
+var testClock atomic.Pointer[func() int64]
+
+// Mono returns the process's monotonic clock in nanoseconds since an
+// arbitrary epoch. Readings are comparable only with each other.
+func Mono() int64 {
+	if c := testClock.Load(); c != nil {
+		return (*c)()
+	}
+	return int64(time.Since(monoEpoch))
+}
+
+// SetClockForTest makes Mono, and with it every spin's poll, read clock
+// until the returned function is called. Tests use it to count readings
+// and to make spans exact; nothing outside a test may call it.
+func SetClockForTest(clock func() int64) (restore func()) {
+	testClock.Store(&clock)
+	return func() { testClock.Store(nil) }
+}
 
 // Spin busy-waits for approximately d, burning CPU on the calling
 // goroutine's thread. The network cost model uses Spin to make modeled
@@ -11,18 +39,19 @@ import "time"
 //
 // Durations at or below zero return immediately.
 func Spin(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		SpinFrom(Mono(), d)
 	}
-	SpinUntil(time.Now().Add(d))
 }
 
-// SpinUntil busy-waits until the absolute time deadline has passed.
-func SpinUntil(deadline time.Time) {
-	for {
-		if !time.Now().Before(deadline) {
-			return
-		}
+// SpinFrom busy-waits until the clock reads start+d or later and returns
+// the reading that ended the wait, so a caller that timestamps both ends
+// of a spin (the scheduler's modelled thread-management phases) passes in
+// the reading it already has and reads the clock no further. start is a
+// Mono reading; with d at or below zero it is returned at once.
+func SpinFrom(start int64, d time.Duration) int64 {
+	now := start
+	for deadline := start + int64(d); now < deadline; now = Mono() {
 		// A small arithmetic loop keeps the pipeline busy between clock
 		// reads so the spin costs CPU comparably to real protocol work
 		// instead of hammering the clock source.
@@ -32,4 +61,5 @@ func SpinUntil(deadline time.Time) {
 		}
 		_ = x
 	}
+	return now
 }

@@ -145,6 +145,33 @@ func TestReleaseOwnedParcelNoop(t *testing.T) {
 	}
 }
 
+// TestForwardRacesNoRelease is the migration-retry interleaving in small:
+// a detached parcel is re-sent by one goroutine while the delivery wrapper
+// that first carried it calls its unconditional Release on another.
+// Forward reads the wire fields only, so the race detector stays quiet (a
+// whole-struct copy reads the borrow word Release CASes).
+func TestForwardRacesNoRelease(t *testing.T) {
+	src, buf := borrowTestBundle(1)
+	ps, err := DecodeBundleBorrowed(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ps[0]
+	p.Detach()
+	p.Retries = 3
+	released := make(chan struct{})
+	go func() { p.Release(); close(released) }()
+	fwd := p.Forward(7)
+	<-released
+	want := src[0]
+	if fwd.Dest != want.Dest || fwd.DestLocality != 7 || fwd.Action != want.Action ||
+		!bytes.Equal(fwd.Args, want.Args) || fwd.Continuation != want.Continuation ||
+		fwd.Source != want.Source || fwd.Retries != 0 || fwd.Borrowed() {
+		t.Fatalf("Forward = %+v, want the wire fields of %+v at locality 7, owned, no retries", fwd, want)
+	}
+	PutBatch(ps)
+}
+
 // TestDecodeBundleBorrowedEmpty: a zero-parcel bundle transfers payload
 // ownership and recycles it immediately.
 func TestDecodeBundleBorrowedEmpty(t *testing.T) {

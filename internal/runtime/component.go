@@ -108,45 +108,35 @@ func (rt *Runtime) lookupComponentType(typeName string) ComponentFactory {
 	return rt.componentTypes[typeName]
 }
 
-// hosted is one table entry. An action holds gate for reading while it
-// runs against obj; Migrate takes it for writing to wait those actions out
-// and mark the entry gone before it serializes the object, so no update
-// lands on a copy that has already been shipped.
-type hosted struct {
-	obj  Component
-	gate sync.RWMutex
-	gone bool // guarded by gate
-}
-
 // componentTable holds a locality's live objects.
 type componentTable struct {
 	mu      sync.RWMutex
-	objects map[agas.GID]*hosted
+	objects map[agas.GID]Component
 }
 
 func newComponentTable() *componentTable {
-	return &componentTable{objects: make(map[agas.GID]*hosted)}
+	return &componentTable{objects: make(map[agas.GID]Component)}
 }
 
-// get returns g's entry, nil when g is not hosted here.
-func (t *componentTable) get(g agas.GID) *hosted {
+func (t *componentTable) get(g agas.GID) (Component, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.objects[g]
+	c, ok := t.objects[g]
+	return c, ok
 }
 
 func (t *componentTable) put(g agas.GID, c Component) {
 	t.mu.Lock()
-	t.objects[g] = &hosted{obj: c}
+	t.objects[g] = c
 	t.mu.Unlock()
 }
 
-func (t *componentTable) remove(g agas.GID) bool {
+func (t *componentTable) remove(g agas.GID) (Component, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.objects[g]
+	c, ok := t.objects[g]
 	delete(t.objects, g)
-	return ok
+	return c, ok
 }
 
 func (t *componentTable) size() int {
@@ -169,15 +159,12 @@ func (l *Locality) NewComponent(obj Component) (agas.GID, error) {
 // Component returns the local object with the given GID, if this locality
 // hosts it.
 func (l *Locality) Component(g agas.GID) (Component, bool) {
-	if h := l.components.get(g); h != nil {
-		return h.obj, true
-	}
-	return nil, false
+	return l.components.get(g)
 }
 
 // FreeComponent removes a locally hosted object and its AGAS entry.
 func (l *Locality) FreeComponent(g agas.GID) bool {
-	if !l.components.remove(g) {
+	if _, ok := l.components.remove(g); !ok {
 		return false
 	}
 	l.rt.agas.Free(g)
@@ -227,12 +214,8 @@ func (l *Locality) AsyncComponent(gid agas.GID, action string, args []byte) (*lc
 // the parcel is re-resolved and forwarded.
 func (l *Locality) executeComponentAction(p *parcel.Parcel) {
 	name := p.Action[len(componentActionPrefix):]
-	h := l.components.get(p.Dest)
-	if h != nil {
-		h.gate.RLock()
-		defer h.gate.RUnlock()
-	}
-	if h == nil || h.gone {
+	obj, ok := l.components.get(p.Dest)
+	if !ok {
 		l.forwardParcel(p)
 		return
 	}
@@ -242,7 +225,7 @@ func (l *Locality) executeComponentAction(p *parcel.Parcel) {
 	if fn == nil {
 		err = fmt.Errorf("%w: %q", ErrUnknownComponentAction, name)
 	} else {
-		res, err = fn(&Context{Runtime: l.rt, Locality: l.id, Source: p.Source}, h.obj, p.Args)
+		res, err = fn(&Context{Runtime: l.rt, Locality: l.id, Source: p.Source}, obj, p.Args)
 	}
 	if err != nil {
 		l.actionErrors.Inc()
@@ -325,11 +308,10 @@ func (rt *Runtime) Migrate(gid agas.GID, to int) error {
 		return nil
 	}
 	src := rt.locs[from]
-	h := src.components.get(gid)
-	if h == nil {
+	obj, ok := src.components.get(gid)
+	if !ok {
 		return fmt.Errorf("%w: %v not hosted at locality %d", ErrUnknownComponent, gid, from)
 	}
-	obj := h.obj
 	mig, ok := obj.(Migratable)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotMigratable, gid)
@@ -338,23 +320,17 @@ func (rt *Runtime) Migrate(gid agas.GID, to int) error {
 		return fmt.Errorf("%w: %q", ErrUnknownComponentType, mig.TypeName())
 	}
 
+	w := serialization.NewWriter(256)
+	w.U64(uint64(gid))
+	w.String(mig.TypeName())
+	mig.EncodeState(w)
+
 	// Remove locally first: from now on, parcels arriving at the old
 	// home are forwarded (initially back here via the authoritative
 	// directory, which still says `from` until Move below — so removal
 	// and Move must happen before the state parcel is consumed; the
 	// installation action performs the Move itself to close the window).
-	// Then wait out the actions already running against the object, and
-	// turn away those that looked it up before the removal; only after
-	// that is its state final and safe to serialize.
 	src.components.remove(gid)
-	h.gate.Lock()
-	h.gone = true
-	h.gate.Unlock()
-
-	w := serialization.NewWriter(256)
-	w.U64(uint64(gid))
-	w.String(mig.TypeName())
-	mig.EncodeState(w)
 
 	// Install at the destination synchronously through the parcel layer.
 	f, err := src.Async(to, migrateAction, w.Bytes())

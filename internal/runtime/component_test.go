@@ -283,53 +283,29 @@ func TestMigrationWithInFlightTrafficForwards(t *testing.T) {
 	t.Logf("forwarded parcels: %d", forwarded)
 }
 
-// TestMigrateWaitsOutRunningAction: an action that is inside its body when
-// Migrate is called finishes against the object before the object's state
-// is serialized, so its update travels with the object. (Serializing first
-// lost one add in about 3 % of TestMigrationWithInFlightTrafficForwards
-// runs.)
-func TestMigrateWaitsOutRunningAction(t *testing.T) {
+// TestActionMigratesItsOwnObject: an action may call Migrate on the object
+// it is running against and must get an answer. Whatever later makes
+// Migrate wait for running actions (ROADMAP: the lost update) has to let
+// this one through rather than wait for it to finish.
+func TestActionMigratesItsOwnObject(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	registerCounterComponent(rt)
-	entered, release := make(chan struct{}), make(chan struct{})
-	rt.MustRegisterComponentAction("counter/slow-add", func(_ *Context, target Component, _ []byte) ([]byte, error) {
-		close(entered)
-		<-release
-		target.(*counterComponent).add(1)
-		return nil, nil
-	})
 	gid, err := rt.Locality(0).NewComponent(&counterComponent{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := rt.Locality(1).AsyncComponent(gid, "counter/slow-add", nil)
+	rt.MustRegisterComponentAction("counter/move-me", func(ctx *Context, _ Component, _ []byte) ([]byte, error) {
+		return nil, ctx.Runtime.Migrate(gid, 1)
+	})
+	f, err := rt.Locality(1).AsyncComponent(gid, "counter/move-me", nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	<-entered
-	migrated := make(chan error, 1)
-	go func() { migrated <- rt.Migrate(gid, 1) }()
-	var migErr error
-	select {
-	case migErr = <-migrated:
-		t.Errorf("Migrate returned (%v) while an action was running against the object", migErr)
-		close(release)
-	case <-time.After(20 * time.Millisecond):
-		close(release)
-		migErr = <-migrated
-	}
-	if migErr != nil {
-		t.Fatal(migErr)
 	}
 	if _, err := f.GetWithTimeout(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	obj, ok := rt.Locality(1).Component(gid)
-	if !ok {
-		t.Fatal("object not at its new home")
-	}
-	if total := obj.(*counterComponent).add(0); total != 1 {
-		t.Errorf("total at the new home = %d, want 1: the running action's add was lost", total)
+	if _, ok := rt.Locality(1).Component(gid); !ok {
+		t.Error("object not at its new home")
 	}
 }
 

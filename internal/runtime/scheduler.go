@@ -368,23 +368,29 @@ func (s *scheduler) stop() {
 // if the scheduler is stopping; it never blocks, so a spawn racing stop
 // cannot hang (the task may simply be dropped).
 func (s *scheduler) spawn(fn func()) bool {
+	if s.stopping.Load() {
+		return false
+	}
 	h := s.hintPool.Get().(*spawnHint)
 	w := s.workers[h.idx]
 	s.hintPool.Put(h)
-	return s.enqueue(w, fn)
+	s.enqueue(w, fn)
+	return true
 }
 
 // spawnTo enqueues a task directly onto worker i's inject queue,
 // bypassing the spawn hint. Tests and benchmarks use it to construct
 // imbalanced (steal-heavy) workloads.
 func (s *scheduler) spawnTo(i int, fn func()) bool {
-	return s.enqueue(s.workers[i%len(s.workers)], fn)
-}
-
-func (s *scheduler) enqueue(w *worker, fn func()) bool {
 	if s.stopping.Load() {
 		return false
 	}
+	s.enqueue(s.workers[i%len(s.workers)], fn)
+	return true
+}
+
+// enqueue pushes fn onto w's inject queue and wakes a worker for it.
+func (s *scheduler) enqueue(w *worker, fn func()) {
 	w.injMu.Lock()
 	overloaded := w.inj.Len() >= s.injSoftCap
 	w.inj.Push(task{run: fn})
@@ -400,7 +406,6 @@ func (s *scheduler) enqueue(w *worker, fn func()) bool {
 		// them — without bound.
 		goruntime.Gosched()
 	}
-	return true
 }
 
 // maybeWake wakes one parked worker after an enqueue — of a task by

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -465,92 +466,41 @@ func TestSchedulerBackgroundNotStarvedUnderLoad(t *testing.T) {
 	}
 }
 
-// steppingClock stands behind timer.Mono for the duration of a test: every
-// read advances it by step and is counted, so every span is exact and the
-// number of readings a code path takes is observable.
-type steppingClock struct{ now, reads, step int64 }
-
-func (c *steppingClock) read() int64 { c.reads++; c.now += c.step; return c.now }
-
-// TestExecuteSharesItsReadingsWithTheSpins pins the modelled task's clock
-// budget. execute reads the clock twice itself (funcStart, execEnd); the
-// other two stamps are the readings that ended the two spins. Eq. 2's
-// numerator, Σt_func − Σt_exec, is therefore the two spin spans to the
-// nanosecond: no stamping is charged to it. The scheduler is not started:
-// the test goroutine is the worker, so every reading is its own.
-func TestExecuteSharesItsReadingsWithTheSpins(t *testing.T) {
+// TestExecuteStampsWithTheSpinsReadings pins what Eq. 2 reads under the
+// task-overhead model. execStart and funcEnd are the readings that ended
+// the two spins, so a task's t_func − t_exec is the two spin spans and
+// nothing else: never less than the configured overhead (a spin runs to its
+// deadline), and in the median under 200 ns more (two poll overshoots; the
+// four extra stamps this replaced cost more than that on their own). The
+// scheduler is not started: the test goroutine is the worker.
+func TestExecuteStampsWithTheSpinsReadings(t *testing.T) {
 	const (
-		n         = 50 // below bgCheckEvery: no background span interleaves
-		step      = 7
-		overhead  = 2 * time.Microsecond
-		bodyReads = 3
+		n        = 2000
+		overhead = 2 * time.Microsecond
 	)
-	clk := &steppingClock{step: step}
-	defer timer.SetClockForTest(clk.read)()
 	s := newScheduler(schedConfig{workers: 1, taskOverhead: overhead}, &fakeBg{})
 	w := s.workers[0]
-	body := task{run: func() {
-		for i := 0; i < bodyReads; i++ {
-			timer.Mono()
-		}
+	var body time.Duration
+	run := task{run: func() {
+		start := timer.Mono()
+		timer.Spin(300 * time.Nanosecond)
+		body = time.Duration(timer.Mono() - start)
 	}}
-	for i := 0; i < n; i++ {
-		s.executeBatch(w, body, false)
-	}
-	reads := clk.reads
-	st := s.stats()
-
-	// A spin from a reading r polls until the clock is at or past r+half.
-	polls := (int64(overhead/2) + step - 1) / step
-	spinSpan := time.Duration(polls * step)
-	if want := int64(n) * (2 + bodyReads + 2*polls); reads != want {
-		t.Errorf("%d clock reads for %d tasks, want %d: 2 per task beside %d in the body and %d in each spin",
-			reads, n, want, bodyReads, polls)
-	}
-	if st.Tasks != n {
-		t.Fatalf("tasks = %d, want %d", st.Tasks, n)
-	}
-	if got, want := st.CumFunc-st.CumExec, n*2*spinSpan; got != want {
-		t.Errorf("Σt_func − Σt_exec = %v, want the %d spin spans of %v = %v", got, 2*n, spinSpan, want)
-	}
-	if want := time.Duration(n * (bodyReads + 1) * step); st.CumExec != want {
-		t.Errorf("Σt_exec = %v, want %v (execStart → body's reads → execEnd)", st.CumExec, want)
-	}
-}
-
-// TestExecuteBatchReadsTheClockTwicePerSpan: with the model off a span of
-// up to batchRun back-to-back tasks costs two readings, whatever its length.
-func TestExecuteBatchReadsTheClockTwicePerSpan(t *testing.T) {
-	const (
-		n    = batchRun + 8 // two spans, and still below bgCheckEvery
-		step = 7
-	)
-	clk := &steppingClock{step: step}
-	defer timer.SetClockForTest(clk.read)()
-	s := newScheduler(schedConfig{workers: 1}, &fakeBg{})
-	w := s.workers[0]
-	ran := 0
-	for i := 0; i < n; i++ {
-		w.dq.Push(task{run: func() { ran++ }})
-	}
-	spans := int64(0)
-	for {
-		first, more, ok := s.findTask(w)
-		if !ok {
-			break
+	excess := make([]time.Duration, n)
+	var prev schedStats
+	for i := range excess {
+		s.executeBatch(w, run, false)
+		st := s.stats()
+		tFunc, tExec := st.CumFunc-prev.CumFunc, st.CumExec-prev.CumExec
+		if st.Tasks != int64(i+1) || tExec < body || tFunc-tExec < overhead {
+			t.Fatalf("task %d: counted %d, t_func %v, t_exec %v around a body of %v; want t_exec ≥ body and t_func − t_exec ≥ %v",
+				i, st.Tasks, tFunc, tExec, body, overhead)
 		}
-		s.executeBatch(w, first, more)
-		spans++
+		excess[i], prev = tFunc-tExec-overhead, st
 	}
-	reads := clk.reads
-	st := s.stats()
-	if ran != n || st.Tasks != n || spans != 2 {
-		t.Fatalf("ran %d, counted %d in %d spans; want %d tasks in 2 spans", ran, st.Tasks, spans, n)
-	}
-	if reads != 2*spans {
-		t.Errorf("%d clock reads for %d spans, want 2 per span", reads, spans)
-	}
-	if want := time.Duration(spans * step); st.CumFunc != want || st.CumExec != want {
-		t.Errorf("Σt_func %v Σt_exec %v, want both %v", st.CumFunc, st.CumExec, want)
+	sort.Slice(excess, func(i, j int) bool { return excess[i] < excess[j] })
+	t.Logf("t_func − t_exec − %v over %d tasks: p50 %v, p99 %v", overhead, n, excess[n/2], excess[n*99/100])
+	if !raceEnabled && excess[n/2] >= 200*time.Nanosecond {
+		t.Errorf("p50 of t_func − t_exec is %v above the model, want < 200ns", excess[n/2])
 	}
 }

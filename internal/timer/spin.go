@@ -1,34 +1,15 @@
 package timer
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // monoEpoch anchors Mono: time.Since against an instant that carries a
 // monotonic reading costs one clock read, where time.Now costs two (wall
 // and monotonic).
 var monoEpoch = time.Now()
 
-// testClock, when set, replaces the clock behind Mono; see SetClockForTest.
-var testClock atomic.Pointer[func() int64]
-
 // Mono returns the process's monotonic clock in nanoseconds since an
 // arbitrary epoch. Readings are comparable only with each other.
-func Mono() int64 {
-	if c := testClock.Load(); c != nil {
-		return (*c)()
-	}
-	return int64(time.Since(monoEpoch))
-}
-
-// SetClockForTest makes Mono, and with it every spin's poll, read clock
-// until the returned function is called. Tests use it to count readings
-// and to make spans exact; nothing outside a test may call it.
-func SetClockForTest(clock func() int64) (restore func()) {
-	testClock.Store(&clock)
-	return func() { testClock.Store(nil) }
-}
+func Mono() int64 { return int64(time.Since(monoEpoch)) }
 
 // Spin busy-waits for approximately d, burning CPU on the calling
 // goroutine's thread. The network cost model uses Spin to make modeled

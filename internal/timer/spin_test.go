@@ -41,19 +41,3 @@ func TestSpinFromZeroAndNegativeReturnStart(t *testing.T) {
 		}
 	}
 }
-
-// TestSetClockForTest: the seam replaces the clock behind Mono and every
-// spin poll, and restore puts the real one back.
-func TestSetClockForTest(t *testing.T) {
-	var now, reads int64
-	restore := SetClockForTest(func() int64 { reads++; now += 7; return now })
-	start := Mono()
-	end := SpinFrom(start, 100)
-	restore()
-	if start != 7 || end != 112 || reads != 16 {
-		t.Errorf("start %d end %d reads %d, want 7, 112 (first step at or past 107), 16", start, end, reads)
-	}
-	if a, b := Mono(), Mono(); a == 119 || b < a {
-		t.Errorf("after restore Mono read %d then %d", a, b)
-	}
-}

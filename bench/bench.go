@@ -5,8 +5,8 @@
 // testing.Benchmark to produce the committed BENCH_parcel.json.
 //
 // The suite covers the three layers the zero-allocation work touched:
-// bundle encode/decode (serialization), port enqueue/send (the sharded
-// outbound queue plus pooled payload buffers), and coalescer Put under
+// bundle encode/decode (serialization), port enqueue/send (the outbound
+// ring plus pooled payload buffers), and coalescer Put under
 // increasing sender concurrency (the striped destination queues). The
 // encode, decode and port-send benchmarks are the ones the pipeline
 // promises 0 allocs/op on.
@@ -148,7 +148,7 @@ func PortEnqueue(b *testing.B) {
 	}
 }
 
-// PortSend measures the full send pipeline — Put, shard dequeue, exact
+// PortSend measures the full send pipeline — Put, ring dequeue, exact
 // sizing, pooled-buffer bundle encoding, fabric handoff, buffer recycle —
 // one message per iteration. Steady state must be 0 allocs/op.
 func PortSend(b *testing.B) {

@@ -86,7 +86,7 @@ func SchedEmptyTaskLatency(b *testing.B, workers int) {
 	}
 }
 
-// SchedStealImbalance preloads every task onto a single worker's inject
+// SchedStealImbalance preloads every task onto a single worker's run
 // queue, so the rest of the pool makes progress only by stealing.
 func SchedStealImbalance(b *testing.B, workers int) {
 	p := runtime.NewSchedBench(runtime.SchedBenchConfig{Workers: workers})

@@ -95,14 +95,21 @@ func TestScheduleChangesParamsPerPhase(t *testing.T) {
 	if len(res.PhaseResults) != 3 {
 		t.Fatalf("phases = %d", len(res.PhaseResults))
 	}
-	if res.PhaseResults[0].Params.NParcels != 32 || res.PhaseResults[1].Params.NParcels != 1 {
-		t.Errorf("schedule not applied: %+v", res.PhaseResults)
+	for i, want := range []int{32, 1, 32} {
+		if got := res.PhaseResults[i].Params.NParcels; got != want {
+			t.Errorf("phase %d ran NParcels %d, scheduled %d", i, got, want)
+		}
 	}
 	// The uncoalesced middle phase must show higher overhead than the
-	// heavily coalesced first phase — Fig. 9's signal.
-	if res.PhaseResults[1].NetworkOverhead() <= res.PhaseResults[0].NetworkOverhead() {
-		t.Errorf("phase overheads: coalesced %v, uncoalesced %v",
-			res.PhaseResults[0].NetworkOverhead(), res.PhaseResults[1].NetworkOverhead())
+	// heavily coalesced phase after it — Fig. 9's signal. Phase 0 runs
+	// the same parameters and sends as many messages, but it is not the
+	// reference: it also pays the run's cold start inside its timed
+	// background work — the first send each way creates the fabric link
+	// and starts its delivery goroutine (≈ 0.35 ms apiece) — so its
+	// background work reads 0.8–4.7 ms where phase 2's reads 0.2–1 ms.
+	if res.PhaseResults[1].NetworkOverhead() <= res.PhaseResults[2].NetworkOverhead() {
+		t.Errorf("phase overheads: uncoalesced %v, coalesced (warm) %v",
+			res.PhaseResults[1].NetworkOverhead(), res.PhaseResults[2].NetworkOverhead())
 	}
 }
 

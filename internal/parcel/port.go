@@ -89,20 +89,6 @@ type Config struct {
 	Wake func()
 }
 
-// outShardCount shards the outbound queue by destination so senders
-// targeting different localities do not serialize on one lock. Must be a
-// power of two.
-const outShardCount = 8
-
-// outShard is one destination stripe of the outbound queue: a ring
-// buffer of ready wire messages under its own lock, padded so adjacent
-// shard locks do not share a cache line.
-type outShard struct {
-	mu sync.Mutex
-	q  ring.Buffer[outMessage]
-	_  [64]byte
-}
-
 // Port is a locality's parcel endpoint. Outbound parcels enter via Put
 // (inline, cheap), are optionally batched by per-action message handlers,
 // and are serialized and transmitted by DoBackgroundWork, which scheduler
@@ -129,10 +115,13 @@ type Port struct {
 	// republished under handlersMu so FlushIdle reads it without a lock.
 	idleFlushers atomic.Pointer[[]IdleFlusher]
 
-	trc        *trace.Buffer
-	out        [outShardCount]outShard
+	trc *trace.Buffer
+	// outQ holds ready wire messages for every destination in the order
+	// they were queued; sendOne transmits the oldest. outPending counts
+	// them so Pending and an idle sendOne need no lock.
+	outMu      sync.Mutex
+	outQ       ring.Buffer[outMessage]
 	outPending atomic.Int64
-	sendCursor atomic.Uint32
 	// rxQ holds undecoded incoming messages, at most rxDepth; it grows on
 	// demand, so a port does not pay for its bound up front.
 	rxMu    sync.Mutex
@@ -378,13 +367,12 @@ func (p *Port) EnqueueParcel(dst int, pcl *Parcel) {
 	p.enqueue(outMessage{dst: dst, single: pcl})
 }
 
-// enqueue places one ready wire message on its destination's shard and
+// enqueue appends one ready wire message to the outbound queue and
 // signals the scheduler that background work exists.
 func (p *Port) enqueue(m outMessage) {
-	s := &p.out[uint(m.dst)&(outShardCount-1)]
-	s.mu.Lock()
-	s.q.Push(m)
-	s.mu.Unlock()
+	p.outMu.Lock()
+	p.outQ.Push(m)
+	p.outMu.Unlock()
 	p.outPending.Add(1)
 	if p.wake != nil {
 		p.wake()
@@ -460,27 +448,21 @@ func (p *Port) DoBackgroundWork(maxUnits int) int {
 	return done
 }
 
-// sendOne transmits one queued outbound message, if any. Shards are
-// scanned round-robin from a rotating cursor so concurrent background
-// workers start on different shards and no destination starves.
+// sendOne transmits the oldest queued outbound message, if any: the port
+// sends in the order messages were queued, whatever their destinations.
 func (p *Port) sendOne() bool {
 	if p.outPending.Load() == 0 {
 		return false
 	}
-	start := uint(p.sendCursor.Add(1))
-	for i := uint(0); i < outShardCount; i++ {
-		s := &p.out[(start+i)&(outShardCount-1)]
-		s.mu.Lock()
-		m, ok := s.q.Pop()
-		s.mu.Unlock()
-		if !ok {
-			continue
-		}
-		p.outPending.Add(-1)
-		p.transmit(m)
-		return true
+	p.outMu.Lock()
+	m, ok := p.outQ.Pop()
+	p.outMu.Unlock()
+	if !ok {
+		return false
 	}
-	return false
+	p.outPending.Add(-1)
+	p.transmit(m)
+	return true
 }
 
 // transmit serializes one wire message into a pooled payload buffer and

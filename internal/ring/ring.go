@@ -1,9 +1,9 @@
 // Package ring provides a growable power-of-two ring buffer used by the
-// hot queues of the transmission pipeline: the parcel port's sharded
-// outbound message queues and the simulated fabric's per-link transmit
-// queues.
+// hot FIFOs of the runtime: the scheduler's per-worker run queues, the
+// parcel port's outbound and receive queues, and the simulated fabric's
+// per-link transmit queues.
 //
-// The previous implementations of both queues popped with q = q[1:],
+// The first implementations of these queues popped with q = q[1:],
 // which pins the backing array (the garbage collector cannot reclaim
 // popped elements while the slice window advances) and forces a
 // reallocation every time append catches up with the shrinking capacity.
@@ -12,8 +12,7 @@
 // and only reallocates on genuine growth (doubling, so growth is
 // amortized O(1) and stops once the queue reaches its high-water mark).
 //
-// Buffer is not synchronized; callers guard it with their own (typically
-// sharded) locks.
+// Buffer is not synchronized; callers guard it with their own locks.
 package ring
 
 // Buffer is a FIFO ring over elements of type T. The zero value is an
@@ -87,9 +86,9 @@ func (b *Buffer[T]) Peek() (T, bool) {
 // MoveTo pops up to n elements from the head of b and pushes them onto
 // the tail of dst, preserving FIFO order, and returns how many moved.
 // It is the bulk-transfer primitive behind the scheduler's steal-half
-// operation and inject-queue draining: elements are copied slot to slot
-// without any intermediate buffer, and vacated slots are zeroed exactly
-// as Pop would. Callers synchronize both buffers.
+// operation: elements are copied slot to slot without any intermediate
+// buffer, and vacated slots are zeroed exactly as Pop would. Callers
+// synchronize both buffers.
 func (b *Buffer[T]) MoveTo(dst *Buffer[T], n int) int {
 	if n > b.n {
 		n = b.n

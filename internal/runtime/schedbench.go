@@ -61,10 +61,10 @@ func NewSchedBench(cfg SchedBenchConfig) *SchedBench {
 	return &SchedBench{s: s}
 }
 
-// Spawn schedules fn through the round-robin inject path.
+// Spawn schedules fn onto the run queue the caller's P-local hint picks.
 func (b *SchedBench) Spawn(fn func()) bool { return b.s.spawn(fn) }
 
-// SpawnTo schedules fn onto worker i's inject queue, constructing
+// SpawnTo schedules fn onto worker i's run queue, constructing
 // deliberately imbalanced (steal-heavy) workloads.
 func (b *SchedBench) SpawnTo(i int, fn func()) bool { return b.s.spawnTo(i, fn) }
 

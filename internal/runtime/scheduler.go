@@ -64,8 +64,9 @@ const (
 	// not how work is found: it is the safety net that turns a wake-up
 	// lost to a bug into a bounded stall, visible in count/park-timeouts.
 	defaultFallbackPark = 10 * time.Millisecond
-	// initialRing is the starting capacity of a worker's deque and inject
-	// queue; sized for the whole soft cap they cost 2 MiB a worker to zero.
+	// initialRing is the starting capacity of a worker's run queue, which
+	// grows on demand toward the soft cap instead of zeroing all of it up
+	// front on every runtime.New.
 	initialRing = 1 << 10
 	// batchRun is how many uninstrumented tasks a worker runs
 	// back-to-back inside one timed span (see executeBatch): the clock
@@ -74,24 +75,22 @@ const (
 	batchRun = 32
 )
 
-// worker is one scheduler worker's private state. The deque, inject
-// queue and accounting block are laid out per worker and padded so that
+// worker is one scheduler worker's private state. The run queue and
+// accounting block are laid out per worker and padded so that
 // steady-state operation touches no cache line shared with another
 // worker.
 type worker struct {
 	id int
 
-	// mu guards dq, the worker's local run deque: the owner pops from
-	// the head, thieves move the oldest half to their own deque. The
-	// lock is per worker, so in steady state it is uncontended.
-	mu sync.Mutex
-	dq ring.Buffer[task]
-
-	// injMu guards inj, the inject queue that spawn fills from outside
-	// the worker, and the running count of tasks ever injected.
-	injMu    sync.Mutex
-	inj      ring.Buffer[task]
-	injCount int64
+	// mu guards runq, the worker's FIFO run queue, and pushed, the count
+	// of tasks ever queued on it: spawn pushes at the tail, the owner pops
+	// from the head, and a thief moves the oldest half to its own queue.
+	// Spawns are routed by a P-local hint (see spawnHint), so in steady
+	// state the lock is taken by the worker and by the tasks it runs
+	// spawning more.
+	mu     sync.Mutex
+	runq   ring.Buffer[task]
+	pushed int64
 
 	// Batched Section III accounting: the owner accumulates per-task
 	// deltas into these atomics. They live on this worker's own cache
@@ -121,16 +120,16 @@ type worker struct {
 	_ [64]byte // pad workers apart when allocated adjacently
 }
 
-// spawnHint is a P-local inject-queue assignment handed out by the
+// spawnHint is a P-local run-queue assignment handed out by the
 // scheduler's hint pool. Queue indices round-robin across the hints as
 // they are created, and sync.Pool storage is per-P, so each spawning
-// execution context sticks to its own inject queue with no shared
-// atomic operation on the steady-state path (the pool's New, which does
-// take one, runs only on first use per P and after GC clears the pool).
-// On a machine where workers occupy their own Ps this makes a worker's
-// own spawns land in the queue it drains — the work-stealing "push to
-// your own deque" fast path — while spawns from elsewhere spread
-// round-robin and imbalance is corrected by stealing.
+// execution context sticks to its own run queue with no shared atomic
+// operation on the steady-state path (the pool's New, which does take
+// one, runs only on first use per P and after GC clears the pool). On a
+// machine where workers occupy their own Ps this makes a worker's own
+// spawns land in the queue it pops — the work-stealing "push to your own
+// queue" fast path — while spawns from elsewhere spread round-robin and
+// imbalance is corrected by stealing.
 type spawnHint struct {
 	idx uint32
 }
@@ -140,18 +139,17 @@ type spawnHint struct {
 // lightweight tasks and performing network background work when no task
 // is runnable.
 //
-// Tasks are distributed work-stealing style: spawn distributes new
-// tasks across per-worker inject queues (choosing the queue through a
-// P-local hint, so concurrent spawners do not contend), each worker
-// drains its inject queue into a private deque and runs from that, and
-// a worker whose queues are empty steals the oldest half of a victim's
-// deque before falling back to background network work and finally to
-// a spin → yield → park idle path. Parked workers are woken by spawn
-// and by the port whenever it queues a message in either direction — but
-// only when no other worker is already searching for work, mirroring the
-// Go runtime's spinning-M throttle — so neither a task nor a message
-// waits out a park, and a steady stream of either does not pay a wake
-// per item.
+// Tasks are distributed work-stealing style: spawn pushes new tasks onto
+// per-worker run queues (choosing the queue through a P-local hint, so
+// concurrent spawners do not contend), each worker runs from the head of
+// its own queue, and a worker whose queue is empty steals the oldest
+// half of a victim's queue before falling back to background network
+// work and finally to a spin → yield → park idle path. Parked workers are
+// woken by spawn and by the port whenever it queues a message in either
+// direction — but only when no other worker is already searching for
+// work, mirroring the Go runtime's spinning-M throttle — so neither a
+// task nor a message waits out a park, and a steady stream of either does
+// not pay a wake per item.
 //
 // It maintains the counters behind the paper's Section III metrics:
 //
@@ -185,9 +183,9 @@ type scheduler struct {
 
 	stopping atomic.Bool
 
-	// injSoftCap is the per-worker inject-queue occupancy beyond which
-	// spawn yields after enqueueing (soft backpressure; see spawn).
-	injSoftCap int
+	// softCap is the per-worker run-queue occupancy beyond which spawn
+	// yields after enqueueing (soft backpressure; see enqueue).
+	softCap int
 
 	hintSeq  atomic.Uint32
 	hintPool sync.Pool
@@ -260,16 +258,11 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 	// The per-worker queues start small and grow on demand; soft
 	// backpressure past a queueSize burst spread across the pool keeps
 	// them from growing without bound.
-	perWorker := cfg.queueSize / cfg.workers
-	if perWorker < 16 {
-		perWorker = 16
-	}
-	s.injSoftCap = perWorker
+	s.softCap = max(cfg.queueSize/cfg.workers, 16)
 	s.workers = make([]*worker, cfg.workers)
 	for i := range s.workers {
 		w := &worker{id: i, parkCh: make(chan struct{}, 1)}
-		w.dq = *ring.New[task](min(perWorker, initialRing))
-		w.inj = *ring.New[task](min(perWorker, initialRing))
+		w.runq = *ring.New[task](min(s.softCap, initialRing))
 		s.workers[i] = w
 	}
 	s.bgOverhead = counters.NewDerived(path("background-overhead"), func() float64 {
@@ -362,11 +355,11 @@ func (s *scheduler) stop() {
 	s.stopNano.Store(time.Now().UnixNano())
 }
 
-// spawn enqueues a task into a per-worker inject queue chosen by a
-// P-local hint, so concurrent spawners touch disjoint queues and no
-// shared atomic is updated on the steady-state path. It reports false
-// if the scheduler is stopping; it never blocks, so a spawn racing stop
-// cannot hang (the task may simply be dropped).
+// spawn enqueues a task onto a per-worker run queue chosen by a P-local
+// hint, so concurrent spawners touch disjoint queues and no shared atomic
+// is updated on the steady-state path. It reports false if the scheduler
+// is stopping; it never blocks, so a spawn racing stop cannot hang (the
+// task may simply be dropped).
 func (s *scheduler) spawn(fn func()) bool {
 	if s.stopping.Load() {
 		return false
@@ -378,9 +371,9 @@ func (s *scheduler) spawn(fn func()) bool {
 	return true
 }
 
-// spawnTo enqueues a task directly onto worker i's inject queue,
-// bypassing the spawn hint. Tests and benchmarks use it to construct
-// imbalanced (steal-heavy) workloads.
+// spawnTo enqueues a task directly onto worker i's run queue, bypassing
+// the spawn hint. Tests and benchmarks use it to construct imbalanced
+// (steal-heavy) workloads.
 func (s *scheduler) spawnTo(i int, fn func()) bool {
 	if s.stopping.Load() {
 		return false
@@ -389,13 +382,13 @@ func (s *scheduler) spawnTo(i int, fn func()) bool {
 	return true
 }
 
-// enqueue pushes fn onto w's inject queue and wakes a worker for it.
+// enqueue pushes fn onto w's run queue and wakes a worker for it.
 func (s *scheduler) enqueue(w *worker, fn func()) {
-	w.injMu.Lock()
-	overloaded := w.inj.Len() >= s.injSoftCap
-	w.inj.Push(task{run: fn})
-	w.injCount++
-	w.injMu.Unlock()
+	w.mu.Lock()
+	overloaded := w.runq.Len() >= s.softCap
+	w.runq.Push(task{run: fn})
+	w.pushed++
+	w.mu.Unlock()
 
 	s.maybeWake()
 	if overloaded {
@@ -422,16 +415,13 @@ func (s *scheduler) maybeWake() {
 }
 
 // pending returns the number of queued-but-not-started tasks across all
-// deques and inject queues.
+// run queues.
 func (s *scheduler) pending() int {
 	n := 0
 	for _, w := range s.workers {
 		w.mu.Lock()
-		n += w.dq.Len()
+		n += w.runq.Len()
 		w.mu.Unlock()
-		w.injMu.Lock()
-		n += w.inj.Len()
-		w.injMu.Unlock()
 	}
 	return n
 }
@@ -440,9 +430,9 @@ func (s *scheduler) pending() int {
 func (s *scheduler) spawned() int64 {
 	var n int64
 	for _, w := range s.workers {
-		w.injMu.Lock()
-		n += w.injCount
-		w.injMu.Unlock()
+		w.mu.Lock()
+		n += w.pushed
+		w.mu.Unlock()
 	}
 	return n
 }
@@ -469,7 +459,7 @@ func (s *scheduler) run(w *worker) {
 				s.nBusy.Add(1)
 			}
 			// Wake a parked peer when the find left runnable work behind
-			// in this worker's own deque (so a burst injected while the
+			// in this worker's own queue (so a burst spawned while the
 			// pool slept fans out instead of draining serially), and when
 			// a search ends with port work still queued: the port skipped
 			// its wake on the promise that this worker would reach the
@@ -518,61 +508,31 @@ func (s *scheduler) run(w *worker) {
 	}
 }
 
-// findTask locates the next runnable task: the worker's own deque, then
-// its inject queue (drained wholesale into the deque), then the other
-// workers' deques and inject queues, stealing the oldest half of the
-// first non-empty victim queue. more reports whether the worker's deque
+// findTask locates the next runnable task: the head of the worker's own
+// run queue, then the other workers' queues, stealing the oldest half of
+// the first non-empty victim. more reports whether the worker's queue
 // still holds runnable tasks beyond the returned one.
 func (s *scheduler) findTask(w *worker) (t task, more, ok bool) {
 	w.mu.Lock()
-	if t, ok := w.dq.Pop(); ok {
-		more = w.dq.Len() > 0
+	if t, ok := w.runq.Pop(); ok {
+		more = w.runq.Len() > 0
 		w.mu.Unlock()
 		return t, more, true
 	}
 	w.mu.Unlock()
 
-	if t, more, ok := s.drainInject(w, w); ok {
-		return t, more, true
-	}
 	for i := 1; i < len(s.workers); i++ {
 		v := s.workers[(w.id+i)%len(s.workers)]
 		if t, more, ok := s.stealDeque(w, v); ok {
-			return t, more, true
-		}
-		if t, more, ok := s.drainInject(w, v); ok {
 			return t, more, true
 		}
 	}
 	return task{}, false, false
 }
 
-// drainInject moves half of v's inject queue (all of it when v == w)
-// into w's deque and pops the first task. Lock order is always injMu
-// before mu; inject locks are never nested, so the ordering is acyclic.
-func (s *scheduler) drainInject(w, v *worker) (t task, more, ok bool) {
-	v.injMu.Lock()
-	n := v.inj.Len()
-	if n == 0 {
-		v.injMu.Unlock()
-		return task{}, false, false
-	}
-	take := n
-	if v != w {
-		take = n - n/2
-	}
-	w.mu.Lock()
-	v.inj.MoveTo(&w.dq, take)
-	t, _ = w.dq.Pop()
-	more = w.dq.Len() > 0
-	w.mu.Unlock()
-	v.injMu.Unlock()
-	return t, more, true
-}
-
-// stealDeque moves the oldest half of v's deque into w's and pops the
-// first task. Both deque locks are held, ordered by worker id to avoid
-// deadlock with a symmetric steal.
+// stealDeque moves the oldest half of v's run queue onto w's and pops the
+// first task. Both queue locks are held, ordered by worker id to avoid
+// deadlock with a symmetric steal; enqueue takes one lock only.
 func (s *scheduler) stealDeque(w, v *worker) (t task, more, ok bool) {
 	a, b := w, v
 	if b.id < a.id {
@@ -580,15 +540,15 @@ func (s *scheduler) stealDeque(w, v *worker) (t task, more, ok bool) {
 	}
 	a.mu.Lock()
 	b.mu.Lock()
-	n := v.dq.Len()
+	n := v.runq.Len()
 	if n == 0 {
 		b.mu.Unlock()
 		a.mu.Unlock()
 		return task{}, false, false
 	}
-	v.dq.MoveTo(&w.dq, n-n/2)
-	t, _ = w.dq.Pop()
-	more = w.dq.Len() > 0
+	v.runq.MoveTo(&w.runq, n-n/2)
+	t, _ = w.runq.Pop()
+	more = w.runq.Len() > 0
 	b.mu.Unlock()
 	a.mu.Unlock()
 	return t, more, true
@@ -625,8 +585,8 @@ func (s *scheduler) doBackground(w *worker, outOfTasks bool) bool {
 
 // park blocks the worker until maybeWake wakes it, the scheduler stops,
 // or the fallback timer fires. No wake-up can be lost: a producer first
-// makes its item visible (task in an inject queue, message counted by
-// the port) and then loads nSearching and nParked; the worker first
+// makes its item visible (task in a run queue, message counted by the
+// port) and then loads nSearching and nParked; the worker first
 // leaves nSearching and publishes itself in nParked and then re-checks
 // every queue and the port. All of these are sequentially consistent, so
 // either the producer sees the worker parked and wakes it, or the
@@ -688,18 +648,12 @@ func (s *scheduler) unpark(w *worker) {
 	}
 }
 
-// haveWork reports whether any queue holds a runnable task.
+// haveWork reports whether any run queue holds a task.
 func (s *scheduler) haveWork() bool {
 	for _, v := range s.workers {
 		v.mu.Lock()
-		n := v.dq.Len()
+		n := v.runq.Len()
 		v.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-		v.injMu.Lock()
-		n = v.inj.Len()
-		v.injMu.Unlock()
 		if n > 0 {
 			return true
 		}
@@ -741,7 +695,7 @@ func (s *scheduler) wakeAll() {
 }
 
 // executeBatch runs t and, when the task-overhead simulation is off, up
-// to batchRun-1 further tasks already sitting in w's own deque inside a
+// to batchRun-1 further tasks already sitting in w's own queue inside a
 // single timed span: one pair of monotonic clock reads and one set of
 // delta adds covers the whole run of back-to-back tasks, so the
 // per-task instrumentation cost amortizes toward zero while the summed
@@ -758,7 +712,7 @@ func (s *scheduler) executeBatch(w *worker, t task, more bool) {
 	if more {
 		w.mu.Lock()
 		for n < len(buf) {
-			t2, ok := w.dq.Pop()
+			t2, ok := w.runq.Pop()
 			if !ok {
 				break
 			}

@@ -228,7 +228,7 @@ func TestSchedulerIdleRateFrozenAfterStop(t *testing.T) {
 
 // TestSchedulerSpawnDuringStopDoesNotBlock pins down the shutdown race
 // the single-channel scheduler had: a spawn concurrent with stop could
-// block forever on a full queue. The inject path never blocks, so
+// block forever on a full queue. The enqueue path never blocks, so
 // spawners racing stop must always return promptly (possibly false).
 func TestSchedulerSpawnDuringStopDoesNotBlock(t *testing.T) {
 	s := newScheduler(schedConfig{locality: 0, workers: 1, queueSize: 16}, &fakeBg{})
@@ -282,7 +282,7 @@ func TestSchedulerSpawnDuringStopDoesNotBlock(t *testing.T) {
 	}
 }
 
-// TestSchedulerStealHeavyDeterminism preloads a single worker's inject
+// TestSchedulerStealHeavyDeterminism preloads a single worker's run
 // queue and lets the rest of the pool steal. Whatever the interleaving,
 // the batched accounting must aggregate to the serial sums: the task
 // count exact, cumulative time at least the work performed, and the
@@ -372,7 +372,7 @@ func TestSchedulerCountersExactBetweenFlushes(t *testing.T) {
 // TestSchedulerConcurrentSpawnStealStatsRace exercises spawn, stealing,
 // counter flushes, stats() snapshots and registry reads concurrently
 // with shutdown; run under -race it validates the synchronization of
-// the per-worker deques, inject queues and accounting blocks.
+// the per-worker run queues and accounting blocks.
 func TestSchedulerConcurrentSpawnStealStatsRace(t *testing.T) {
 	reg := counters.NewRegistry()
 	bg := &fakeBg{}

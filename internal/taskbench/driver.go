@@ -38,8 +38,13 @@ type Bench struct {
 	action  string
 	timeout time.Duration
 
-	mu  sync.Mutex // serializes Run
+	mu  sync.Mutex // serializes Run; guards the tables below
 	cur atomic.Pointer[run]
+	// deps and dependents are the dependence tables of tablesFor, the
+	// last graph prepared. Runs only read them, and a phase runs one graph
+	// back to back, so the next run of the same graph reuses them.
+	tablesFor        Graph
+	deps, dependents [][]int
 
 	// epochs tags every input parcel with the run it belongs to. In
 	// cluster mode the processes start the same run a few milliseconds
@@ -73,7 +78,8 @@ type run struct {
 	// owners maps each point to its executing locality. Atomic because
 	// crash recovery re-homes the dead locality's points mid-run.
 	owners []atomic.Int32
-	// deps and dependents are indexed step*Width+point.
+	// deps and dependents are indexed step*Width+point and shared by
+	// consecutive runs of one graph: read only.
 	deps       [][]int
 	dependents [][]int
 	remaining  []atomic.Int32
@@ -269,15 +275,22 @@ func (b *Bench) bufferInput(ep uint64, step, point, loc int) (*run, bool) {
 	return nil, false
 }
 
-// prepare builds the dependence tables and completion LCOs for a graph.
+// prepare builds the per-run state and completion LCOs for a graph, and
+// its dependence tables unless the previous run's graph was the same.
+// The caller holds b.mu.
 func (b *Bench) prepare(g Graph) *run {
 	w, L := g.Width, b.rt.Localities()
+	fresh := b.tablesFor != g
+	if fresh {
+		b.tablesFor = g
+		b.deps, b.dependents = make([][]int, w*g.Steps), make([][]int, w*g.Steps)
+	}
 	ru := &run{
 		g:          g,
 		epoch:      b.epoch.Add(1),
 		owners:     make([]atomic.Int32, w),
-		deps:       make([][]int, w*g.Steps),
-		dependents: make([][]int, w*g.Steps),
+		deps:       b.deps,
+		dependents: b.dependents,
 		remaining:  make([]atomic.Int32, w*g.Steps),
 		done:       make([]atomic.Bool, w*g.Steps),
 		latches:    make([]*lco.Latch, g.Steps),
@@ -294,14 +307,15 @@ func (b *Bench) prepare(g Graph) *run {
 		ru.latches[s] = lco.NewLatch(w)
 		for p := 0; p < w; p++ {
 			idx := s*w + p
-			deps := g.Dependencies(s, p)
-			ru.deps[idx] = deps
-			ru.remaining[idx].Store(int32(len(deps)))
-			// Invert into the producers' dependent lists.
-			for _, q := range deps {
-				pidx := (s-1)*w + q
-				ru.dependents[pidx] = append(ru.dependents[pidx], p)
+			if fresh {
+				ru.deps[idx] = g.Dependencies(s, p)
+				// Invert into the producers' dependent lists.
+				for _, q := range ru.deps[idx] {
+					pidx := (s-1)*w + q
+					ru.dependents[pidx] = append(ru.dependents[pidx], p)
+				}
 			}
+			ru.remaining[idx].Store(int32(len(ru.deps[idx])))
 		}
 	}
 	return ru

@@ -139,3 +139,35 @@ func TestTwoBenchesCoexist(t *testing.T) {
 		}
 	}
 }
+
+// TestRunReusesDependenceTablesOfTheSameGraph runs one graph twice, then
+// another graph: the second run shares the first run's dependence tables
+// and still executes every task exactly once, and a different graph gets
+// tables of its own.
+func TestRunReusesDependenceTablesOfTheSameGraph(t *testing.T) {
+	rt := newTestRuntime(t, 2)
+	bench, err := New(rt, Options{Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(g Graph) *[]int {
+		t.Helper()
+		res, err := bench.Run(g)
+		if err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
+		if want := int64(res.Graph.TotalTasks()); res.Tasks != want {
+			t.Fatalf("%s: executed %d tasks, want exactly %d", g, res.Tasks, want)
+		}
+		return &bench.deps[0]
+	}
+	g := Graph{Width: 8, Steps: 6, Pattern: Random, Iterations: 8, OutputBytes: 8}
+	first := run(g)
+	if again := run(g); again != first {
+		t.Error("a second run of the same graph rebuilt its dependence tables")
+	}
+	g.Seed = 2
+	if other := run(g); other == first {
+		t.Error("a different graph reused the previous graph's dependence tables")
+	}
+}

@@ -1,8 +1,7 @@
 // Package bench holds the micro-benchmark suite for the parcel
 // transmission pipeline. The benchmark bodies live here as exported
-// functions so they can be driven two ways: by `go test -bench` through
-// the thin wrappers in bench_test.go, and by cmd/amc-bench through
-// testing.Benchmark to produce the committed BENCH_parcel.json.
+// functions that the thin wrappers in bench_test.go run under
+// `go test ./bench -run '^$' -bench . -benchmem`.
 //
 // The suite covers the three layers the zero-allocation work touched:
 // bundle encode/decode (serialization), port enqueue/send (the outbound
@@ -340,8 +339,7 @@ func runSenders(b *testing.B, workers int, put func(worker, i int, p *parcel.Par
 	wg.Wait()
 }
 
-// CoalescerBenchName names a CoalescerPut variant consistently for
-// bench_test.go and cmd/amc-bench.
+// CoalescerBenchName names a CoalescerPut variant.
 func CoalescerBenchName(workers int) string {
 	return fmt.Sprintf("CoalescerPut/goroutines=%d", workers)
 }

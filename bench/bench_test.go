@@ -6,8 +6,8 @@ import (
 	"repro/internal/taskbench"
 )
 
-// Thin wrappers so the suite runs under `go test -bench`; the bodies in
-// bench.go are shared with cmd/amc-bench.
+// Thin wrappers so the suite runs under `go test -bench`; the bodies
+// live in the package's other files.
 
 func BenchmarkEncodeBundle(b *testing.B) { EncodeBundle(b) }
 func BenchmarkDecodeBundle(b *testing.B) { DecodeBundle(b) }

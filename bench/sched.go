@@ -131,8 +131,7 @@ func SchedBackgroundStarvation(b *testing.B, workers int) {
 	b.ReportMetric(float64(bgDone.Load())/float64(b.N), "bg-units/task")
 }
 
-// SchedBenchName names a scheduler benchmark variant consistently for
-// bench_test.go and cmd/amc-bench.
+// SchedBenchName names a scheduler benchmark variant.
 func SchedBenchName(kind string, workers int) string {
 	return fmt.Sprintf("Sched%s/workers=%d", kind, workers)
 }

@@ -1,17 +1,9 @@
-// Command amc-bench runs the micro-benchmark suites (package bench)
-// outside `go test` and writes the results as JSON, producing the
-// committed BENCH_parcel.json and BENCH_sched.json snapshots.
-//
-// The parcel suite measures the three layers of the zero-allocation
-// pipeline — bundle encode and borrowed decode, port enqueue/send, and
-// coalescer Put under 1/4/16 concurrent senders — and its report has
-// pass/fail fields for the pipeline's headline claims (0 allocs/op on
-// encode, decode and send).
-//
-// The sched suite measures the work-stealing task scheduler:
-// spawn/execute throughput at 1/4/16 workers, cold-start empty-task
-// latency through the park/wake path, a steal-heavy imbalanced load, and
-// background network work under task saturation.
+// Command amc-bench runs the workload suites that need more than a
+// `go test -bench` loop — whole task graphs, crash injection, and real
+// amc-node processes — and writes each suite's report as JSON. The
+// micro-benchmarks of the parcel pipeline, the scheduler and the
+// reliable layer are package bench's, run by
+// `go test ./bench -run '^$' -bench . -benchmem`.
 //
 // The taskbench suite is the Task Bench-style workload harness
 // (internal/taskbench): all eight dependence patterns are executed
@@ -37,17 +29,23 @@
 // cluster runs of the same app over loopback TCP. -quick shrinks it to
 // a CI-smoke size.
 //
-// An unknown -suite value prints the registry of available suites and
-// exits nonzero; `-suite help` prints the same listing.
+// A suite whose report has a correctness field false — health's
+// survive_crash_ok and fail_fast_ok, cluster's all_completed and
+// partition_heal_ok, fft's all_verified and cluster_verified — still
+// writes the report and then exits non-zero. The statistical fields
+// (zero false positives, correlation, re-convergence, controller and
+// variant wins) and cluster's recovery_ok, which -quick leaves false by
+// design, are informational.
+//
+// -suite is required: an empty or unknown value prints the registry of
+// available suites and exits 2; `-suite help` prints the same listing.
 //
 // Examples:
 //
-//	amc-bench -o BENCH_parcel.json
-//	amc-bench -suite sched -o BENCH_sched.json
 //	amc-bench -suite taskbench -o BENCH_taskbench.json
-//	amc-bench -suite taskbench -quick
+//	amc-bench -suite taskbench -quick -v
+//	amc-bench -suite health -quick -o -
 //	amc-bench -suite all
-//	amc-bench -benchtime 2s -v
 package main
 
 import (
@@ -59,141 +57,17 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"testing"
-	"time"
+	"strings"
 
 	"repro/bench"
 	"repro/internal/cluster"
 	"repro/internal/taskbench"
 )
 
-// result is one benchmark's measurement.
-type result struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
-	// Extra carries testing.B.ReportMetric values (e.g. the background
-	// starvation benchmark's bg-units/task).
-	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// report is the BENCH_parcel.json schema.
-type report struct {
-	partialStatus
-	GoVersion  string   `json:"go_version"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Benchtime  string   `json:"benchtime"`
-	Results    []result `json:"results"`
-	// ZeroAllocSendPath: EncodeBundle and PortSend reached 0 allocs/op;
-	// ZeroAllocRecvPath: DecodeBundle did.
-	ZeroAllocSendPath bool `json:"zero_alloc_send_path"`
-	ZeroAllocRecvPath bool `json:"zero_alloc_recv_path"`
-}
-
-// lossPoint is one chaos measurement of the reliable-delivery layer at a
-// fixed injected loss rate.
-type lossPoint struct {
-	LossPct          float64 `json:"loss_pct"`
-	ParcelsPerSec    float64 `json:"parcels_per_sec"`
-	NetworkOverhead  float64 `json:"network_overhead"`
-	RetransmitsPerOp float64 `json:"retransmits_per_op"`
-	DupsPerOp        float64 `json:"dups_per_op"`
-}
-
-// reliableReport is the BENCH_reliable.json schema: goodput and Eq. 4
-// network overhead of a coalescing toy app over the reliable layer as the
-// injected frame-loss rate grows, plus the failure-detection latency of a
-// partitioned link.
-type reliableReport struct {
-	partialStatus
-	GoVersion  string      `json:"go_version"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	Benchtime  string      `json:"benchtime"`
-	Results    []result    `json:"results"`
-	LossSweep  []lossPoint `json:"loss_sweep"`
-	LinkDownNs float64     `json:"link_down_detection_ns"`
-	// GoodputRetainedAt5 is goodput at 5% loss divided by goodput at 0%
-	// loss: the headline resilience figure.
-	GoodputRetainedAt5 float64 `json:"goodput_retained_at_5pct_loss"`
-	// LargeTCP is bench.ReliableLargeTCP (a 64 KiB message's whole life
-	// over loopback) beside the same function's figures at the commit
-	// before the layer stopped copying payloads.
-	LargeTCP largeTCPReport `json:"large_tcp"`
-}
-
-// largeTCPPoint is one side of the ReliableLargeTCP comparison.
-type largeTCPPoint struct {
-	Commit      string  `json:"commit,omitempty"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-type largeTCPReport struct {
-	Before largeTCPPoint `json:"before"`
-	After  largeTCPPoint `json:"after"`
-}
-
-// largeTCPBefore is bench.ReliableLargeTCP at commit 5a3fa9c, where a
-// 64 KiB message was copied four times in user space: median of five
-// 1 s runs on the 2-vCPU sizing machine (42.3, 42.6, 45.1, 46.7, 52.4 µs).
-// 0 B/op, 0 allocs/op.
-var largeTCPBefore = largeTCPPoint{Commit: "5a3fa9c", NsPerOp: 45131}
-
-// schedReport is the BENCH_sched.json schema.
-type schedReport struct {
-	partialStatus
-	GoVersion  string   `json:"go_version"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Benchtime  string   `json:"benchtime"`
-	Results    []result `json:"results"`
-}
-
-// runner measures one benchmark, records it in a result list, and
-// optionally echoes it to stderr.
-type runner struct {
-	verbose bool
-	results *[]result
-}
-
-func (rn runner) run(name string, fn func(*testing.B)) testing.BenchmarkResult {
-	r := testing.Benchmark(fn)
-	res := result{
-		Name:        name,
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-	if r.Bytes > 0 && r.T > 0 {
-		res.MBPerSec = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
-	}
-	if len(r.Extra) > 0 {
-		res.Extra = make(map[string]float64, len(r.Extra))
-		for k, v := range r.Extra {
-			res.Extra[k] = v
-		}
-	}
-	*rn.results = append(*rn.results, res)
-	if rn.verbose {
-		fmt.Fprintf(os.Stderr, "%-60s %12d iters %10.1f ns/op %6d B/op %4d allocs/op\n",
-			name, r.N, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-	}
-	return r
-}
-
-func nsPerOp(r testing.BenchmarkResult) float64 {
-	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
 // options carries the command-line knobs shared by every suite.
 type options struct {
-	benchtime time.Duration
-	verbose   bool
-	quick     bool
+	verbose bool
+	quick   bool
 }
 
 // suiteDef registers one runnable suite: its default output file, a
@@ -212,9 +86,6 @@ type suiteDef struct {
 // suites is the registry the -suite flag is validated against; "all"
 // runs every entry with its default output file.
 var suites = []suiteDef{
-	{"parcel", "BENCH_parcel.json", "zero-allocation send+receive pipeline and striped coalescer Put", runParcel},
-	{"sched", "BENCH_sched.json", "work-stealing task scheduler: spawn/execute, wake latency, stealing, background share", runSched},
-	{"reliable", "BENCH_reliable.json", "goodput and Eq. 4 overhead under injected frame loss; link-down detection", runReliable},
 	{"taskbench", "BENCH_taskbench.json", "Task Bench-style pattern sweep: per-pattern overhead/time correlation + adaptive phase demo", runTaskbench},
 	{"health", "BENCH_health.json", "crash-stop chaos: phi-accrual detection latency, false-positive soak, survive-crash workload", runHealth},
 	{"adaptive", "BENCH_adaptive.json", "controller A/B: global OverheadTuner vs per-destination MultiTuner on uniform and skewed workloads", runAdaptive},
@@ -233,6 +104,26 @@ type partialStatus struct {
 func (p *partialStatus) markPartial(err error) {
 	p.Partial = true
 	p.Error = err.Error()
+}
+
+// field is one correctness field of a written report.
+type field struct {
+	name string
+	ok   bool
+}
+
+// requireOK returns an error naming every field that is false.
+func requireOK(fields ...field) error {
+	var bad []string
+	for _, f := range fields {
+		if !f.ok {
+			bad = append(bad, f.name)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("report written with %s false", strings.Join(bad, ", "))
+	}
+	return nil
 }
 
 // lookupSuite resolves a -suite value against the registry.
@@ -263,20 +154,13 @@ func main() {
 		os.Exit(cluster.NodeMain(os.Args[2:], os.Stderr))
 	}
 
-	testing.Init() // register test.* flags so test.benchtime can be set
-	suite := flag.String("suite", "parcel", "benchmark suite to run (see -suite help)")
+	suite := flag.String("suite", "", "benchmark suite to run (see -suite help)")
 	out := flag.String("o", "", "output file (- for stdout; default BENCH_<suite>.json)")
-	benchtime := flag.Duration("benchtime", time.Second, "per-benchmark measurement time")
 	verbose := flag.Bool("v", false, "print each result as it completes")
-	quick := flag.Bool("quick", false, "shrink the taskbench suite to CI-smoke size")
+	quick := flag.Bool("quick", false, "shrink the suite to CI-smoke size")
 	flag.Parse()
 
-	// testing.Benchmark honours the package-level benchtime flag.
-	if err := flag.CommandLine.Lookup("test.benchtime").Value.Set(benchtime.String()); err != nil {
-		fatal(err)
-	}
-
-	opts := options{benchtime: *benchtime, verbose: *verbose, quick: *quick}
+	opts := options{verbose: *verbose, quick: *quick}
 	switch *suite {
 	case "all":
 		if *out != "" {
@@ -290,7 +174,7 @@ func main() {
 			}
 		}
 		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "amc-bench: %d suite(s) failed; reports carry the partial marker\n", failed)
+			fmt.Fprintf(os.Stderr, "amc-bench: %d suite(s) failed\n", failed)
 			os.Exit(1)
 		}
 	case "help", "list":
@@ -313,100 +197,6 @@ func orDefault(s, def string) string {
 		return def
 	}
 	return s
-}
-
-func runParcel(out string, opts options) error {
-	rep := report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchtime:  opts.benchtime.String(),
-	}
-	rn := runner{verbose: opts.verbose, results: &rep.Results}
-
-	encode := rn.run("EncodeBundle", bench.EncodeBundle)
-	decode := rn.run("DecodeBundle", bench.DecodeBundle)
-	rn.run("PortEnqueue", bench.PortEnqueue)
-	send := rn.run("PortSend", bench.PortSend)
-	for _, workers := range []int{1, 4, 16} {
-		w := workers
-		rn.run(bench.CoalescerBenchName(w), func(b *testing.B) { bench.CoalescerPut(b, w) })
-	}
-	rep.ZeroAllocSendPath = encode.AllocsPerOp() == 0 && send.AllocsPerOp() == 0
-	rep.ZeroAllocRecvPath = decode.AllocsPerOp() == 0
-
-	if err := writeJSON(out, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(statusW(out), "wrote %s (%d benchmarks, zero-alloc send=%v recv=%v)\n",
-		out, len(rep.Results), rep.ZeroAllocSendPath, rep.ZeroAllocRecvPath)
-	return nil
-}
-
-func runSched(out string, opts options) error {
-	rep := schedReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchtime:  opts.benchtime.String(),
-	}
-	rn := runner{verbose: opts.verbose, results: &rep.Results}
-
-	for _, workers := range []int{1, 4, 16} {
-		w := workers
-		rn.run(bench.SchedBenchName("SpawnExecute", w), func(b *testing.B) { bench.SchedSpawnExecute(b, w, 0) })
-	}
-	rn.run(bench.SchedBenchName("EmptyTaskLatency", 4), func(b *testing.B) { bench.SchedEmptyTaskLatency(b, 4) })
-	rn.run(bench.SchedBenchName("StealImbalance", 16), func(b *testing.B) { bench.SchedStealImbalance(b, 16) })
-	rn.run(bench.SchedBenchName("BackgroundStarvation", 4), func(b *testing.B) { bench.SchedBackgroundStarvation(b, 4) })
-
-	if err := writeJSON(out, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(statusW(out), "wrote %s (%d benchmarks)\n", out, len(rep.Results))
-	return nil
-}
-
-func runReliable(out string, opts options) error {
-	rep := reliableReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchtime:  opts.benchtime.String(),
-	}
-	rn := runner{verbose: opts.verbose, results: &rep.Results}
-
-	var goodput0 float64
-	for _, lossPct := range []float64{0, 1, 5, 10} {
-		l := lossPct
-		r := rn.run("ReliableChaos/"+bench.ReliableBenchName(l),
-			func(b *testing.B) { bench.ReliableChaos(b, l) })
-		p := lossPoint{
-			LossPct:          l,
-			ParcelsPerSec:    r.Extra["parcels/sec"],
-			NetworkOverhead:  r.Extra["network-overhead"],
-			RetransmitsPerOp: r.Extra["retransmits/op"],
-			DupsPerOp:        r.Extra["dups/op"],
-		}
-		rep.LossSweep = append(rep.LossSweep, p)
-		if l == 0 {
-			goodput0 = p.ParcelsPerSec
-		}
-		if l == 5 && goodput0 > 0 {
-			rep.GoodputRetainedAt5 = p.ParcelsPerSec / goodput0
-		}
-	}
-	down := rn.run("ReliableLinkDownDetection", bench.ReliableLinkDownDetection)
-	rep.LinkDownNs = nsPerOp(down)
-	large := rn.run("ReliableLargeTCP", bench.ReliableLargeTCP)
-	rep.LargeTCP = largeTCPReport{
-		Before: largeTCPBefore,
-		After:  largeTCPPoint{NsPerOp: nsPerOp(large), BytesPerOp: large.AllocedBytesPerOp(), AllocsPerOp: large.AllocsPerOp()},
-	}
-
-	if err := writeJSON(out, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(statusW(out), "wrote %s (%d benchmarks, goodput retained at 5%% loss=%.2f)\n",
-		out, len(rep.Results), rep.GoodputRetainedAt5)
-	return nil
 }
 
 // taskbenchReport is the BENCH_taskbench.json schema: the Task Bench-
@@ -551,7 +341,7 @@ func runHealth(out string, opts options) error {
 		out, rep.Health.DetectionMeanMS, rep.Health.DetectionTrials,
 		int(rep.Health.SoakSeconds), rep.Health.SoakSuspicions,
 		rep.SurviveCrashOK, rep.Health.FailFastMS)
-	return nil
+	return requireOK(field{"survive_crash_ok", rep.SurviveCrashOK}, field{"fail_fast_ok", rep.FailFastOK})
 }
 
 // adaptiveReport is the BENCH_adaptive.json schema: the controller A/B
@@ -681,7 +471,7 @@ func runCluster(out string, opts options) error {
 	}
 	fmt.Fprintf(statusW(out), "wrote %s (%d weak + %d strong scaling points, %d partition scenarios, all completed=%v, recovery ok=%v, partition heal ok=%v)\n",
 		out, len(res.WeakScaling), len(res.StrongScaling), len(res.PartitionHeal), rep.AllCompleted, rep.RecoveryOK, rep.PartitionHealOK)
-	return nil
+	return requireOK(field{"all_completed", rep.AllCompleted}, field{"partition_heal_ok", rep.PartitionHealOK})
 }
 
 // fftReport is the BENCH_fft.json schema: the distributed 2-D FFT
@@ -751,7 +541,7 @@ func runFFT(out string, opts options) error {
 	}
 	fmt.Fprintf(statusW(out), "wrote %s (%d sweep cells, %d cluster runs, all verified=%v, ring beats direct=%v)\n",
 		out, len(rep.FFT.Points), len(rep.FFT.Cluster), rep.AllVerified, rep.RingBeatsDirectOK)
-	return nil
+	return requireOK(field{"all_verified", rep.AllVerified}, field{"cluster_verified", rep.ClusterVerifiedOK})
 }
 
 // failPartial writes the partial report with its marker set and returns

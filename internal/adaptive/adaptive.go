@@ -78,15 +78,9 @@ type TunerConfig struct {
 	SampleInterval time.Duration
 	// MinNParcels and MaxNParcels bound the search (defaults 1 and 1024).
 	MinNParcels, MaxNParcels int
-	// Tolerance is the relative overhead change treated as noise
-	// (default 0.02 = 2%).
-	Tolerance float64
 	// MinWindowTasks skips windows with fewer executed tasks, when the
 	// application is between communication phases (default 50).
 	MinWindowTasks int64
-	// MaxDecisions caps the retained decision log; older entries are
-	// overwritten and counted as dropped (default DefaultMaxDecisions).
-	MaxDecisions int
 }
 
 func (c TunerConfig) withDefaults() TunerConfig {
@@ -98,9 +92,6 @@ func (c TunerConfig) withDefaults() TunerConfig {
 	}
 	if c.MaxNParcels <= 0 {
 		c.MaxNParcels = 1024
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.02
 	}
 	if c.MinWindowTasks <= 0 {
 		c.MinWindowTasks = 50
@@ -120,7 +111,7 @@ type OverheadTuner struct {
 // action. Coalescing must already be enabled for the action.
 func NewOverheadTuner(rt *runtime.Runtime, action string, cfg TunerConfig) *OverheadTuner {
 	cfg = cfg.withDefaults()
-	t := &OverheadTuner{tuner: newTuner(rt, action, cfg.MaxDecisions), cfg: cfg}
+	t := &OverheadTuner{tuner: newTuner(rt, action), cfg: cfg}
 	t.loop = t.run
 	return t
 }
@@ -157,7 +148,7 @@ func (t *OverheadTuner) run() {
 // tick judges one busy window. It returns true if the loop must
 // terminate.
 func (t *OverheadTuner) tick(overhead float64, params coalescing.Params) bool {
-	return t.climbGlobal(overhead, t.cfg.Tolerance, params, t.cfg.MinNParcels, t.cfg.MaxNParcels, "")
+	return t.climbGlobal(overhead, params, t.cfg.MinNParcels, t.cfg.MaxNParcels, "")
 }
 
 // PICSTuner is the iteration-driven baseline: the application calls

@@ -48,7 +48,7 @@ func TestDefaultLadder(t *testing.T) {
 
 func TestTunerConfigDefaults(t *testing.T) {
 	c := TunerConfig{}.withDefaults()
-	if c.SampleInterval <= 0 || c.MinNParcels != 1 || c.MaxNParcels != 1024 || c.Tolerance <= 0 {
+	if c.SampleInterval <= 0 || c.MinNParcels != 1 || c.MaxNParcels != 1024 {
 		t.Errorf("defaults = %+v", c)
 	}
 }

@@ -24,6 +24,9 @@ const (
 	moved
 )
 
+// tolerance is the relative overhead change a climb treats as noise.
+const tolerance = 0.02
+
 // climb is the hill-climb every overhead-driven controller runs on a
 // knob: double it while the Eq. 4 overhead falls, halve it once it rises.
 type climb struct {
@@ -42,7 +45,7 @@ func (c *climb) reset() { c.prev = -1 }
 // the last window by more than tolerance reverses the direction, better
 // by more keeps it, anything between holds. A move past lo or hi is
 // clamped and leaves the direction pointing back inward.
-func (c *climb) step(overhead, tolerance float64, cur, lo, hi int64) (int64, outcome) {
+func (c *climb) step(overhead float64, cur, lo, hi int64) (int64, outcome) {
 	if c.prev >= 0 {
 		change := overhead - c.prev
 		switch {
@@ -94,12 +97,12 @@ type tuner struct {
 	err   error
 }
 
-func newTuner(rt *runtime.Runtime, action string, maxDecisions int) tuner {
+func newTuner(rt *runtime.Runtime, action string) tuner {
 	return tuner{
 		rt:     rt,
 		action: action,
 		global: climb{prev: -1, dir: +1},
-		log:    newDecisionLog(maxDecisions),
+		log:    newDecisionLog(DefaultMaxDecisions),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -125,7 +128,7 @@ func (t *tuner) Stop() {
 }
 
 // Decisions returns the retained decision log (oldest first). When more
-// than MaxDecisions decisions have been made, the oldest are dropped —
+// than DefaultMaxDecisions decisions have been made, the oldest are dropped —
 // use DecisionCount for the cumulative total.
 func (t *tuner) Decisions() []Decision { return t.log.all() }
 
@@ -177,8 +180,8 @@ func (t *tuner) window(last *metrics.Sample) metrics.Phase {
 // climbGlobal advances the action-wide NParcels climb by one judged
 // window and installs the move, if there is one. suffix is appended to
 // the decision's reason. It returns true if the loop must terminate.
-func (t *tuner) climbGlobal(overhead, tolerance float64, params coalescing.Params, lo, hi int, suffix string) bool {
-	n, out := t.global.step(overhead, tolerance, int64(params.NParcels), int64(lo), int64(hi))
+func (t *tuner) climbGlobal(overhead float64, params coalescing.Params, lo, hi int, suffix string) bool {
+	n, out := t.global.step(overhead, int64(params.NParcels), int64(lo), int64(hi))
 	if out != moved {
 		return false
 	}

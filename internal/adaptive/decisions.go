@@ -2,10 +2,10 @@ package adaptive
 
 import "sync"
 
-// DefaultMaxDecisions bounds a controller's decision log when the
-// configuration leaves the cap unset: long-running soaks make decisions
-// indefinitely, so the log is a ring — old entries are overwritten and
-// counted as dropped rather than growing without limit.
+// DefaultMaxDecisions bounds a controller's decision log: long-running
+// soaks make decisions indefinitely, so the log is a ring — old entries
+// are overwritten and counted as dropped rather than growing without
+// limit.
 const DefaultMaxDecisions = 1024
 
 // decisionLog is a bounded ring of Decisions shared by the controllers.

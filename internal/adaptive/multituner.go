@@ -19,12 +19,6 @@ type MultiTunerConfig struct {
 	// MinNParcels and MaxNParcels bound the NParcels search
 	// (defaults 1 and 1024).
 	MinNParcels, MaxNParcels int
-	// MinInterval and MaxInterval bound the Interval search
-	// (defaults 1µs and 5ms).
-	MinInterval, MaxInterval time.Duration
-	// Tolerance is the relative overhead change treated as noise
-	// (default 0.02 = 2%).
-	Tolerance float64
 	// MinWindowTasks skips windows with fewer executed tasks
 	// (default 50).
 	MinWindowTasks int64
@@ -47,12 +41,6 @@ type MultiTunerConfig struct {
 	// IdleWindows evicts a tracked destination after this many
 	// consecutive windows below the hot threshold (default 10).
 	IdleWindows int
-	// KnobPeriod is how many moves a destination makes on one knob
-	// before coordinate descent rotates to the other (default 3).
-	KnobPeriod int
-	// MaxDecisions caps the retained decision log (default
-	// DefaultMaxDecisions).
-	MaxDecisions int
 }
 
 func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
@@ -64,15 +52,6 @@ func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
 	}
 	if c.MaxNParcels <= 0 {
 		c.MaxNParcels = 1024
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = time.Microsecond
-	}
-	if c.MaxInterval <= 0 {
-		c.MaxInterval = 5 * time.Millisecond
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.02
 	}
 	if c.MinWindowTasks <= 0 {
 		c.MinWindowTasks = 50
@@ -92,9 +71,6 @@ func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
 	if c.IdleWindows <= 0 {
 		c.IdleWindows = 10
 	}
-	if c.KnobPeriod <= 0 {
-		c.KnobPeriod = 3
-	}
 	return c
 }
 
@@ -103,6 +79,15 @@ const (
 	knobNParcels = iota
 	knobInterval
 	knobCount
+)
+
+const (
+	// minInterval and maxInterval bound the Interval knob.
+	minInterval = time.Microsecond
+	maxInterval = 5 * time.Millisecond
+	// knobPeriod is how many moves a destination makes on one knob before
+	// coordinate descent rotates to the other.
+	knobPeriod = 3
 )
 
 // destClimb is the per-destination hill-climb state.
@@ -146,7 +131,7 @@ type MultiTuner struct {
 func NewMultiTuner(rt *runtime.Runtime, action string, cfg MultiTunerConfig) *MultiTuner {
 	cfg = cfg.withDefaults()
 	t := &MultiTuner{
-		tuner:   newTuner(rt, action, cfg.MaxDecisions),
+		tuner:   newTuner(rt, action),
 		cfg:     cfg,
 		tracked: make(map[int]*destClimb),
 	}
@@ -270,13 +255,7 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 		}
 		hot++
 		if !ok {
-			ivCap := global.Interval
-			if ivCap < t.cfg.MinInterval {
-				ivCap = t.cfg.MinInterval
-			}
-			if ivCap > t.cfg.MaxInterval {
-				ivCap = t.cfg.MaxInterval
-			}
+			ivCap := min(max(global.Interval, minInterval), maxInterval)
 			cl = &destClimb{params: global, ivCap: ivCap, prevOH: -1, dir: +1, knob: knobNParcels}
 			t.tracked[d] = cl
 		}
@@ -354,11 +333,11 @@ func (t *MultiTuner) evict(d int, why string) {
 func (cl *destClimb) step(destOH float64, cfg MultiTunerConfig) (coalescing.Params, string, bool) {
 	cur, lo, hi := int64(cl.params.NParcels), int64(cfg.MinNParcels), int64(cfg.MaxNParcels)
 	if cl.knob == knobInterval {
-		cur, lo, hi = int64(cl.params.Interval), int64(cfg.MinInterval), int64(cl.ivCap)
+		cur, lo, hi = int64(cl.params.Interval), int64(minInterval), int64(cl.ivCap)
 	}
 	judged := cl.prevOH >= 0
 	c := climb{prev: cl.prevOH, dir: cl.dir}
-	n, out := c.step(destOH, cfg.Tolerance, cur, lo, hi)
+	n, out := c.step(destOH, cur, lo, hi)
 	cl.prevOH, cl.dir = c.prev, c.dir
 
 	if out == held {
@@ -385,7 +364,7 @@ func (cl *destClimb) step(destOH float64, cfg MultiTunerConfig) (coalescing.Para
 		next.NParcels = int(n)
 	}
 	cl.moves++
-	if cl.moves >= cfg.KnobPeriod {
+	if cl.moves >= knobPeriod {
 		cl.rotate()
 	}
 	knobName := "n"
@@ -415,5 +394,5 @@ func (cl *destClimb) rotate() {
 func (t *MultiTuner) tickGlobal(overhead float64, global coalescing.Params) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.climbGlobal(overhead, t.cfg.Tolerance, global, t.cfg.MinNParcels, t.cfg.MaxNParcels, " (uniform fallback)")
+	return t.climbGlobal(overhead, global, t.cfg.MinNParcels, t.cfg.MaxNParcels, " (uniform fallback)")
 }

@@ -19,7 +19,7 @@ import (
 // one-entry table to a seed; Gossip carries a full membership table and
 // doubles as the join reply. The three ping actions implement SWIM's
 // indirect probe: before escalating a suspicion to conviction, the
-// origin asks ProbeFanout relays (PingReq) to ping the suspect on its
+// origin asks probeFanout relays (PingReq) to ping the suspect on its
 // behalf; the suspect acks back through the relay (Ping → PingAck), so
 // a broken origin↔suspect link is routed around instead of convicting a
 // reachable node.
@@ -43,9 +43,10 @@ type Options struct {
 	// GossipInterval is the period between gossip rounds (default 25ms).
 	// Gossip frames double as phi-accrual heartbeat traffic, so this
 	// should not exceed the health monitor's HeartbeatInterval by much.
+	// One indirect-probe round is bounded by 4×GossipInterval; an
+	// unanswered round penalizes local health (Lifeguard LHM) and may
+	// retry.
 	GossipInterval time.Duration
-	// Fanout is how many random live peers each round targets (default 3).
-	Fanout int
 	// AdvertiseAddr is the address gossiped as this process's hosted
 	// localities' dial address (empty for in-process fabrics).
 	AdvertiseAddr string
@@ -69,39 +70,27 @@ type Options struct {
 	// to pure phi-accrual conviction (the pre-probe behavior; kept as a
 	// benchmark baseline for the false-conviction comparison).
 	DisableIndirectProbes bool
-	// ProbeFanout is how many relays each indirect-probe round asks
-	// (default 2).
-	ProbeFanout int
-	// ProbeTimeout bounds one indirect-probe round; an unanswered round
-	// penalizes local health (Lifeguard LHM) and may retry (default
-	// 4×GossipInterval).
-	ProbeTimeout time.Duration
-	// RejoinProbeEvery is the gossip-tick period of resurrection probes
-	// sent to confirmed-down members while Rejoin is enabled (default 4).
-	RejoinProbeEvery int
 }
 
 func (o Options) withDefaults() Options {
 	if o.GossipInterval <= 0 {
 		o.GossipInterval = 25 * time.Millisecond
 	}
-	if o.Fanout <= 0 {
-		o.Fanout = 3
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.ProbeFanout <= 0 {
-		o.ProbeFanout = 2
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 4 * o.GossipInterval
-	}
-	if o.RejoinProbeEvery <= 0 {
-		o.RejoinProbeEvery = 4
-	}
 	return o
 }
+
+const (
+	// fanout is how many random live peers each gossip round targets.
+	fanout = 3
+	// probeFanout is how many relays each indirect-probe round asks.
+	probeFanout = 2
+	// rejoinProbeEvery is the gossip-tick period of resurrection probes
+	// sent to confirmed-down members while Rejoin is enabled.
+	rejoinProbeEvery = 4
+)
 
 // maxProbeRounds caps indirect-probe retries per suspicion episode: past
 // this, the detector's verdict stands unassisted (the suspect really is
@@ -757,7 +746,7 @@ func (m *Manager) sendObituary(peer int) {
 	}
 }
 
-// gossipNow sends the full table to Fanout random not-down members.
+// gossipNow sends the full table to fanout random not-down members.
 // Gossip frames are also the heartbeat traffic the phi detector feeds
 // on, so a healthy cluster needs no separate beacons between members.
 func (m *Manager) gossipNow() {
@@ -769,8 +758,8 @@ func (m *Manager) gossipNow() {
 		}
 	}
 	m.rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
-	if len(targets) > m.svc.opts.Fanout {
-		targets = targets[:m.svc.opts.Fanout]
+	if len(targets) > fanout {
+		targets = targets[:fanout]
 	}
 	ms := make([]Member, 0, len(m.members))
 	for _, e := range m.members {
@@ -790,7 +779,7 @@ func (m *Manager) gossipNow() {
 }
 
 // beginProbe starts one indirect-probe round for a suspect: ask up to
-// ProbeFanout alive relays to ping it, and hold the local detector's
+// probeFanout alive relays to ping it, and hold the local detector's
 // hard verdict until the round has had its chance (Lifeguard's "ask
 // before you convict"). No-ops once the episode's round budget is
 // spent or when no relay exists (two-node clusters degenerate to plain
@@ -817,16 +806,17 @@ func (m *Manager) beginProbe(target int) {
 	}
 	m.probeRounds[target]++
 	m.rng.Shuffle(len(relays), func(i, j int) { relays[i], relays[j] = relays[j], relays[i] })
-	if len(relays) > s.opts.ProbeFanout {
-		relays = relays[:s.opts.ProbeFanout]
+	if len(relays) > probeFanout {
+		relays = relays[:probeFanout]
 	}
+	timeout := 4 * s.opts.GossipInterval
 	m.nonceCtr++
 	nonce := m.nonceCtr
-	m.pending[nonce] = pendingProbe{target: target, expires: time.Now().Add(s.opts.ProbeTimeout)}
+	m.pending[nonce] = pendingProbe{target: target, expires: time.Now().Add(timeout)}
 	m.mu.Unlock()
 
 	if mon := s.rt.Monitor(m.self); mon != nil {
-		mon.DeferConviction(target, time.Now().Add(s.opts.ProbeTimeout+s.opts.GossipInterval))
+		mon.DeferConviction(target, time.Now().Add(timeout+s.opts.GossipInterval))
 	}
 	payload := EncodeProbe(nil, ProbeMsg{Origin: m.self, Target: target, Nonce: nonce})
 	loc := s.rt.Locality(m.self)
@@ -892,7 +882,7 @@ func (m *Manager) maintain() {
 					probeTargets = append(probeTargets, id)
 				}
 			}
-		} else if m.tick%uint64(s.opts.RejoinProbeEvery) == 0 {
+		} else if m.tick%rejoinProbeEvery == 0 {
 			// Resurrection probe: poke one random Down member with our
 			// table. A partition-healed node learns its own obituary from
 			// it and rebirths; a truly dead node stays silent.

@@ -11,7 +11,7 @@
 // incarnation wins, and at equal incarnation the more severe state wins
 // (suspect > alive) — so rumors converge to the same table everywhere
 // regardless of arrival order. Suspicion comes from
-// the local detector's soft threshold (health.Config.SuspectPhi);
+// the local detector's soft threshold (health.Config.PhiThreshold/2);
 // confirmed-down comes from the hard threshold (PhiThreshold → runtime
 // DeclareDown) or from gossip, and is terminal, feeding the PR 5
 // degradation path (reliable.FailPeer, port.FailDest, AGAS MarkDown) on

@@ -122,12 +122,6 @@ type Options struct {
 	Registry *counters.Registry
 	// TimerService runs the flush timers; required.
 	TimerService *timer.Service
-	// HistLowUS, HistHighUS, HistBuckets configure the parcel-arrival
-	// histogram in microseconds. Zero values select 0..10000µs in 100
-	// buckets.
-	HistLowUS   float64
-	HistHighUS  float64
-	HistBuckets int
 	// DisableSparseBypass turns off the "send immediately when parcels
 	// arrive further apart than the wait time" rule, forcing every parcel
 	// through the queue. Exists for the ablation study quantifying what
@@ -142,6 +136,13 @@ type Options struct {
 
 // shardCount stripes the per-destination queues; must be a power of two.
 const shardCount = 16
+
+// The parcel-arrival histogram spans 0..10000 µs in 100 buckets.
+const (
+	histLowUS   = 0
+	histHighUS  = 10000
+	histBuckets = 100
+)
 
 // arrivalBatch is how many arrival-gap samples a shard buffers before
 // folding them into the shared average/histogram counters.
@@ -255,13 +256,6 @@ func New(enq Enqueuer, params Params, opts Options) *Coalescer {
 	if opts.TimerService == nil {
 		panic("coalescing: Options.TimerService is required")
 	}
-	lo, hi, nb := opts.HistLowUS, opts.HistHighUS, opts.HistBuckets
-	if hi <= lo {
-		lo, hi = 0, 10000
-	}
-	if nb <= 0 {
-		nb = 100
-	}
 	inst := fmt.Sprintf("locality#%d", opts.Locality)
 	path := func(name string) counters.Path {
 		return counters.Path{Object: "coalescing", Instance: inst, Name: name, Parameters: opts.Action}
@@ -278,7 +272,7 @@ func New(enq Enqueuer, params Params, opts Options) *Coalescer {
 		messages:    counters.NewRaw(path("count/messages")),
 		avgPerMsg:   counters.NewAverage(path("count/average-parcels-per-message")),
 		avgArrival:  counters.NewAverage(path("time/average-parcel-arrival")),
-		arrivalHist: counters.NewHistogramCounter(path("time/parcel-arrival-histogram"), lo, hi, nb),
+		arrivalHist: counters.NewHistogramCounter(path("time/parcel-arrival-histogram"), histLowUS, histHighUS, histBuckets),
 	}
 	c.enqOne, _ = enq.(ParcelEnqueuer)
 	norm := params.normalized()

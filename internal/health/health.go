@@ -55,29 +55,23 @@ type Config struct {
 	// (default 128).
 	Window int
 	// PhiThreshold is the suspicion level at which a peer is declared
-	// dead (default 8).
+	// dead (default 8). Half of it is the softer level at which a peer
+	// becomes merely *suspected* (Monitor.OnSuspect): enough accrued
+	// silence to gossip about, not enough to convict. Crossing back below
+	// that fires OnAlive.
 	PhiThreshold float64
-	// SuspectPhi is the softer threshold at which a peer becomes merely
-	// *suspected* (Monitor.OnSuspect): enough accrued silence to gossip
-	// about, not enough to convict. Crossing back below it fires
-	// OnAlive. Default PhiThreshold/2.
-	SuspectPhi float64
-	// MinStdDev floors the fitted standard deviation so a perfectly
-	// regular heartbeat stream does not make the detector hair-triggered
-	// (default HeartbeatInterval/4).
-	MinStdDev time.Duration
 	// Grace suppresses suspicion for this long after monitoring of a
 	// peer starts, covering runtime startup before first traffic
 	// (default 10 × HeartbeatInterval).
 	Grace time.Duration
-	// MaxLocalHealth caps the Lifeguard-style local health multiplier:
-	// when the local node itself shows signs of distress (failed probe
-	// rounds, refuted suspicions), the monitor stretches its suspicion
-	// thresholds by up to (1 + MaxLocalHealth)× so a slow *observer*
-	// does not convict healthy peers (default 2, i.e. up to 3× the
-	// configured thresholds).
-	MaxLocalHealth int64
 }
+
+// maxLocalHealth caps the Lifeguard-style local health score: when the
+// local node itself shows signs of distress (failed probe rounds, refuted
+// suspicions), the monitor stretches its suspicion thresholds by up to
+// (1 + maxLocalHealth)× so a slow *observer* does not convict healthy
+// peers.
+const maxLocalHealth = 2
 
 // WithDefaults resolves unset fields.
 func (c Config) WithDefaults() Config {
@@ -93,17 +87,8 @@ func (c Config) WithDefaults() Config {
 	if c.PhiThreshold <= 0 {
 		c.PhiThreshold = 8
 	}
-	if c.SuspectPhi <= 0 {
-		c.SuspectPhi = c.PhiThreshold / 2
-	}
-	if c.MinStdDev <= 0 {
-		c.MinStdDev = c.HeartbeatInterval / 4
-	}
 	if c.Grace <= 0 {
 		c.Grace = 10 * c.HeartbeatInterval
-	}
-	if c.MaxLocalHealth <= 0 {
-		c.MaxLocalHealth = 2
 	}
 	return c
 }
@@ -240,7 +225,9 @@ func (d *Detector) Phi(peer int, now time.Time) float64 {
 		mean = d.cfg.HeartbeatInterval.Seconds()
 		std = 0
 	}
-	if floor := d.cfg.MinStdDev.Seconds(); std < floor {
+	// A quarter interval floors the deviation, so a perfectly regular
+	// heartbeat stream does not make the detector hair-triggered.
+	if floor := (d.cfg.HeartbeatInterval / 4).Seconds(); std < floor {
 		std = floor
 	}
 	// P_later under a normal fit: 0.5 * erfc((t - mean) / (std * sqrt2)).

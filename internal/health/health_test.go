@@ -219,6 +219,45 @@ func TestMonitorDetectsSilentPeerAndSparesLivePeers(t *testing.T) {
 	}
 }
 
+// TestMonitorSuspectsAtHalfThresholdBeforeDown sweeps a monitor by hand,
+// with no wall clock, over a peer that never speaks: OnSuspect fires at
+// the first sweep whose phi reaches PhiThreshold/2, and OnDown at a later
+// one, the first to reach PhiThreshold.
+func TestMonitorSuspectsAtHalfThresholdBeforeDown(t *testing.T) {
+	cfg := fast()
+	cfg.Grace = time.Millisecond // phi starts near 0, not past the soft threshold
+	type event struct {
+		kind      string
+		prev, phi float64 // phi at the sweep before and at this one
+	}
+	var events []event
+	var prev, phi float64
+	record := func(kind string) func(int) {
+		return func(int) { events = append(events, event{kind, prev, phi}) }
+	}
+	m := NewMonitor(MonitorConfig{
+		Config: cfg, Locality: 0, Peers: 2,
+		OnSuspect: record("suspect"),
+		OnDown:    record("down"),
+	})
+	base := time.Now()
+	m.det.Watch(1, base)
+	for at := base; len(events) < 2 && at.Before(base.Add(time.Second)); at = at.Add(100 * time.Microsecond) {
+		prev, phi = phi, m.det.Phi(1, at)
+		m.sweep(at)
+	}
+	if len(events) != 2 || events[0].kind != "suspect" || events[1].kind != "down" {
+		t.Fatalf("events = %+v, want suspect then down", events)
+	}
+	soft, hard := cfg.PhiThreshold/2, cfg.PhiThreshold
+	if s := events[0]; s.prev >= soft || s.phi < soft || s.phi >= hard {
+		t.Errorf("OnSuspect at phi %.2f (previous sweep %.2f), want the first sweep at or past %.1f and below %.1f", s.phi, s.prev, soft, hard)
+	}
+	if d := events[1]; d.prev >= hard || d.phi < hard {
+		t.Errorf("OnDown at phi %.2f (previous sweep %.2f), want the first sweep at or past %.1f", d.phi, d.prev, hard)
+	}
+}
+
 func TestMonitorOnDownFiresOnce(t *testing.T) {
 	cfg := fast()
 	var fired atomic.Int64
@@ -338,7 +377,6 @@ func TestMonitorSilencePausesSweep(t *testing.T) {
 
 func TestMonitorLocalHealthClampAndStretch(t *testing.T) {
 	cfg := fast()
-	cfg.MaxLocalHealth = 2
 	m := NewMonitor(MonitorConfig{Config: cfg, Locality: 0, Peers: 2})
 	for i := 0; i < 10; i++ {
 		m.Penalize()

@@ -32,7 +32,7 @@ type MonitorConfig struct {
 	// goroutine, when the peer's phi crosses the threshold.
 	OnDown func(peer int)
 	// OnSuspect is invoked (from the monitor goroutine) when a peer's
-	// phi crosses the softer Config.SuspectPhi threshold, and OnAlive
+	// phi crosses the softer threshold, Config.PhiThreshold/2, and OnAlive
 	// when it drops back below — the edge-triggered pair the gossip
 	// membership layer turns into suspect/refute traffic. Unlike OnDown
 	// these can fire repeatedly as suspicion flaps; nil disables.
@@ -57,7 +57,7 @@ type Monitor struct {
 	wg       sync.WaitGroup
 
 	suspected  []atomic.Bool
-	suspectHot []atomic.Bool // between SuspectPhi crossings (soft suspicion)
+	suspectHot []atomic.Bool // between soft-threshold crossings (soft suspicion)
 	hbSeq      []atomic.Uint64
 	holdUntil  []atomic.Int64 // per-peer conviction hold (unix ns), 0 = none
 
@@ -66,7 +66,7 @@ type Monitor struct {
 	// (a dead observer must not convict anyone) and clears it on rejoin.
 	silenced atomic.Bool
 
-	// localHealth is the Lifeguard LHM score S in [0, MaxLocalHealth]:
+	// localHealth is the Lifeguard LHM score S in [0, maxLocalHealth]:
 	// evidence that *this* node is the slow one. Effective thresholds
 	// are the configured ones times (1 + S).
 	localHealth atomic.Int64
@@ -193,11 +193,11 @@ func (m *Monitor) Revive(peer int) {
 // Penalize bumps the Lifeguard local-health score: the caller observed
 // evidence that this node, not its peers, is the slow party (a probe
 // round that produced no acks, a suspicion a peer had to refute).
-// Saturates at Config.MaxLocalHealth.
+// Saturates at maxLocalHealth.
 func (m *Monitor) Penalize() {
 	for {
 		cur := m.localHealth.Load()
-		if cur >= m.cfg.MaxLocalHealth || m.localHealth.CompareAndSwap(cur, cur+1) {
+		if cur >= maxLocalHealth || m.localHealth.CompareAndSwap(cur, cur+1) {
 			return
 		}
 	}
@@ -272,7 +272,7 @@ func (m *Monitor) sweep(now time.Time) {
 	// node itself looks unhealthy, so a stalled observer suspects more
 	// slowly instead of convicting reachable peers.
 	mult := 1 + float64(m.localHealth.Load())
-	effSuspect := m.cfg.SuspectPhi * mult
+	effSuspect := m.cfg.PhiThreshold / 2 * mult
 	effDown := m.cfg.PhiThreshold * mult
 	anyHot := false
 	for p := 0; p < m.cfg.Peers; p++ {
@@ -295,8 +295,8 @@ func (m *Monitor) sweep(now time.Time) {
 		}
 		phi := m.det.Phi(p, now)
 		m.phiPeak[p].SetMax(int64(phi * 1000))
-		// Soft suspicion: edge-triggered crossings of the lower SuspectPhi
-		// threshold, reported before (and independently of) the terminal
+		// Soft suspicion: edge-triggered crossings of the lower threshold,
+		// reported before (and independently of) the terminal
 		// OnDown verdict so a membership layer can gossip and refute.
 		if phi >= effSuspect {
 			anyHot = true

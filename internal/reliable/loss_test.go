@@ -416,6 +416,38 @@ func TestKarnRetransmittedFrameTimesNothing(t *testing.T) {
 	}
 }
 
+// TestTimeoutsBackOffToRTOMaxWithJitter serves one frame's timer again
+// and again: each expiry doubles the timeout until RTOMax, and each
+// deadline it arms lies within ±10 % of the backed-off timeout.
+func TestTimeoutsBackOffToRTOMaxWithJitter(t *testing.T) {
+	f := stubbed(t) // RTO 1h, RTOMax 4h
+	burst(t, f, 0, 1)
+	ts := f.txFor(0, 1)
+	jittered := false
+	for i, want := range []time.Duration{2, 4, 4, 4, 4} {
+		want *= time.Hour
+		tick := ts.deadline.Load()
+		f.expire(ts, tick)
+		ts.mu.Lock()
+		rto := ts.rto
+		ts.mu.Unlock()
+		if rto != want {
+			t.Fatalf("expiry %d: RTO = %v, want %v", i+1, rto, want)
+		}
+		armed := time.Duration(ts.deadline.Load() - tick)
+		if lo, hi := want*9/10, want*11/10; armed < lo || armed > hi {
+			t.Errorf("expiry %d: deadline armed %v after the tick, want within [%v, %v]", i+1, armed, lo, hi)
+		}
+		jittered = jittered || armed != want
+	}
+	if !jittered {
+		t.Error("every deadline was exactly the backed-off RTO, want jitter")
+	}
+	if st := f.ReliabilityStats(); st.Timeouts != 5 || st.Retransmits != 5 {
+		t.Errorf("retransmits=%d timeouts=%d after five expiries, want 5/5", st.Retransmits, st.Timeouts)
+	}
+}
+
 func TestRTTEstimatorRFC6298(t *testing.T) {
 	const ms = time.Millisecond
 	var e rttEstimator

@@ -100,6 +100,14 @@ const (
 	// minRing is the initial capacity of a link's tx window and reorder
 	// buffer rings; both double on demand.
 	minRing = 16
+
+	// rtoBackoff multiplies a link's timeout after each expiry, up to
+	// Config.RTOMax.
+	rtoBackoff = 2
+	// jitter spreads each deadline armed after a timeout uniformly over
+	// [1-jitter/2, 1+jitter/2] x RTO, so synchronized losses do not
+	// retransmit in lockstep.
+	jitter = 0.2
 )
 
 // Config tunes the reliability protocol. The zero value selects defaults
@@ -110,21 +118,15 @@ type Config struct {
 	// (RTO = clamp(SRTT + 4·RTTVAR, RTO, RTOMax), RFC 6298). It should
 	// exceed one round trip plus AckDelay (default 3ms).
 	RTO time.Duration
-	// RTOBackoff multiplies the timeout after each expiry (default 2.0).
-	RTOBackoff float64
 	// RTOMax caps the estimated and the backed-off timeout (default
 	// 100ms; never below RTO).
 	RTOMax time.Duration
-	// Jitter spreads each deadline armed after a timeout uniformly over
-	// [1-Jitter/2, 1+Jitter/2] x RTO so synchronized losses do not
-	// retransmit in lockstep (default 0.2; 0 < Jitter < 1).
-	Jitter float64
 	// MaxRetries is the link's timeout budget: after MaxRetries
 	// consecutive timer retransmissions of the oldest frame go
 	// unacknowledged, the link is declared down, pending frames are
 	// discarded, and subsequent Sends on the link return ErrLinkDown. The
 	// link-down deadline is therefore roughly
-	// sum_{i=0..MaxRetries} min(RTO*RTOBackoff^i, RTOMax) (default 8).
+	// sum_{i=0..MaxRetries} min(RTO*rtoBackoff^i, RTOMax) (default 8).
 	MaxRetries int
 	// AckDelay bounds how long an in-order frame waits for reverse
 	// traffic to piggyback its ACK before a standalone ACK frame is sent
@@ -156,16 +158,10 @@ func (c Config) withDefaults() Config {
 	if c.RTO <= 0 {
 		c.RTO = 3 * time.Millisecond
 	}
-	if c.RTOBackoff < 1 {
-		c.RTOBackoff = 2.0
-	}
 	if c.RTOMax <= 0 {
 		c.RTOMax = 100 * time.Millisecond
 	}
 	c.RTOMax = max(c.RTOMax, c.RTO) // the floor wins over the cap
-	if c.Jitter <= 0 || c.Jitter >= 1 {
-		c.Jitter = 0.2
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
 	}
@@ -859,12 +855,12 @@ func encodeFrame(kind byte, seq, ack uint64, epoch, ackEpoch uint32, payload []b
 	return frame
 }
 
-// jittered spreads d over [1-Jitter/2, 1+Jitter/2] x d.
+// jittered spreads d uniformly over [1-jitter/2, 1+jitter/2] x d.
 func (f *Fabric) jittered(d time.Duration) time.Duration {
 	f.rngMu.Lock()
 	r := f.rng.Float64()
 	f.rngMu.Unlock()
-	scale := 1 - f.cfg.Jitter/2 + f.cfg.Jitter*r
+	scale := 1 - jitter/2 + jitter*r
 	return time.Duration(float64(d) * scale)
 }
 
@@ -1351,7 +1347,7 @@ func (f *Fabric) expire(ts *txState, tick int64) {
 	ts.clearSacks()
 	ts.recover, ts.recoverAt = ts.next-1, now
 	frame := f.resendLocked(ts, ts.una, now, "retransmit")
-	ts.rto = min(time.Duration(float64(ts.rto)*f.cfg.RTOBackoff), f.cfg.RTOMax)
+	ts.rto = min(rtoBackoff*ts.rto, f.cfg.RTOMax)
 	// The next deadline counts from the tick that served this one, like
 	// the dueness test in sweep: a tick's timestamp is when it was due to
 	// fire, and on a host that serves timers late a deadline counted from

@@ -82,9 +82,7 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 	l.sched = newScheduler(schedConfig{
 		locality:     id,
 		workers:      rt.cfg.WorkersPerLocality,
-		queueSize:    rt.cfg.TaskQueueSize,
 		fallbackPark: rt.cfg.fallbackPark,
-		bgBatch:      rt.cfg.BackgroundBatch,
 		taskOverhead: rt.cfg.TaskOverhead,
 		registry:     l.registry,
 	}, nil)

@@ -71,12 +71,6 @@ type Config struct {
 	// Fabric overrides the transport (e.g. a TCP fabric); nil selects a
 	// SimFabric with CostModel.
 	Fabric network.Fabric
-	// TaskQueueSize bounds each locality's runnable-task queue
-	// (default 65536).
-	TaskQueueSize int
-	// BackgroundBatch is how many background work units a worker performs
-	// per idle visit (default 8).
-	BackgroundBatch int
 	// TaskOverhead is the modeled per-task thread-management cost (HPX
 	// lightweight threads cost roughly 1–2 µs to set up, switch to and
 	// tear down; Go closures cost nanoseconds, so the difference is spent

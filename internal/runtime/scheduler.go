@@ -33,9 +33,8 @@ type backgroundWorker interface {
 type schedConfig struct {
 	locality     int
 	workers      int
-	queueSize    int
+	queueSize    int           // 0 selects defaultQueueSize; a test shrinks it
 	fallbackPark time.Duration // 0 selects defaultFallbackPark; tests stretch it
-	bgBatch      int
 	taskOverhead time.Duration
 	registry     *counters.Registry
 }
@@ -54,6 +53,14 @@ const (
 	// runnable, bounding network starvation under task floods (HPX
 	// schedulers likewise interleave periodic parcel-port maintenance).
 	bgCheckEvery = 64
+	// bgBatch is how many background work units a worker asks the port
+	// for per visit.
+	bgBatch = 8
+	// defaultQueueSize is a locality's run-queue budget. It is not a
+	// bound: each worker's share of it, max(defaultQueueSize/workers, 16),
+	// is the soft cap past which spawn still enqueues but then yields
+	// (see enqueue).
+	defaultQueueSize = 1 << 16
 	// spinRounds and yieldRounds shape the idle path: an idle worker
 	// re-checks all queues spinRounds times, yields the processor
 	// yieldRounds times, and only then parks on its wake channel.
@@ -225,13 +232,10 @@ func newScheduler(cfg schedConfig, bg backgroundWorker) *scheduler {
 		cfg.workers = 2
 	}
 	if cfg.queueSize <= 0 {
-		cfg.queueSize = 1 << 16
+		cfg.queueSize = defaultQueueSize
 	}
 	if cfg.fallbackPark <= 0 {
 		cfg.fallbackPark = defaultFallbackPark
-	}
-	if cfg.bgBatch <= 0 {
-		cfg.bgBatch = 8
 	}
 	if cfg.taskOverhead < 0 {
 		cfg.taskOverhead = 0
@@ -568,12 +572,12 @@ func (s *scheduler) stealDeque(w, v *worker) (t task, more, ok bool) {
 // locality keep Algorithm 1's timer.
 func (s *scheduler) doBackground(w *worker, outOfTasks bool) bool {
 	bgStart := timer.Mono()
-	n := s.bg.DoBackgroundWork(s.cfg.bgBatch)
+	n := s.bg.DoBackgroundWork(bgBatch)
 	if n == 0 && outOfTasks && w.busy {
 		w.busy = false
 		if s.nBusy.Add(-1) == 0 {
 			s.bg.FlushIdle()
-			n = s.bg.DoBackgroundWork(s.cfg.bgBatch)
+			n = s.bg.DoBackgroundWork(bgBatch)
 		}
 	}
 	if n > 0 {

@@ -32,9 +32,6 @@ type PhaseDemoConfig struct {
 	// InitialParams seed the coalescer (default 1 parcel / 1ms:
 	// coalescing effectively off, so the tuner's climb is visible).
 	InitialParams coalescing.Params
-	// Tuner configures the OverheadTuner; zero selects fast defaults
-	// suitable for the demo's run lengths.
-	Tuner adaptive.TunerConfig
 	// CostModel shapes the fabric; zero selects the default model.
 	CostModel network.CostModel
 	// Timeout bounds each run (default 60s).
@@ -58,15 +55,6 @@ func (c PhaseDemoConfig) WithDefaults() PhaseDemoConfig {
 	}
 	if c.InitialParams.NParcels == 0 {
 		c.InitialParams = coalescing.Params{NParcels: 1, Interval: time.Millisecond}
-	}
-	if c.Tuner.SampleInterval <= 0 {
-		c.Tuner.SampleInterval = 20 * time.Millisecond
-	}
-	if c.Tuner.MaxNParcels <= 0 {
-		c.Tuner.MaxNParcels = 256
-	}
-	if c.Tuner.MinWindowTasks <= 0 {
-		c.Tuner.MinWindowTasks = 20
 	}
 	if (c.CostModel == network.CostModel{}) {
 		c.CostModel = network.DefaultCostModel()
@@ -119,7 +107,13 @@ func RunPhaseDemo(cfg PhaseDemoConfig) (PhaseDemoResult, error) {
 	if err := rt.EnableCoalescing(bench.ActionName(), cfg.InitialParams); err != nil {
 		return PhaseDemoResult{}, err
 	}
-	tuner := adaptive.NewOverheadTuner(rt, bench.ActionName(), cfg.Tuner)
+	// A faster, narrower climb than the tuner's defaults, sized to the
+	// demo's run lengths.
+	tuner := adaptive.NewOverheadTuner(rt, bench.ActionName(), adaptive.TunerConfig{
+		SampleInterval: 20 * time.Millisecond,
+		MaxNParcels:    256,
+		MinWindowTasks: 20,
+	})
 	tuner.Start()
 	defer tuner.Stop()
 

@@ -6,8 +6,9 @@
 // The suite covers the three layers the zero-allocation work touched:
 // bundle encode/decode (serialization), port enqueue/send (the outbound
 // ring plus pooled payload buffers), and coalescer Put under
-// increasing sender concurrency (the striped destination queues). The
-// encode, decode and port-send benchmarks are the ones the pipeline
+// increasing sender concurrency (the striped destination queues), and
+// the remote Apply path whole (ApplyStream). The encode, decode,
+// port-send and Apply-stream benchmarks are the ones the pipeline
 // promises 0 allocs/op on.
 package bench
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/coalescing"
 	"repro/internal/network"
 	"repro/internal/parcel"
+	"repro/internal/reliable"
 	"repro/internal/runtime"
 	"repro/internal/timer"
 )
@@ -197,6 +199,61 @@ func TCPSendFrame(b *testing.B) {
 		send()
 	}
 	<-drained
+}
+
+// ApplyStream measures the remote Apply path whole, as the benchmark's
+// stream_small workload drives it: Locality.Apply 0→1 with 16-byte args,
+// coalesced 16 parcels / 200 µs, over reliable on a loopback TCPFabric,
+// into an action that counts, one worker per locality. At most 1024
+// parcels are in flight, as the workload's window keeps them, and an op
+// ends when its action has run. The args slice is never written, so every
+// parcel may read it until its message is encoded. Read allocs/op (total
+// allocations over b.N, since a steady state allocates less than one per
+// parcel): ns/op includes the sender's waits for the window.
+func ApplyStream(b *testing.B) {
+	const (
+		action = "bench/count"
+		window = 1024
+	)
+	tcp, err := network.NewTCPFabric(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel := reliable.New(tcp, reliable.Config{})
+	rt := runtime.New(runtime.Config{Localities: 2, WorkersPerLocality: 1, Fabric: rel})
+	defer func() {
+		rt.Shutdown()
+		_ = rel.Close() // closes the TCP fabric under it
+	}()
+	var done atomic.Int64
+	rt.MustRegisterAction(action, func(*runtime.Context, []byte) ([]byte, error) {
+		done.Add(1)
+		return nil, nil
+	})
+	if err := rt.EnableCoalescing(action, coalescing.Params{NParcels: 16, Interval: 200 * time.Microsecond}); err != nil {
+		b.Fatal(err)
+	}
+	src, args := rt.Locality(0), make([]byte, 16)
+	var sent int64
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			for sent-done.Load() >= window {
+				goruntime.Gosched()
+			}
+			if err := src.Apply(1, action, args); err != nil {
+				b.Fatal(err)
+			}
+			sent++
+		}
+		for done.Load() < sent { // the last partial batch waits for its timer
+			goruntime.Gosched()
+		}
+	}
+	send(32 << 10) // dial, grow the rings and windows, fill the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	send(b.N)
+	b.StopTimer()
 }
 
 // Modes of PortEnqueueWake.

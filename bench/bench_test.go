@@ -14,6 +14,7 @@ func BenchmarkDecodeBundle(b *testing.B) { DecodeBundle(b) }
 func BenchmarkPortEnqueue(b *testing.B)  { PortEnqueue(b) }
 func BenchmarkPortSend(b *testing.B)     { PortSend(b) }
 func BenchmarkTCPSendFrame(b *testing.B) { TCPSendFrame(b) }
+func BenchmarkApplyStream(b *testing.B)  { ApplyStream(b) }
 
 func BenchmarkPortEnqueueWake(b *testing.B) {
 	for _, mode := range []string{WakeNoHook, WakeNoneParked, WakeParked, IdleProbeNoneQueued} {
@@ -57,6 +58,22 @@ func TestZeroAllocSendPath(t *testing.T) {
 	if r.MemAllocs > 64 {
 		t.Errorf("CoalescerPut: %d allocations over %d Puts (%d batches), want a constant handful",
 			r.MemAllocs, r.N, r.N/64)
+	}
+	// The remote Apply path whole, sender to action over reliable and TCP:
+	// the outbound parcel, the parcel task and the action's Context are
+	// recycled or shared, so what is left after the warm-up inside
+	// ApplyStream is well under one allocation per hundred parcels (three
+	// per parcel when each was allocated). The outbound parcels' pool is a
+	// sync.Pool, which the race detector makes drop items.
+	if !raceEnabled {
+		r = testing.Benchmark(ApplyStream)
+		if r.N < 10000 {
+			t.Fatalf("ApplyStream ran only %d parcels; too few to tell", r.N)
+		}
+		if r.MemAllocs > uint64(r.N)/100 {
+			t.Errorf("ApplyStream: %d allocations over %d parcels (%.2f per parcel), want at most %d",
+				r.MemAllocs, r.N, float64(r.MemAllocs)/float64(r.N), r.N/100)
+		}
 	}
 	for _, tc := range []struct {
 		name string

@@ -49,9 +49,10 @@ import (
 // field is a plain int32 (not atomic.Int32) so owned parcels stay
 // copyable by value.
 const (
-	borrowNone     int32 = iota // owned parcel: tx-side, detached, or copy-decoded
+	borrowNone     int32 = iota // owned parcel: literal, detached, or copy-decoded
 	borrowLive                  // fields alias a pooled wire payload
-	borrowReleased              // released; any further use is a bug
+	borrowReleased              // released or recycled; any further use is a bug
+	borrowPooled                // outbound parcel from Get, recycled by the port
 )
 
 // payloadOwner is the shared ownership record of one decoded wire

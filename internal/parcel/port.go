@@ -23,7 +23,8 @@ import (
 // batches back to the port for transmission via EnqueueMessage.
 type MessageHandler interface {
 	// Put takes ownership of an outbound parcel whose DestLocality is
-	// resolved. It must be fast: it runs inline on the sending task.
+	// resolved and later hands it to the port, which recycles it once
+	// encoded. It must be fast: it runs inline on the sending task.
 	Put(p *Parcel)
 	// Flush forces all queued parcels to be handed to the port
 	// immediately, regardless of policy (AM++-style explicit flush).
@@ -97,9 +98,10 @@ type Config struct {
 // All time spent in DoBackgroundWork is the "background work" of the
 // paper's Section III metrics.
 //
-// The transmission pipeline is allocation-free in steady state: single
-// parcels travel through the queue without a wrapping slice, batch slices
-// are recycled through the package batch pool, and wire payloads are
+// The transmission pipeline is allocation-free in steady state: parcels
+// from Get return to their pool once encoded, single parcels travel
+// through the queue without a wrapping slice, batch slices are recycled
+// through the package batch pool, and wire payloads are
 // encoded into pooled buffers (internal/network) that the receiving port
 // releases after decoding.
 type Port struct {
@@ -168,6 +170,20 @@ type outMessage struct {
 	dst     int
 	single  *Parcel
 	parcels []*Parcel
+}
+
+// release ends the port's hold on m's parcels once they are encoded or
+// discarded: parcels from Get go back to their pool, and so does the
+// batch slice.
+func (m outMessage) release() {
+	if m.single != nil {
+		recycle(m.single)
+		return
+	}
+	for _, pc := range m.parcels {
+		recycle(pc)
+	}
+	PutBatch(m.parcels)
 }
 
 type rxMessage struct {
@@ -322,6 +338,13 @@ func (p *Port) FlushIdle() {
 // needed, then either hands the parcel to the action's message handler or
 // enqueues it for direct transmission. Put is called inline from the
 // sending task and does not itself serialize or transmit.
+//
+// Ownership: on success the port holds pcl until its message is encoded
+// or discarded (a send error, a destination failed by FailDest). A parcel
+// from Get is then recycled, so the caller must not touch it again; a
+// literal parcel is never recycled and may be Put again once its message
+// is out. pcl.Args is read, not copied, until the encode: the caller must
+// not write to it before then. On error nothing is taken.
 func (p *Port) Put(pcl *Parcel) error {
 	if p.closed.Load() {
 		return ErrPortClosed
@@ -468,7 +491,8 @@ func (p *Port) sendOne() bool {
 // transmit serializes one wire message into a pooled payload buffer and
 // hands it to the fabric. On success buffer ownership passes to the
 // fabric (and ultimately the receiving port); on failure the buffer is
-// recycled here. Batch slices are recycled either way.
+// recycled here. The message's parcels and batch slice are recycled as
+// soon as it is encoded or discarded.
 func (p *Port) transmit(m outMessage) {
 	if m.dst < len(p.downDst) && p.downDst[m.dst].Load() {
 		// The destination died after this message was queued: discard it
@@ -477,9 +501,7 @@ func (p *Port) transmit(m outMessage) {
 		// runtime's continuation poisoning and retry policy.
 		p.sendErrors.Inc()
 		p.linkDown.Inc()
-		if m.parcels != nil {
-			PutBatch(m.parcels)
-		}
+		m.release()
 		return
 	}
 	start := time.Now()
@@ -502,11 +524,9 @@ func (p *Port) transmit(m outMessage) {
 			payload = appendParcel(payload, pc)
 		}
 	}
+	m.release()
 	nbytes := len(payload)
 	err := p.fabric.Send(p.locality, m.dst, payload)
-	if m.parcels != nil {
-		PutBatch(m.parcels)
-	}
 	if err != nil {
 		p.sendErrors.Inc()
 		network.PutPayload(payload)

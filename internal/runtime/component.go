@@ -194,15 +194,9 @@ func (l *Locality) AsyncComponent(gid agas.GID, action string, args []byte) (*lc
 	l.contMu.Lock()
 	l.conts[contGID] = &pendingCont{prom: prom, dest: dest, action: componentActionPrefix + action, args: args}
 	l.contMu.Unlock()
-	p := &parcel.Parcel{
-		Dest:         gid,
-		DestLocality: -1, // resolve through AGAS (may be stale; forwarding fixes it)
-		Action:       componentActionPrefix + action,
-		Args:         args,
-		Continuation: contGID,
-		Source:       l.id,
-	}
-	if err := l.port.Put(p); err != nil {
+	// DestLocality -1: resolved through AGAS (may be stale; forwarding
+	// fixes it).
+	if err := l.port.Put(l.outParcel(gid, -1, componentActionPrefix+action, args, contGID)); err != nil {
 		l.dropContinuation(contGID)
 		return nil, err
 	}
@@ -225,7 +219,7 @@ func (l *Locality) executeComponentAction(p *parcel.Parcel) {
 	if fn == nil {
 		err = fmt.Errorf("%w: %q", ErrUnknownComponentAction, name)
 	} else {
-		res, err = fn(&Context{Runtime: l.rt, Locality: l.id, Source: p.Source}, obj, p.Args)
+		res, err = fn(l.context(p.Source), obj, p.Args)
 	}
 	if err != nil {
 		l.actionErrors.Inc()
@@ -233,13 +227,7 @@ func (l *Locality) executeComponentAction(p *parcel.Parcel) {
 	if !p.Continuation.Valid() {
 		return
 	}
-	resp := &parcel.Parcel{
-		Dest:         p.Continuation,
-		DestLocality: -1,
-		Action:       ResponseAction(p.Action),
-		Args:         encodeResult(res, err),
-		Source:       l.id,
-	}
+	resp := l.outParcel(p.Continuation, -1, ResponseAction(p.Action), encodeResult(res, err), agas.Invalid)
 	if perr := l.port.Put(resp); perr != nil {
 		l.actionErrors.Inc()
 	}
@@ -280,14 +268,8 @@ func (l *Locality) forwardParcel(p *parcel.Parcel) {
 	// Unresolvable or retries exhausted: fail the caller.
 	l.actionErrors.Inc()
 	if p.Continuation.Valid() {
-		resp := &parcel.Parcel{
-			Dest:         p.Continuation,
-			DestLocality: -1,
-			Action:       ResponseAction(p.Action),
-			Args:         encodeResult(nil, fmt.Errorf("%w: %v", ErrUnknownComponent, p.Dest)),
-			Source:       l.id,
-		}
-		_ = l.port.Put(resp)
+		err := fmt.Errorf("%w: %v", ErrUnknownComponent, p.Dest)
+		_ = l.port.Put(l.outParcel(p.Continuation, -1, ResponseAction(p.Action), encodeResult(nil, err), agas.Invalid))
 	}
 }
 

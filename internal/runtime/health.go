@@ -7,7 +7,6 @@ import (
 	"repro/internal/agas"
 	"repro/internal/health"
 	"repro/internal/network"
-	"repro/internal/parcel"
 	"repro/internal/trace"
 )
 
@@ -380,15 +379,7 @@ func (l *Locality) retryCont(g agas.GID, pc *pendingCont, newDest int) bool {
 	}
 	pc.dest = newDest
 	l.contMu.Unlock()
-	p := &parcel.Parcel{
-		Dest:         l.rt.locs[newDest].rootGID,
-		DestLocality: newDest,
-		Action:       pc.action,
-		Args:         pc.args,
-		Continuation: g,
-		Source:       l.id,
-	}
-	if err := l.port.Put(p); err != nil {
+	if err := l.port.Put(l.outParcel(l.rt.locs[newDest].rootGID, newDest, pc.action, pc.args, g)); err != nil {
 		return false
 	}
 	l.contsRetried.Inc()

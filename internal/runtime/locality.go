@@ -35,6 +35,10 @@ type Locality struct {
 
 	components *componentTable
 
+	// ctxs[s] is the Context of every action this locality runs for
+	// source locality s, built once (see context).
+	ctxs []Context
+
 	actionErrors  *counters.Raw
 	forwarded     *counters.Raw
 	contsPoisoned *counters.Raw
@@ -85,6 +89,7 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 		fallbackPark: rt.cfg.fallbackPark,
 		taskOverhead: rt.cfg.TaskOverhead,
 		registry:     l.registry,
+		runParcel:    l.runParcel,
 	}, nil)
 	l.port = parcel.NewPort(parcel.Config{
 		Locality: id,
@@ -96,6 +101,10 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 		Wake:     l.sched.maybeWake,
 	})
 	l.sched.bg = l.port
+	l.ctxs = make([]Context, rt.cfg.Localities)
+	for src := range l.ctxs {
+		l.ctxs[src] = Context{Runtime: rt, Locality: id, Source: src}
+	}
 	l.actionErrors = counters.NewRaw(counters.Path{
 		Object: "runtime", Instance: fmt.Sprintf("locality#%d", id), Name: "count/action-errors",
 	})
@@ -174,10 +183,41 @@ func (l *Locality) pendingContinuations() int {
 	return len(l.conts)
 }
 
+// context returns the Context of an action run here for source src: the
+// shared one built in newLocality, or a fresh one for a wire Source out
+// of range.
+func (l *Locality) context(src int) *Context {
+	if src >= 0 && src < len(l.ctxs) {
+		return &l.ctxs[src]
+	}
+	return &Context{Runtime: l.rt, Locality: l.id, Source: src}
+}
+
+// outParcel returns a pooled outbound parcel (parcel.Get) from this
+// locality; the port recycles it once its message is encoded.
+func (l *Locality) outParcel(dest agas.GID, destLoc int, action string, args []byte, cont agas.GID) *parcel.Parcel {
+	p := parcel.Get()
+	p.Dest = dest
+	p.DestLocality = destLoc
+	p.Action = action
+	p.Args = args
+	p.Continuation = cont
+	p.Source = l.id
+	return p
+}
+
 // Async invokes action on the destination locality and returns a future
 // for the serialized result — the analog of hpx::async(act, other) in the
 // paper's Listing 1. Invocations on the local locality run as local tasks
 // without touching the parcel layer, as in HPX.
+//
+// args belongs to the caller, and Async reads it without copying. For a
+// remote destination it is read until the parcel's message is encoded,
+// which happens on a worker some time after Async returns; for the local
+// locality, until the action returns. The caller must not write to args
+// before then. A continuation retry after a crash (DeclareDown) sends
+// args again, so a caller that wants that must leave it alone until the
+// future resolves.
 func (l *Locality) Async(dest int, action string, args []byte) (*lco.Future[[]byte], error) {
 	prom := lco.NewPromise[[]byte]()
 	if !l.hosted {
@@ -195,7 +235,7 @@ func (l *Locality) Async(dest int, action string, args []byte) (*lco.Future[[]by
 			return nil, fmt.Errorf("%w: %q", ErrUnknownAction, action)
 		}
 		if !l.sched.spawn(func() {
-			res, err := fn(&Context{Runtime: l.rt, Locality: l.id, Source: l.id}, args)
+			res, err := fn(l.context(l.id), args)
 			if err != nil {
 				_ = prom.SetError(err)
 				return
@@ -212,15 +252,7 @@ func (l *Locality) Async(dest int, action string, args []byte) (*lco.Future[[]by
 	l.conts[contGID] = &pendingCont{prom: prom, dest: dest, action: action, args: args}
 	l.contMu.Unlock()
 
-	p := &parcel.Parcel{
-		Dest:         l.rt.locs[dest].rootGID,
-		DestLocality: dest,
-		Action:       action,
-		Args:         args,
-		Continuation: contGID,
-		Source:       l.id,
-	}
-	if err := l.port.Put(p); err != nil {
+	if err := l.port.Put(l.outParcel(l.rt.locs[dest].rootGID, dest, action, args, contGID)); err != nil {
 		l.dropContinuation(contGID)
 		return nil, err
 	}
@@ -229,6 +261,12 @@ func (l *Locality) Async(dest int, action string, args []byte) (*lco.Future[[]by
 
 // Apply invokes action on the destination locality with fire-and-forget
 // semantics: no continuation parcel travels back.
+//
+// args belongs to the caller, and Apply reads it without copying: for a
+// remote destination until the parcel's message is encoded, on a worker
+// some time after Apply returns; for the local locality, until the action
+// returns. The caller must not write to args before then. An action that
+// has run has had its message encoded, so once it has, args is free.
 func (l *Locality) Apply(dest int, action string, args []byte) error {
 	if !l.hosted {
 		return fmt.Errorf("runtime: locality %d is not hosted in this process", l.id)
@@ -245,7 +283,7 @@ func (l *Locality) Apply(dest int, action string, args []byte) error {
 			return fmt.Errorf("%w: %q", ErrUnknownAction, action)
 		}
 		if !l.sched.spawn(func() {
-			if _, err := fn(&Context{Runtime: l.rt, Locality: l.id, Source: l.id}, args); err != nil {
+			if _, err := fn(l.context(l.id), args); err != nil {
 				l.actionErrors.Inc()
 			}
 		}) {
@@ -253,14 +291,7 @@ func (l *Locality) Apply(dest int, action string, args []byte) error {
 		}
 		return nil
 	}
-	p := &parcel.Parcel{
-		Dest:         l.rt.locs[dest].rootGID,
-		DestLocality: dest,
-		Action:       action,
-		Args:         args,
-		Source:       l.id,
-	}
-	return l.port.Put(p)
+	return l.port.Put(l.outParcel(l.rt.locs[dest].rootGID, dest, action, args, agas.Invalid))
 }
 
 func (l *Locality) dropContinuation(g agas.GID) {
@@ -272,26 +303,31 @@ func (l *Locality) dropContinuation(g agas.GID) {
 
 // deliverParcel converts a received parcel into a task (the parcel
 // subsystem's receive side: "the parcel is then converted into a HPX
-// thread and placed in the scheduler queue for execution").
-//
-// Received parcels are borrowed: their Action/Args alias the pooled wire
-// payload (see parcel/borrow.go), so each task Releases its parcel when
-// the body returns — action bodies must not retain args past their own
-// return, and the paths that do retain the parcel (forwardParcel's
-// migration machinery) Detach it first, turning the later Release into a
-// no-op. A parcel whose task cannot be spawned is released on the spot.
+// thread and placed in the scheduler queue for execution"). The task is
+// the parcel itself, run by runParcel; a parcel whose task cannot be
+// spawned is released on the spot.
 func (l *Locality) deliverParcel(p *parcel.Parcel) {
-	var task func()
-	if len(p.Action) > len(setValuePrefix) && p.Action[:len(setValuePrefix)] == setValuePrefix {
-		task = func() { l.completeContinuation(p); p.Release() }
-	} else if len(p.Action) > len(componentActionPrefix) && p.Action[:len(componentActionPrefix)] == componentActionPrefix {
-		task = func() { l.executeComponentAction(p); p.Release() }
-	} else {
-		task = func() { l.executeAction(p); p.Release() }
-	}
-	if !l.sched.spawn(task) {
+	if !l.sched.spawnParcel(p) {
 		p.Release()
 	}
+}
+
+// runParcel is the body of a received parcel's task: it dispatches the
+// parcel by kind, then Releases it. Received parcels are borrowed: their
+// Action/Args alias the pooled wire payload (see parcel/borrow.go), so
+// action bodies must not retain args past their own return, and the paths
+// that do retain the parcel (forwardParcel's migration machinery) Detach
+// it first, turning the Release into a no-op.
+func (l *Locality) runParcel(p *parcel.Parcel) {
+	switch {
+	case len(p.Action) > len(setValuePrefix) && p.Action[:len(setValuePrefix)] == setValuePrefix:
+		l.completeContinuation(p)
+	case len(p.Action) > len(componentActionPrefix) && p.Action[:len(componentActionPrefix)] == componentActionPrefix:
+		l.executeComponentAction(p)
+	default:
+		l.executeAction(p)
+	}
+	p.Release()
 }
 
 // executeAction runs a request parcel's action and, if a continuation is
@@ -305,7 +341,7 @@ func (l *Locality) executeAction(p *parcel.Parcel) {
 	if fn == nil {
 		err = fmt.Errorf("%w: %q", ErrUnknownAction, p.Action)
 	} else {
-		res, err = fn(&Context{Runtime: l.rt, Locality: l.id, Source: p.Source}, p.Args)
+		res, err = fn(l.context(p.Source), p.Args)
 	}
 	if l.rt.cfg.Trace != nil {
 		// The trace ring buffer retains the span name past the parcel's
@@ -323,13 +359,9 @@ func (l *Locality) executeAction(p *parcel.Parcel) {
 	if !p.Continuation.Valid() {
 		return
 	}
-	resp := &parcel.Parcel{
-		Dest:         p.Continuation,
-		DestLocality: -1, // resolved through AGAS: continuations live where allocated
-		Action:       ResponseAction(p.Action),
-		Args:         encodeResult(res, err),
-		Source:       l.id,
-	}
+	// DestLocality -1: resolved through AGAS, continuations live where
+	// they were allocated.
+	resp := l.outParcel(p.Continuation, -1, ResponseAction(p.Action), encodeResult(res, err), agas.Invalid)
 	if perr := l.port.Put(resp); perr != nil {
 		l.actionErrors.Inc()
 	}

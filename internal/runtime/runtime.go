@@ -38,7 +38,10 @@ import (
 // and the serialized argument pack and returns a serialized result.
 type ActionFunc func(ctx *Context, args []byte) ([]byte, error)
 
-// Context is passed to every executing action.
+// Context is passed to every executing action. It is shared and read-only:
+// every action a locality runs for one source locality gets the same
+// *Context, built when the locality is created, so an action must not
+// modify it. Keeping it past the action's return is fine.
 type Context struct {
 	// Runtime is the hosting runtime.
 	Runtime *Runtime

@@ -8,13 +8,18 @@ import (
 	"time"
 
 	"repro/internal/counters"
+	"repro/internal/parcel"
 	"repro/internal/ring"
 	"repro/internal/timer"
 )
 
-// task is one unit of lightweight work (an HPX thread).
+// task is one unit of lightweight work (an HPX thread): a closure, or a
+// received parcel that the locality's runParcel turns into its action.
+// Exactly one field is set. A parcel task carries no closure, so
+// delivering a parcel allocates nothing.
 type task struct {
 	run func()
+	p   *parcel.Parcel
 }
 
 // backgroundWorker is the slice of the parcel port the scheduler drives
@@ -37,6 +42,7 @@ type schedConfig struct {
 	fallbackPark time.Duration // 0 selects defaultFallbackPark; tests stretch it
 	taskOverhead time.Duration
 	registry     *counters.Registry
+	runParcel    func(*parcel.Parcel) // body of every parcel task
 }
 
 // Tuning constants of the work-stealing scheduler.
@@ -364,14 +370,20 @@ func (s *scheduler) stop() {
 // is updated on the steady-state path. It reports false if the scheduler
 // is stopping; it never blocks, so a spawn racing stop cannot hang (the
 // task may simply be dropped).
-func (s *scheduler) spawn(fn func()) bool {
+func (s *scheduler) spawn(fn func()) bool { return s.spawnTask(task{run: fn}) }
+
+// spawnParcel spawns a received parcel's task, which runs cfg.runParcel(p),
+// like spawn.
+func (s *scheduler) spawnParcel(p *parcel.Parcel) bool { return s.spawnTask(task{p: p}) }
+
+func (s *scheduler) spawnTask(t task) bool {
 	if s.stopping.Load() {
 		return false
 	}
 	h := s.hintPool.Get().(*spawnHint)
 	w := s.workers[h.idx]
 	s.hintPool.Put(h)
-	s.enqueue(w, fn)
+	s.enqueue(w, t)
 	return true
 }
 
@@ -382,15 +394,15 @@ func (s *scheduler) spawnTo(i int, fn func()) bool {
 	if s.stopping.Load() {
 		return false
 	}
-	s.enqueue(s.workers[i%len(s.workers)], fn)
+	s.enqueue(s.workers[i%len(s.workers)], task{run: fn})
 	return true
 }
 
-// enqueue pushes fn onto w's run queue and wakes a worker for it.
-func (s *scheduler) enqueue(w *worker, fn func()) {
+// enqueue pushes t onto w's run queue and wakes a worker for it.
+func (s *scheduler) enqueue(w *worker, t task) {
 	w.mu.Lock()
 	overloaded := w.runq.Len() >= s.softCap
-	w.runq.Push(task{run: fn})
+	w.runq.Push(t)
 	w.pushed++
 	w.mu.Unlock()
 
@@ -726,9 +738,9 @@ func (s *scheduler) executeBatch(w *worker, t task, more bool) {
 		w.mu.Unlock()
 	}
 	start := timer.Mono()
-	t.run()
+	s.runTask(t)
 	for i := 0; i < n; i++ {
-		buf[i].run()
+		s.runTask(buf[i])
 	}
 	dur := timer.Mono() - start
 	// Without the overhead simulation t_func and t_exec are the same
@@ -749,10 +761,19 @@ func (s *scheduler) execute(w *worker, t task) {
 	half := s.cfg.taskOverhead / 2
 	funcStart := timer.Mono()
 	execStart := timer.SpinFrom(funcStart, half)
-	t.run()
+	s.runTask(t)
 	execEnd := timer.Mono()
 	funcEnd := timer.SpinFrom(execEnd, half)
 	s.account(w, 1, funcEnd-funcStart, execEnd-execStart)
+}
+
+// runTask runs one task's body.
+func (s *scheduler) runTask(t task) {
+	if t.p != nil {
+		s.cfg.runParcel(t.p)
+		return
+	}
+	t.run()
 }
 
 // account adds a timed span of n tasks to w's private deltas and runs the

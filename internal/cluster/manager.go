@@ -148,9 +148,7 @@ func NewService(rt *runtime.Runtime, opts Options) *Service {
 	rt.MustRegisterAction(ActionPingReq, s.handlePingReq)
 	rt.MustRegisterAction(ActionPing, s.handlePing)
 	rt.MustRegisterAction(ActionPingAck, s.handlePingAck)
-	rt.SubscribeSuspicion(s.onSuspicion)
-	rt.SubscribeVerdict(s.onVerdict)
-	rt.SubscribeDeath(s.onDeath)
+	rt.SubscribePeer(s.onPeer)
 	return s
 }
 
@@ -264,34 +262,33 @@ func (s *Service) handlePingAck(ctx *runtime.Context, args []byte) ([]byte, erro
 	return nil, nil
 }
 
-func (s *Service) onSuspicion(observer, peer int, suspected bool) {
-	if m := s.Manager(observer); m != nil {
-		if suspected {
-			m.suspect(peer)
-		} else {
-			m.unsuspect(peer)
+// onPeer bridges the runtime's peer events into membership. Suspicion
+// and its retraction become gossiped suspect/refute traffic. A verdict
+// arrives while the peer is still routable, so the observer sends it one
+// obituary carrying its Down entry: a wrongly-convicted node (one-way
+// partition: mute but still hearing) learns it is condemned and can fail
+// fast rather than run on partitioned. A down, declared on this process,
+// is recorded and rebroadcast so every survivor degrades too.
+func (s *Service) onPeer(ev runtime.PeerEvent) {
+	if ev.Kind == runtime.PeerDown {
+		for _, m := range s.mgrs {
+			if m != nil {
+				m.markDown(ev.Peer)
+			}
 		}
+		return
 	}
-}
-
-// onVerdict fires between the detector's hard verdict and DeclareDown,
-// while the peer is still routable: the observer sends it one obituary
-// carrying its Down entry, so a wrongly-convicted node (one-way
-// partition: mute but still hearing) learns it is condemned and can
-// fail fast rather than run on partitioned.
-func (s *Service) onVerdict(observer, peer int) {
-	if m := s.Manager(observer); m != nil {
-		m.sendObituary(peer)
+	m := s.Manager(ev.Observer)
+	if m == nil {
+		return
 	}
-}
-
-// onDeath runs synchronously inside DeclareDown on this process: record
-// the verdict and rebroadcast so every survivor degrades too.
-func (s *Service) onDeath(peer int) {
-	for _, m := range s.mgrs {
-		if m != nil {
-			m.markDown(peer)
-		}
+	switch ev.Kind {
+	case runtime.PeerSuspect:
+		m.suspect(ev.Peer)
+	case runtime.PeerAlive:
+		m.unsuspect(ev.Peer)
+	case runtime.PeerVerdict:
+		m.sendObituary(ev.Peer)
 	}
 }
 
@@ -640,9 +637,9 @@ func (m *Manager) Merge(ms []Member) {
 	}
 	m.mu.Unlock()
 
-	// DeclareUp / DeclareDown run their subscribers synchronously
-	// (including this service's own markDown), so both must be called
-	// without the lock. Up before down: a table can carry both kinds of
+	// A down transition publishes PeerDown synchronously to this
+	// service's own markDown, which takes the lock, so transitions are
+	// started without it. Up before down: a table can carry both kinds of
 	// news, and restoring a healed member never depends on degrading
 	// another.
 	for _, id := range newlyUp {
@@ -719,7 +716,7 @@ func (m *Manager) markDown(peer int) {
 
 // sendObituary sends peer a copy of the table with peer's own entry
 // forced to Down — without mutating the table (markDown does that,
-// consistently, once DeclareDown runs its death subscribers).
+// consistently, once the down transition publishes PeerDown).
 func (m *Manager) sendObituary(peer int) {
 	m.mu.Lock()
 	ms := make([]Member, 0, len(m.members))
@@ -737,9 +734,9 @@ func (m *Manager) sendObituary(peer int) {
 	if loc.Apply(peer, ActionGossip, EncodeMembership(nil, ms)) != nil {
 		return
 	}
-	// Push the obituary onto the wire before the caller proceeds to
-	// DeclareDown: FailDest would otherwise fast-fail it while it still
-	// sits in the outbound queue.
+	// Push the obituary onto the wire before the down transition fails
+	// the port, which would otherwise fast-fail it while it still sits in
+	// the outbound queue.
 	port := loc.Port()
 	for i := 0; i < 64 && port.PendingOutbound() > 0; i++ {
 		port.DoBackgroundWork(64)

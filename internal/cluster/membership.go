@@ -12,10 +12,10 @@
 // (suspect > alive) — so rumors converge to the same table everywhere
 // regardless of arrival order. Suspicion comes from
 // the local detector's soft threshold (health.Config.PhiThreshold/2);
-// confirmed-down comes from the hard threshold (PhiThreshold → runtime
-// DeclareDown) or from gossip, and is terminal, feeding the PR 5
-// degradation path (reliable.FailPeer, port.FailDest, AGAS MarkDown) on
-// every surviving node.
+// confirmed-down comes from the hard threshold (PhiThreshold) or from
+// gossip, and is terminal: it is the runtime's down transition
+// (runtime.DeclareDown, which fails the peer in every layer) on every
+// surviving node.
 //
 // With rejoin enabled (Options.Rejoin), StateDown stops being terminal:
 // entries additionally carry a join *epoch* (wall-clock-derived for real

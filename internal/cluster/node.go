@@ -440,8 +440,10 @@ func (n *node) run() (int, error) {
 		DisableIndirectProbes: spec.NoIndirectProbes,
 	})
 	defer n.svc.Stop()
-	n.rt.SubscribeDeath(func(peer int) {
-		n.logger.Printf("membership: locality %d confirmed down", peer)
+	n.rt.SubscribePeer(func(ev runtime.PeerEvent) {
+		if ev.Kind == runtime.PeerDown {
+			n.logger.Printf("membership: locality %d confirmed down", ev.Peer)
+		}
 	})
 
 	// Gossip starts before the join barrier: it only ever targets members

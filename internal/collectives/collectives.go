@@ -285,8 +285,10 @@ func NewComm(rt *runtime.Runtime, name string, opts ...Options) (*Comm, error) {
 	set, created := setFor(rt)
 	if created {
 		rt.MustRegisterAction(Action, set.handleContribution)
-		rt.SubscribeDeath(func(peer int) {
-			set.poisonAll(fmt.Errorf("collectives: %w: locality %d", network.ErrLocalityDown, peer))
+		rt.SubscribePeer(func(ev runtime.PeerEvent) {
+			if ev.Kind == runtime.PeerDown {
+				set.poisonAll(fmt.Errorf("collectives: %w: locality %d", network.ErrLocalityDown, ev.Peer))
+			}
 		})
 	}
 	c := &Comm{

@@ -120,13 +120,6 @@ func TestChaosLinkDownOnPartition(t *testing.T) {
 	rel.SetHandler(0, func(int, []byte) {})
 	rel.SetHandler(1, func(int, []byte) {})
 
-	var downAt atomic.Int64
-	rel.SetLinkDownFunc(func(src, dst int) {
-		if src == 0 && dst == 1 {
-			downAt.Store(time.Now().UnixNano())
-		}
-	})
-
 	start := time.Now()
 	b := network.GetPayload(8)
 	if err := rel.Send(0, 1, b); err != nil {
@@ -143,9 +136,6 @@ func TestChaosLinkDownOnPartition(t *testing.T) {
 		t.Fatal("partitioned link never declared down")
 	}
 	t.Logf("link down after %v", time.Since(start))
-	if downAt.Load() == 0 {
-		t.Error("link-down callback not invoked")
-	}
 	if st := rel.ReliabilityStats(); st.LinkDowns == 0 {
 		t.Error("link-down counter not incremented")
 	}

@@ -407,8 +407,6 @@ type Fabric struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	onLinkDown atomic.Pointer[func(src, dst int)]
-
 	// downPeers marks localities declared dead by the failure detector
 	// (FailPeer): every Send touching one fails fast with
 	// network.ErrLocalityDown instead of burning a retry budget.
@@ -560,17 +558,6 @@ func (f *Fabric) ReliabilityStats() ReliabilityStats {
 	return st
 }
 
-// SetLinkDownFunc installs a callback invoked (from the scanner
-// goroutine) when a link exhausts its retry budget. The runtime uses it
-// to degrade coalescing for the dead destination.
-func (f *Fabric) SetLinkDownFunc(fn func(src, dst int)) {
-	if fn == nil {
-		f.onLinkDown.Store(nil)
-		return
-	}
-	f.onLinkDown.Store(&fn)
-}
-
 // links returns the links created so far.
 func (f *Fabric) links() ([]*txState, []*rxState) {
 	f.mu.Lock()
@@ -606,8 +593,7 @@ func (f *Fabric) resetPeer(peer int, withTx func(*txState)) {
 // queues), and subsequent Sends fail fast with network.ErrLocalityDown.
 // The failure detector calls this on suspicion so in-flight traffic stops
 // burning retry budgets against a peer that will never ACK. FailPeer is
-// idempotent and does not fire the link-down callback — the caller
-// already knows.
+// idempotent.
 func (f *Fabric) FailPeer(peer int) {
 	if peer < 0 || peer >= len(f.downPeers) || f.downPeers[peer].Swap(true) {
 		return
@@ -1337,9 +1323,6 @@ func (f *Fabric) expire(ts *txState, tick int64) {
 			Kind: trace.KindLinkDown, Name: "link-down-remote",
 			Locality: ts.dst, Start: at, Arg: int64(ts.src),
 		})
-		if cb := f.onLinkDown.Load(); cb != nil {
-			(*cb)(ts.src, ts.dst)
-		}
 		return
 	}
 	ts.timeouts++

@@ -36,8 +36,8 @@ func TestDeclareUpRestoresService(t *testing.T) {
 	})
 
 	var ups atomic.Int64
-	rt.SubscribeUp(func(peer int) {
-		if peer == 2 {
+	rt.SubscribePeer(func(ev PeerEvent) {
+		if ev.Kind == PeerUp && ev.Peer == 2 {
 			ups.Add(1)
 		}
 	})

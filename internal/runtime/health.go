@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agas"
@@ -26,10 +28,10 @@ func handleHeartbeat(ctx *Context, args []byte) ([]byte, error) {
 // startHealth wires a per-locality failure-detection monitor into every
 // hosted port: received traffic feeds the phi-accrual detector, idle
 // links get explicit heartbeats, and a suspicion crossing the threshold
-// triggers DeclareDown. Called from New when cfg.Health.Enabled, or later
-// through StartHealth (cluster mode defers it until peer addresses are
-// known, so early heartbeats don't burn the reliability layer's retry
-// budget against unreachable peers).
+// convicts the peer (a down transition). Called from New when
+// cfg.Health.Enabled, or later through StartHealth (cluster mode defers
+// it until peer addresses are known, so early heartbeats don't burn the
+// reliability layer's retry budget against unreachable peers).
 func (rt *Runtime) startHealth() {
 	rt.monitors = make([]*health.Monitor, len(rt.locs))
 	for i, l := range rt.locs {
@@ -44,23 +46,10 @@ func (rt *Runtime) startHealth() {
 			SendHeartbeat: func(peer int) error {
 				return rt.sendHeartbeat(i, peer)
 			},
-			LastSend: l.port.LastSend,
-			OnDown: func(peer int) {
-				// A crashed locality's monitor sees every survivor go
-				// silent (its links are dead in both directions); its
-				// verdicts must not poison the living.
-				if rt.silenced[i].Load() {
-					return
-				}
-				// Verdict subscribers run first: DeclareDown blocks all
-				// further sends to the peer, and a membership layer needs
-				// one last chance to tell a wrongly-convicted (e.g.
-				// one-way-partitioned) peer it has been condemned.
-				rt.notifyVerdict(i, peer)
-				rt.DeclareDown(peer)
-			},
-			OnSuspect: func(peer int) { rt.notifySuspicion(i, peer, true) },
-			OnAlive:   func(peer int) { rt.notifySuspicion(i, peer, false) },
+			LastSend:  l.port.LastSend,
+			OnDown:    func(peer int) { rt.convict(i, peer) },
+			OnSuspect: func(peer int) { rt.suspicion(PeerSuspect, i, peer) },
+			OnAlive:   func(peer int) { rt.suspicion(PeerAlive, i, peer) },
 			Registry:  l.registry,
 			Trace:     rt.cfg.Trace,
 		})
@@ -88,58 +77,6 @@ func (rt *Runtime) StartHealth(cfg health.Config) {
 	cfg.Enabled = true
 	rt.cfg.Health = cfg
 	rt.startHealth()
-}
-
-// SubscribeSuspicion registers fn to be invoked (from a monitor
-// goroutine) whenever a hosted locality's detector crosses the suspicion
-// threshold for a peer (suspected=true) or backs off below it
-// (suspected=false). Suspicion is softer than death: it precedes OnDown
-// and may flap — the SWIM-style membership layer gossips it so peers can
-// refute before the confirmed-down verdict. Subscriptions cannot be
-// removed.
-func (rt *Runtime) SubscribeSuspicion(fn func(observer, peer int, suspected bool)) {
-	if fn == nil {
-		return
-	}
-	rt.deathMu.Lock()
-	rt.suspSubs = append(rt.suspSubs, fn)
-	rt.deathMu.Unlock()
-}
-
-// SubscribeVerdict registers fn to be invoked (from the monitor
-// goroutine) after a hosted locality's detector crosses the hard
-// PhiThreshold for a peer but *before* the runtime declares the peer
-// down. While death subscribers see a fait accompli — the peer is
-// already unroutable — verdict subscribers can still send to it, which
-// the membership layer uses for a final obituary.
-func (rt *Runtime) SubscribeVerdict(fn func(observer, peer int)) {
-	if fn == nil {
-		return
-	}
-	rt.deathMu.Lock()
-	rt.verdictSubs = append(rt.verdictSubs, fn)
-	rt.deathMu.Unlock()
-}
-
-func (rt *Runtime) notifyVerdict(observer, peer int) {
-	rt.deathMu.Lock()
-	subs := append([]func(int, int){}, rt.verdictSubs...)
-	rt.deathMu.Unlock()
-	for _, fn := range subs {
-		fn(observer, peer)
-	}
-}
-
-func (rt *Runtime) notifySuspicion(observer, peer int, suspected bool) {
-	if rt.silenced[observer].Load() {
-		return
-	}
-	rt.deathMu.Lock()
-	subs := append([]func(int, int, bool){}, rt.suspSubs...)
-	rt.deathMu.Unlock()
-	for _, fn := range subs {
-		fn(observer, peer, suspected)
-	}
 }
 
 func (rt *Runtime) sendHeartbeat(from, to int) error {
@@ -181,21 +118,175 @@ func (rt *Runtime) isRetryable(action string) bool {
 	return rt.retryable[action]
 }
 
-// SubscribeDeath registers fn to be invoked (synchronously, from the
-// goroutine that declares the death) whenever a locality is declared
-// down. Applications use it to re-plan work owned by the dead locality.
-func (rt *Runtime) SubscribeDeath(fn func(peer int)) {
+// PeerEventKind is what a PeerEvent reports.
+type PeerEventKind uint8
+
+const (
+	// PeerSuspect and PeerAlive: the observer's detector crossed its soft
+	// threshold for the peer, or dropped back below it. Both may flap.
+	PeerSuspect PeerEventKind = iota
+	PeerAlive
+	// PeerVerdict: the observer's detector convicted the peer. It opens
+	// the down transition, before any layer fails the peer, so the peer
+	// can still be sent one last message.
+	PeerVerdict
+	// PeerDown and PeerUp close a transition: every layer has failed, or
+	// reopened, the peer.
+	PeerDown
+	PeerUp
+)
+
+// PeerEvent is one event of a peer's lifecycle. Observer is the locality
+// whose detector raised it, or -1 for a DeclareDown or DeclareUp.
+type PeerEvent struct {
+	Kind     PeerEventKind
+	Observer int
+	Peer     int
+}
+
+// SubscribePeer registers fn for every peer event, run synchronously on
+// the goroutine that raised it: the observer's monitor for suspect and
+// alive, the transition for the rest. Per peer, transitions' events
+// arrive in transition order, and each event reaches the subscribers in
+// registration order. fn may start a transition of any peer but the
+// event's own, which would wait for the transition fn runs in.
+func (rt *Runtime) SubscribePeer(fn func(PeerEvent)) {
 	if fn == nil {
 		return
 	}
-	rt.deathMu.Lock()
-	rt.deathSubs = append(rt.deathSubs, fn)
-	rt.deathMu.Unlock()
+	rt.subsMu.Lock()
+	rt.subs = append(rt.subs[:len(rt.subs):len(rt.subs)], fn)
+	rt.subsMu.Unlock()
+}
+
+func (rt *Runtime) publish(ev PeerEvent) {
+	rt.subsMu.Lock()
+	subs := rt.subs
+	rt.subsMu.Unlock()
+	for _, fn := range subs {
+		fn(ev)
+	}
+}
+
+// A locality's lifecycle word. peerDown is set for the whole of a down
+// transition and cleared only after an up transition has reopened every
+// layer, so routing refuses the peer while any layer may have it failed.
+// peerCrashed marks a locality whose own detector is silenced: a corpse's
+// verdicts must not poison the living.
+const (
+	peerDown uint32 = 1 << iota
+	peerCrashed
+)
+
+// peerLife is one locality's lifecycle word, written only under mu.
+type peerLife struct {
+	mu    sync.Mutex
+	state atomic.Uint32
+}
+
+// lifeStep is one layer's part of a transition: down fails the peer in
+// that layer, up reopens it. Either may be nil.
+type lifeStep struct{ down, up func(peer int) }
+
+// peerTransport is implemented by transports (the reliable fabric) that
+// fail and reopen every link touching a peer at once.
+type peerTransport interface {
+	FailPeer(peer int)
+	ReopenPeer(peer int)
+}
+
+// lifeSteps builds the transition table in down order; up walks it
+// backwards.
+func (rt *Runtime) lifeSteps() []lifeStep {
+	steps := []lifeStep{
+		// The peer's own detector: silenced by a flag flip, so two
+		// monitors convicting each other cannot deadlock.
+		{down: rt.silence, up: rt.unsilence},
+		{down: rt.agas.MarkDown, up: rt.agas.ClearDown},
+	}
+	if t, ok := rt.fabric.(peerTransport); ok {
+		steps = append(steps, lifeStep{down: t.FailPeer, up: t.ReopenPeer})
+	}
+	return append(steps,
+		lifeStep{
+			down: func(peer int) {
+				for _, l := range rt.others(peer) {
+					l.port.FailDest(peer)
+					l.failConts(peer)
+				}
+			},
+			up: func(peer int) {
+				for _, l := range rt.others(peer) {
+					l.port.ReopenDest(peer)
+				}
+			},
+		},
+		// Every other detector restarts the peer's grace period, so it is
+		// not reconvicted on stale silence.
+		lifeStep{up: func(peer int) {
+			for _, l := range rt.others(peer) {
+				if m := rt.Monitor(l.id); m != nil {
+					m.Revive(peer)
+				}
+			}
+		}},
+	)
+}
+
+// others returns the hosted localities other than peer.
+func (rt *Runtime) others(peer int) []*Locality {
+	var ls []*Locality
+	for _, l := range rt.locs {
+		if l.id != peer && l.hosted {
+			ls = append(ls, l)
+		}
+	}
+	return ls
+}
+
+func (rt *Runtime) silence(peer int) {
+	if m := rt.Monitor(peer); m != nil {
+		m.Silence()
+	}
+}
+
+// unsilence resumes the peer's detector with fresh state toward every
+// live locality: its windows are full of partition-length silences.
+func (rt *Runtime) unsilence(peer int) {
+	if m := rt.Monitor(peer); m != nil {
+		for i := range rt.locs {
+			if i != peer && !rt.LocalityDead(i) {
+				m.Revive(i)
+			}
+		}
+		m.Unsilence()
+	}
 }
 
 // LocalityDead reports whether the locality has been declared down.
-func (rt *Runtime) LocalityDead(i int) bool {
-	return i >= 0 && i < len(rt.silenced) && rt.dead[i].Load()
+func (rt *Runtime) LocalityDead(i int) bool { return rt.is(i, peerDown) }
+
+// is reports whether locality i's lifecycle word has bit set.
+func (rt *Runtime) is(i int, bit uint32) bool {
+	return i >= 0 && i < len(rt.lives) && rt.lives[i].state.Load()&bit != 0
+}
+
+func (rt *Runtime) suspicion(kind PeerEventKind, observer, peer int) {
+	if !rt.is(observer, peerCrashed) {
+		rt.publish(PeerEvent{Kind: kind, Observer: observer, Peer: peer})
+	}
+}
+
+// transition runs one edge of peer's lifecycle under its lock, so the
+// edge's whole fan-out and its events finish before the next starts.
+func (rt *Runtime) transition(peer int, edge func(p *peerLife)) {
+	if peer < 0 || peer >= len(rt.lives) {
+		return
+	}
+	p := &rt.lives[peer]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	edge(p)
 }
 
 // CrashLocality is the crash injector's runtime-side hook: it silences
@@ -204,130 +295,78 @@ func (rt *Runtime) LocalityDead(i int) bool {
 // dead process's detector dies with it; in-process it must be told).
 // It does NOT mark the locality dead for routing — survivors still have
 // to detect the crash through phi accrual, which is what the detection-
-// latency metric measures. The monitor is silenced, not stopped: a
-// rejoin (DeclareUp) can resume it, and silencing is a non-blocking
-// flag flip so two monitors convicting each other cannot deadlock.
+// latency metric measures. A rejoin (DeclareUp) resumes the detector.
 func (rt *Runtime) CrashLocality(i int) {
-	if i < 0 || i >= len(rt.silenced) || rt.silenced[i].Swap(true) {
-		return
-	}
-	if m := rt.Monitor(i); m != nil {
-		m.Silence()
-	}
-}
-
-// peerFailer is implemented by transports (the reliable fabric) that can
-// fail all links touching a peer at once.
-type peerFailer interface{ FailPeer(peer int) }
-
-// DeclareDown declares a locality crash-stopped and degrades gracefully:
-// AGAS resolutions to it fail with network.ErrLocalityDown, the reliable
-// transport (if present) fails its links fast, every port flushes and
-// fast-fails parcels targeting it, pending continuations on it are
-// poisoned (or, for retryable actions, re-routed to a survivor), and
-// death subscribers are notified. Idempotent; normally invoked by the
-// failure detector's OnDown, but applications and tests may call it
-// directly.
-func (rt *Runtime) DeclareDown(peer int) {
-	if peer < 0 || peer >= len(rt.locs) || rt.dead[peer].Swap(true) {
-		return
-	}
-	rt.cfg.Trace.Record(trace.Event{
-		Kind: trace.KindLinkDown, Name: "locality-down",
-		Start: time.Now(), Locality: peer,
+	rt.transition(i, func(p *peerLife) {
+		if st := p.state.Load(); st&peerCrashed == 0 {
+			p.state.Store(st | peerCrashed)
+			rt.silence(i)
+		}
 	})
-	// The dead locality's own detector is silenced first (see
-	// CrashLocality); asynchronously, because two monitors declaring each
-	// other down would otherwise deadlock stopping one another.
-	rt.CrashLocality(peer)
-	rt.agas.MarkDown(peer)
-	if pf, ok := rt.fabric.(peerFailer); ok {
-		pf.FailPeer(peer)
-	}
-	for i, l := range rt.locs {
-		if i == peer || !l.hosted {
-			continue
-		}
-		l.port.FailDest(peer)
-		l.failConts(peer)
-	}
-	rt.deathMu.Lock()
-	subs := append([]func(int){}, rt.deathSubs...)
-	rt.deathMu.Unlock()
-	for _, fn := range subs {
-		fn(peer)
-	}
 }
 
-// peerReopener is implemented by transports (the reliable fabric) that
-// can reopen all links touching a previously-failed peer.
-type peerReopener interface{ ReopenPeer(peer int) }
+// DeclareDown declares a locality crash-stopped and degrades gracefully
+// by walking the transition table (lifeSteps) forward: AGAS resolutions
+// to it and sends to it fail with network.ErrLocalityDown, ports flush
+// and fast-fail parcels for it, and continuations pending on it are
+// poisoned (or, for retryable actions, re-routed to a survivor).
+// Idempotent; normally invoked by the failure detector, but applications
+// and tests may call it directly.
+func (rt *Runtime) DeclareDown(peer int) { rt.convict(-1, peer) }
 
-// SubscribeUp registers fn to be invoked (synchronously, from the
-// goroutine that declares the rejoin) whenever a previously-down
-// locality is declared up again. The up edge mirrors SubscribeDeath:
-// applications that re-planned work away from the dead locality can
-// start scheduling onto it again.
-func (rt *Runtime) SubscribeUp(fn func(peer int)) {
-	if fn == nil {
+// convict is the down edge. A detector's conviction (observer >= 0) is
+// dropped if the observer has crashed, and otherwise publishes its
+// verdict first: a membership layer needs one last chance to tell a
+// wrongly convicted (e.g. one-way partitioned) peer it is condemned.
+func (rt *Runtime) convict(observer, peer int) {
+	if rt.is(observer, peerCrashed) {
 		return
 	}
-	rt.deathMu.Lock()
-	rt.upSubs = append(rt.upSubs, fn)
-	rt.deathMu.Unlock()
-}
-
-// DeclareUp reverses DeclareDown for a peer whose partition has healed:
-// AGAS resolutions to it succeed again, the reliable transport reopens
-// its links under a fresh session epoch (stale pre-partition frames are
-// dropped, not resequenced), ports accept parcels for it again, every
-// hosted monitor's detector state for it is reset (fresh grace period,
-// so it is not insta-reconvicted on stale silence), and up subscribers
-// are notified. Parcels and continuations failed while the peer was
-// down stay failed — un-degradation restores the road, not the traffic
-// that crashed on it. Idempotent; a no-op for peers not currently down.
-// Normally invoked by the membership layer's rejoin protocol.
-func (rt *Runtime) DeclareUp(peer int) {
-	if peer < 0 || peer >= len(rt.locs) || !rt.dead[peer].Swap(false) {
-		return
-	}
-	rt.cfg.Trace.Record(trace.Event{
-		Kind: trace.KindLinkDown, Name: "locality-up",
-		Start: time.Now(), Locality: peer,
-	})
-	// Un-degrade bottom-up: transport first, so by the time routing
-	// (AGAS, ports) accepts traffic for the peer the links can carry it.
-	if pr, ok := rt.fabric.(peerReopener); ok {
-		pr.ReopenPeer(peer)
-	}
-	rt.agas.ClearDown(peer)
-	for i, l := range rt.locs {
-		if i == peer || !l.hosted {
-			continue
+	rt.transition(peer, func(p *peerLife) {
+		if p.state.Load()&peerDown != 0 {
+			return
 		}
-		l.port.ReopenDest(peer)
-		if m := rt.Monitor(i); m != nil {
-			m.Revive(peer)
+		if observer >= 0 {
+			rt.publish(PeerEvent{Kind: PeerVerdict, Observer: observer, Peer: peer})
 		}
-	}
-	// The revived locality's own monitor resumes sweeping with fresh
-	// detector state toward every live peer: its pre-partition windows
-	// are full of partition-length silences that would insta-convict.
-	rt.silenced[peer].Store(false)
-	if m := rt.Monitor(peer); m != nil {
-		for i := range rt.locs {
-			if i != peer && !rt.dead[i].Load() {
-				m.Revive(i)
+		p.state.Store(peerDown | peerCrashed)
+		rt.cfg.Trace.Record(trace.Event{
+			Kind: trace.KindLinkDown, Name: "locality-down",
+			Start: time.Now(), Locality: peer,
+		})
+		for _, s := range rt.steps {
+			if s.down != nil {
+				s.down(peer)
 			}
 		}
-		m.Unsilence()
-	}
-	rt.deathMu.Lock()
-	subs := append([]func(int){}, rt.upSubs...)
-	rt.deathMu.Unlock()
-	for _, fn := range subs {
-		fn(peer)
-	}
+		rt.publish(PeerEvent{Kind: PeerDown, Observer: observer, Peer: peer})
+	})
+}
+
+// DeclareUp reverses DeclareDown for a peer whose partition has healed
+// by walking the transition table backwards, reopening every layer —
+// the reliable transport under a fresh session epoch, and every
+// detector with a fresh grace period — before routing accepts the peer.
+// Parcels and continuations failed while it was down stay failed:
+// un-degradation restores the road, not the traffic that crashed on it.
+// Idempotent; normally invoked by the membership layer's rejoin protocol.
+func (rt *Runtime) DeclareUp(peer int) {
+	rt.transition(peer, func(p *peerLife) {
+		if p.state.Load()&peerDown == 0 {
+			return
+		}
+		rt.cfg.Trace.Record(trace.Event{
+			Kind: trace.KindLinkDown, Name: "locality-up",
+			Start: time.Now(), Locality: peer,
+		})
+		for i := len(rt.steps) - 1; i >= 0; i-- {
+			if up := rt.steps[i].up; up != nil {
+				up(peer)
+			}
+		}
+		p.state.Store(0)
+		rt.publish(PeerEvent{Kind: PeerUp, Observer: -1, Peer: peer})
+	})
 }
 
 // failConts resolves every pending continuation whose destination is the
@@ -394,7 +433,7 @@ func (rt *Runtime) pickSurvivor(dead, self int) (int, bool) {
 		return self, true
 	}
 	for i := range rt.locs {
-		if i != dead && i != self && !rt.dead[i].Load() {
+		if i != dead && i != self && !rt.LocalityDead(i) {
 			return i, true
 		}
 	}

@@ -177,7 +177,11 @@ func TestHealthDeathSubscriberAndNoFalsePositives(t *testing.T) {
 
 	var notified atomic.Int64
 	notified.Store(-1)
-	rt.SubscribeDeath(func(peer int) { notified.Store(int64(peer)) })
+	rt.SubscribePeer(func(ev PeerEvent) {
+		if ev.Kind == PeerDown {
+			notified.Store(int64(ev.Peer))
+		}
+	})
 
 	// Soak with no crash: no locality may be declared dead.
 	time.Sleep(300 * time.Millisecond)

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/agas"
@@ -142,20 +141,15 @@ type Runtime struct {
 	coalMu     sync.Mutex
 	coalescers map[string][]*coalescing.Coalescer // action -> per-locality (incl. response)
 
-	// Crash-stop state. monitors is nil unless cfg.Health.Enabled. dead
-	// marks localities declared down (DeclareDown); silenced marks
-	// localities whose own monitor has been muted (a superset of dead:
-	// the crash injector silences a locality the instant its wire dies,
-	// before any survivor detects it).
+	// Peer lifecycle (health.go). monitors is nil unless health is
+	// enabled; lives holds one lifecycle per locality; steps is the
+	// transition table every down and up walks.
 	monitors []*health.Monitor
-	dead     []atomic.Bool
-	silenced []atomic.Bool
+	lives    []peerLife
+	steps    []lifeStep
 
-	deathMu     sync.Mutex
-	deathSubs   []func(peer int)
-	upSubs      []func(peer int)
-	suspSubs    []func(observer, peer int, suspected bool)
-	verdictSubs []func(observer, peer int)
+	subsMu sync.Mutex
+	subs   []func(PeerEvent)
 
 	retryMu   sync.Mutex
 	retryable map[string]bool
@@ -196,8 +190,8 @@ func New(cfg Config) *Runtime {
 	}
 	rt.registerFabricCounters()
 	rt.registerTimerCounters()
-	rt.dead = make([]atomic.Bool, cfg.Localities)
-	rt.silenced = make([]atomic.Bool, cfg.Localities)
+	rt.lives = make([]peerLife, cfg.Localities)
+	rt.steps = rt.lifeSteps()
 	hosted := make([]bool, cfg.Localities)
 	if cfg.Hosted == nil {
 		for i := range hosted {
@@ -492,7 +486,7 @@ func (rt *Runtime) Quiesce(timeout time.Duration) bool {
 			// drain (their wire is gone), and waiting on it would turn
 			// every post-crash quiescence into a full timeout. Non-hosted
 			// localities have no local state to drain at all.
-			if rt.dead[i].Load() || !l.hosted {
+			if rt.LocalityDead(i) || !l.hosted {
 				continue
 			}
 			if l.sched.pending() > 0 || l.port.PendingOutbound() > 0 || l.pendingContinuations() > 0 {

@@ -236,7 +236,7 @@ func soak(cfg HealthConfig) (runs int, suspicions int64, err error) {
 func surviveCrash(cfg HealthConfig, recover bool) (wall time.Duration, tasks int64, err error) {
 	rig := newHealthRig(cfg, cfg.Detector)
 	defer rig.close()
-	b, err := taskbench.New(rig.rt, taskbench.Options{Timeout: cfg.RunTimeout})
+	b, err := taskbench.New(rig.rt, taskbench.Options{Timeout: cfg.RunTimeout, Recover: recover})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -245,7 +245,6 @@ func surviveCrash(cfg HealthConfig, recover bool) (wall time.Duration, tasks int
 		Locality: cfg.Localities - 1,
 		AtStep:   cfg.CrashAtStep,
 		Plan:     rig.plan,
-		Recover:  recover,
 	})
 	wall = time.Since(start)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // TaskbenchSweepConfig returns the harness configuration behind
-// BENCH_taskbench.json: all eight dependence patterns across a 3×3
+// BENCH_taskbench.json: all nine dependence patterns across a 3×3
 // (NParcels × Interval) coalescing grid on two simulated localities.
 // quick shrinks the workload to a CI-smoke size (tiny width/steps, one
 // repeat) that still exercises every pattern and every grid cell.

@@ -6,7 +6,7 @@
 // `go test ./bench -run '^$' -bench . -benchmem`.
 //
 // The taskbench suite is the Task Bench-style workload harness
-// (internal/taskbench): all eight dependence patterns are executed
+// (internal/taskbench): all nine dependence patterns are executed
 // across a 3×3 coalescing-parameter grid on two simulated localities,
 // recording per-pattern execution time, Eq. 4 network overhead and the
 // Pearson correlation between the two, followed by the adaptive

@@ -387,7 +387,7 @@ func (n *node) run() (int, error) {
 	})
 	defer n.rt.Shutdown()
 
-	bench, err := taskbench.New(n.rt, taskbench.Options{Timeout: spec.Bench.Timeout})
+	bench, err := taskbench.New(n.rt, taskbench.Options{Timeout: spec.Bench.Timeout, Recover: spec.Bench.Recover})
 	if err != nil {
 		return CodeError, err
 	}
@@ -490,7 +490,7 @@ func (n *node) run() (int, error) {
 	} else {
 		n.logger.Printf("running %v (recover=%v)", g, spec.Bench.Recover)
 		var res taskbench.Result
-		res, benchErr = bench.RunCluster(g, taskbench.ClusterOptions{Recover: spec.Bench.Recover})
+		res, benchErr = bench.Run(g)
 		mine = NodeResult{ID: spec.ID}
 		if benchErr != nil {
 			mine.Err = benchErr.Error()

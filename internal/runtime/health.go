@@ -266,6 +266,11 @@ func (rt *Runtime) unsilence(peer int) {
 // LocalityDead reports whether the locality has been declared down.
 func (rt *Runtime) LocalityDead(i int) bool { return rt.is(i, peerDown) }
 
+// LocalityCrashed reports whether the locality has crashed
+// (CrashLocality) or been declared down: either way it must execute
+// nothing more until an up transition revives it.
+func (rt *Runtime) LocalityCrashed(i int) bool { return rt.is(i, peerCrashed) }
+
 // is reports whether locality i's lifecycle word has bit set.
 func (rt *Runtime) is(i int, bit uint32) bool {
 	return i >= 0 && i < len(rt.lives) && rt.lives[i].state.Load()&bit != 0

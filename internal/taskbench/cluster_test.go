@@ -8,8 +8,9 @@ import (
 	"repro/internal/network"
 )
 
-// TestRunClusterInProcess: with every locality hosted, RunCluster must
-// behave like Run — all tasks execute exactly once.
+// TestRunClusterInProcess: with every locality hosted, the cluster
+// completion rule reduces to the whole graph — all tasks execute exactly
+// once.
 func TestRunClusterInProcess(t *testing.T) {
 	rig := newChaosRig(t, 3)
 	b, err := New(rig.rt, Options{Timeout: runBudget(t, 30*time.Second)})
@@ -17,7 +18,7 @@ func TestRunClusterInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := Graph{Pattern: Stencil1D, Width: 6, Steps: 8, OutputBytes: 32}
-	res, err := b.RunCluster(g, ClusterOptions{})
+	res, err := b.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestRunClusterFailFast(t *testing.T) {
 		rig.plan.Crash(2)
 		rig.rt.CrashLocality(2)
 	}()
-	_, err = b.RunCluster(g, ClusterOptions{})
+	_, err = b.Run(g)
 	if !errors.Is(err, network.ErrLocalityDown) {
 		t.Fatalf("got %v, want ErrLocalityDown", err)
 	}
@@ -52,7 +53,7 @@ func TestRunClusterFailFast(t *testing.T) {
 // re-homed partition.
 func TestRunClusterRecovers(t *testing.T) {
 	rig := newChaosRig(t, 3)
-	b, err := New(rig.rt, Options{Timeout: runBudget(t, 30*time.Second)})
+	b, err := New(rig.rt, Options{Timeout: runBudget(t, 30*time.Second), Recover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRunClusterRecovers(t *testing.T) {
 		rig.plan.Crash(2)
 		rig.rt.CrashLocality(2)
 	}()
-	res, err := b.RunCluster(g, ClusterOptions{Recover: true})
+	res, err := b.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package taskbench
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/network"
@@ -9,21 +11,12 @@ import (
 
 // CrashSpec injects a crash-stop failure into one graph execution: when
 // the first task of step AtStep starts, locality Locality is crashed on
-// the wire (via Plan) and silenced in the runtime. What happens next
-// depends on Recover:
+// the wire (via Plan) and silenced in the runtime. Detection is left to
+// the failure detector, and the run then takes the bench's one failure
+// path: with Options.Recover it completes on the survivors with every
+// task executed exactly once, without it it fails with ErrLocalityDown.
 //
-//   - Recover=false: as soon as the phi-accrual detector declares the
-//     locality dead, the run fails cleanly with ErrLocalityDown — it
-//     never hangs waiting for work that cannot complete.
-//   - Recover=true: the dead locality's points are re-homed onto
-//     survivors and a self-healing sweep re-spawns every task whose
-//     producers have run but which itself has not (covering both tasks
-//     lost with the node's scheduler and tasks whose inputs were dropped
-//     on the wire). The run then completes with every task executed
-//     exactly once.
-//
-// The runtime must have health monitoring enabled (Config.Health);
-// detection is driven by the failure detector, not by the injector.
+// The runtime must have health monitoring enabled (Config.Health).
 type CrashSpec struct {
 	// Locality is the locality to crash. Must not be the only one.
 	Locality int
@@ -33,17 +26,10 @@ type CrashSpec struct {
 	// injected with Plan.Crash, dropping the locality's traffic in both
 	// directions.
 	Plan *network.FaultPlan
-	// Recover re-homes the dead locality's work onto survivors instead
-	// of failing the run.
-	Recover bool
-	// SweepInterval is the self-healing sweep period (default 1ms).
-	SweepInterval time.Duration
 }
 
-// RunWithCrash executes one graph under the crash spec. With
-// spec.Recover the result reflects a completed run on the survivors;
-// without it the error wraps network.ErrLocalityDown once the detector
-// fires. Either way the call returns within the bench timeout.
+// RunWithCrash is Run with the crash spec injected. Either way it
+// returns within the bench timeout.
 func (b *Bench) RunWithCrash(g Graph, spec CrashSpec) (Result, error) {
 	return b.execute(g, &spec)
 }
@@ -65,71 +51,130 @@ func (b *Bench) validateCrash(g Graph, c *CrashSpec) error {
 	if b.rt.Monitor(0) == nil {
 		return fmt.Errorf("taskbench: crash runs require health monitoring (runtime.Config.Health.Enabled)")
 	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = time.Millisecond
-	}
 	return nil
 }
 
-// sweep is the crash-mode watchdog goroutine. It waits for the failure
-// detector to declare the target dead, then either fails the run cleanly
-// (no recovery policy) or re-homes the dead locality's points and keeps
-// re-spawning ready-but-unexecuted tasks until the run ends. The
-// re-spawns are idempotent: runTask's done CAS makes duplicate triggers
-// no-ops.
-func (b *Bench) sweep(ru *run) {
-	c := ru.crash
-	tick := time.NewTicker(c.SweepInterval)
+// down is the one failure path: a locality went down during ru (a
+// PeerDown event, or already down when the run started). Without a
+// recovery policy the run fails; with one, the recovery watchdog starts,
+// once per run.
+func (b *Bench) down(ru *run) {
+	if !b.recover {
+		ru.fail()
+		return
+	}
+	ru.watching.Do(func() {
+		go func() {
+			defer close(ru.watched)
+			b.watch(ru)
+		}()
+	})
+}
+
+// recoverTick is the recovery watchdog's period. The heal scan runs every
+// tick, the incremental re-drive every redriveEvery ticks: re-sending on
+// every tick would flood the port and starve the heartbeats keeping the
+// survivors alive to each other.
+const (
+	recoverTick  = time.Millisecond
+	redriveEvery = 16
+)
+
+// watch is the recovery watchdog: until the run ends it re-homes every
+// newly dead locality's points, re-drives outputs into points whose input
+// counters died in another process, and heals ready tasks that have not
+// run. The re-spawns are idempotent: runTask's done CAS makes duplicate
+// triggers no-ops.
+func (b *Bench) watch(ru *run) {
+	dead := make([]bool, b.rt.Localities()) // deaths already re-homed
+	lost := make([]bool, ru.g.Width)        // points re-homed from another process
+	sent := make([]bool, len(ru.done))      // producers re-driven since the last death
+	next := make([]int, ru.g.Width)         // each point's first step not seen done
+	tick := time.NewTicker(recoverTick)
 	defer tick.Stop()
-	rehomed := false
-	for {
+	for n := 0; ; n++ {
+		fresh := false
+		for i := range dead {
+			if !dead[i] && b.rt.LocalityDead(i) {
+				dead[i], fresh = true, true
+			}
+		}
+		if fresh {
+			if !b.rehome(ru, dead, lost) {
+				ru.fail()
+				return
+			}
+			// A fresh death may re-home new dependents of producers whose
+			// outputs were re-driven already: cover the grown set again.
+			clear(sent)
+			n = 0
+		}
+		// Re-driving periodically closes the gap left by a task that
+		// finished in the detection window, sending to the dead owner
+		// after the last pass: heal cannot see it when it ran in another
+		// process.
+		if n%redriveEvery == 0 {
+			b.redrive(ru, lost, sent)
+		}
+		if !b.heal(ru) {
+			ru.fail() // runtime shutting down under us
+			return
+		}
+		if ru.scan.Load() && b.allRun(ru, next) {
+			ru.complete.CountDown(ru.complete.Count()) // open it
+		}
 		select {
-		case <-ru.stopSweep:
+		case <-ru.ended:
 			return
 		case <-tick.C:
 		}
-		if !b.rt.LocalityDead(c.Locality) {
-			continue
-		}
-		if !c.Recover {
-			ru.fail()
-			return
-		}
-		if !rehomed {
-			b.rehome(ru, c.Locality)
-			rehomed = true
-		}
-		b.heal(ru)
 	}
 }
 
-// rehome redistributes the dead locality's points round-robin over the
-// survivors.
-func (b *Bench) rehome(ru *run, dead int) {
-	survivors := make([]int32, 0, b.rt.Localities()-1)
-	for i := 0; i < b.rt.Localities(); i++ {
-		if i != dead && !b.rt.LocalityDead(i) {
+// rehome redistributes every point owned by a dead locality round-robin
+// over the survivors, in point order over survivors in id order — a pure
+// function of (graph, dead set), so every process computes identical new
+// owners without coordination. It marks in lost the points whose input
+// counters lived in another process, and reports false when no hosted
+// locality survives: then this process is the one the cluster lost.
+func (b *Bench) rehome(ru *run, dead, lost []bool) bool {
+	var survivors []int32
+	hostedAlive := false
+	for i := range dead {
+		if !dead[i] && !b.rt.LocalityDead(i) {
 			survivors = append(survivors, int32(i))
+			hostedAlive = hostedAlive || b.rt.Hosted(i)
 		}
 	}
-	if len(survivors) == 0 {
-		ru.fail() // nobody left to run the work
-		return
+	if !hostedAlive {
+		return false
 	}
 	k := 0
 	for p := range ru.owners {
-		if int(ru.owners[p].Load()) == dead {
-			ru.owners[p].Store(survivors[k%len(survivors)])
-			k++
+		from := int(ru.owners[p].Load())
+		if !dead[from] {
+			continue
 		}
+		to := survivors[k%len(survivors)]
+		k++
+		if b.rt.Hosted(from) != b.rt.Hosted(int(to)) {
+			ru.scan.Store(true) // before the move: see run.complete
+		}
+		if !b.rt.Hosted(from) {
+			lost[p] = true
+		}
+		ru.owners[p].Store(to)
 	}
+	return true
 }
 
-// heal walks the task grid and spawns every task that is ready (all
-// producers done) but not yet done itself. This repairs the two loss
-// modes of a crash: tasks queued on the dead scheduler, and tasks whose
-// inputs were dropped on the wire after their producers ran.
-func (b *Bench) heal(ru *run) {
+// heal walks the task grid and spawns every hosted task that is ready
+// (all producers done here) but has not run itself. This repairs the two
+// loss modes of a crash inside one process: tasks queued on the dead
+// scheduler, and tasks whose inputs were dropped on the wire after their
+// producers ran. Tasks owned by another process are its owner's to heal.
+// It reports false once the runtime has stopped.
+func (b *Bench) heal(ru *run) bool {
 	w := ru.g.Width
 	for s := 0; s < ru.g.Steps; s++ {
 		healthy := true
@@ -149,23 +194,80 @@ func (b *Bench) heal(ru *run) {
 				healthy = false
 				continue
 			}
-			s, p := s, p
-			loc := int(ru.owners[p].Load())
-			// Cluster mode: tasks owned by another process are not ours to
-			// re-spawn (their owner heals them; our done view of remote
-			// producers is partial anyway).
-			if !b.rt.Hosted(loc) {
-				continue
-			}
-			if !b.rt.Locality(loc).Spawn(func() { b.runTask(ru, s, p, loc) }) {
-				ru.fail() // runtime shutting down under us
-				return
+			if loc := int(ru.owners[p].Load()); b.rt.Hosted(loc) && !b.spawn(ru, s, p, loc) {
+				return false
 			}
 		}
 		// Nothing deeper can be ready while this step has unfinished,
 		// not-yet-ready tasks; stop scanning early on large graphs.
 		if !healthy {
-			return
+			return true
 		}
 	}
+	return true
+}
+
+// redrive restarts dataflow into the lost points: lost sources now owned
+// here are re-seeded, and every output this process has computed for a
+// lost dependent is sent again (the originals died with the other
+// process's input counters). sent records the producers re-driven
+// already, keeping repeated passes incremental.
+func (b *Bench) redrive(ru *run, lost, sent []bool) {
+	src := -1
+	for i := 0; i < b.rt.Localities(); i++ {
+		if b.rt.Hosted(i) && !b.rt.LocalityDead(i) {
+			src = i
+			break
+		}
+	}
+	if src < 0 {
+		return
+	}
+	w := ru.g.Width
+	for idx := range ru.done {
+		s, p := idx/w, idx%w
+		if !ru.done[idx].Load() {
+			if loc := int(ru.owners[p].Load()); lost[p] && len(ru.deps[idx]) == 0 && b.rt.Hosted(loc) {
+				b.spawn(ru, s, p, loc)
+			}
+			continue
+		}
+		if !sent[idx] {
+			sent[idx] = true
+			b.send(ru, b.rt.Locality(src), s, p, lost)
+		}
+	}
+}
+
+// allRun reports whether every task of a hosted-owned point has run
+// here. next holds each point's first step not yet seen done; done flags
+// never clear, so repeated calls advance it instead of rescanning.
+func (b *Bench) allRun(ru *run, next []int) bool {
+	w := ru.g.Width
+	for p := range next {
+		if !b.rt.Hosted(int(ru.owners[p].Load())) {
+			continue
+		}
+		for next[p] < ru.g.Steps && ru.done[next[p]*w+p].Load() {
+			next[p]++
+		}
+		if next[p] < ru.g.Steps {
+			return false
+		}
+	}
+	return true
+}
+
+// deadList names the localities declared down, for error messages.
+func (b *Bench) deadList() string {
+	var dead []string
+	for i := 0; i < b.rt.Localities(); i++ {
+		if b.rt.LocalityDead(i) {
+			dead = append(dead, strconv.Itoa(i))
+		}
+	}
+	if dead == nil {
+		return "?"
+	}
+	return strings.Join(dead, ",")
 }

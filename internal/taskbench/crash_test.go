@@ -68,13 +68,13 @@ func TestChaosCrashMatrix(t *testing.T) {
 				name := fmt.Sprintf("%s/at-step-%d/recover-%v", pat, atStep, recov)
 				t.Run(name, func(t *testing.T) {
 					rig := newChaosRig(t, 3)
-					bench, err := New(rig.rt, Options{Timeout: runBudget(t, 20*time.Second)})
+					bench, err := New(rig.rt, Options{Timeout: runBudget(t, 20*time.Second), Recover: recov})
 					if err != nil {
 						t.Fatal(err)
 					}
 					g := Graph{Width: 12, Steps: 6, Pattern: pat, Iterations: 16, OutputBytes: 8}
 					res, err := bench.RunWithCrash(g, CrashSpec{
-						Locality: 2, AtStep: atStep, Plan: rig.plan, Recover: recov,
+						Locality: 2, AtStep: atStep, Plan: rig.plan,
 					})
 					if recov {
 						if err != nil {
@@ -129,5 +129,28 @@ func TestCrashSpecValidation(t *testing.T) {
 	}
 	if _, err := pb.RunWithCrash(g, CrashSpec{Locality: 1, AtStep: 0, Plan: rig.plan}); err == nil {
 		t.Error("crash run accepted on a runtime without health monitoring")
+	}
+}
+
+// TestRunFailsFastOnADownLocality: Run itself, not just a crash-injected
+// run, must fail with ErrLocalityDown once a locality is declared down
+// mid-run, well inside its timeout — never stall until it expires.
+func TestRunFailsFastOnADownLocality(t *testing.T) {
+	rig := newChaosRig(t, 3)
+	timeout := runBudget(t, 5*time.Second)
+	b, err := New(rig.rt, Options{Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Graph{Pattern: Stencil1D, Width: 6, Steps: 4000, Iterations: 200, OutputBytes: 32}
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		rig.plan.Crash(2)
+		rig.rt.CrashLocality(2)
+	}()
+	start := time.Now()
+	_, err = b.Run(g)
+	if took := time.Since(start); !errors.Is(err, network.ErrLocalityDown) || took > timeout/2 {
+		t.Fatalf("Run returned %v after %v (timeout %v), want ErrLocalityDown well inside the timeout", err, took, timeout)
 	}
 }

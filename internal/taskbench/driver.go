@@ -25,6 +25,10 @@ type Options struct {
 	ActionName string
 	// Timeout bounds one Run (default 60s).
 	Timeout time.Duration
+	// Recover keeps a run going when a locality goes down: its points are
+	// re-homed onto the survivors and their dataflow re-driven. Without
+	// it the run fails with network.ErrLocalityDown.
+	Recover bool
 }
 
 // Bench binds the taskbench driver to a runtime: it registers the input
@@ -32,11 +36,14 @@ type Options struct {
 // points are block-partitioned across localities (point p lives on
 // locality p*L/Width), so a pattern's cross-partition edges become
 // parcels while vertical edges stay local, exactly as a distributed
-// Task Bench instance would behave.
+// Task Bench instance would behave. A runtime hosting only some
+// localities (cluster mode, runtime.Config.Hosted) executes only the
+// points they own; every process runs the same graph.
 type Bench struct {
 	rt      *runtime.Runtime
 	action  string
 	timeout time.Duration
+	recover bool
 
 	mu  sync.Mutex // serializes Run; guards the tables below
 	cur atomic.Pointer[run]
@@ -76,42 +83,49 @@ type run struct {
 	g     Graph
 	epoch uint64
 	// owners maps each point to its executing locality. Atomic because
-	// crash recovery re-homes the dead locality's points mid-run.
+	// recovery re-homes a dead locality's points mid-run.
 	owners []atomic.Int32
 	// deps and dependents are indexed step*Width+point and shared by
 	// consecutive runs of one graph: read only.
 	deps       [][]int
 	dependents [][]int
 	remaining  []atomic.Int32
-	// done marks task bodies that have executed; the CAS makes execution
-	// exactly-once even when the crash-recovery sweep re-spawns a task
+	// done marks task bodies that have executed here; the CAS makes
+	// execution exactly-once even when the recovery heal re-spawns a task
 	// racing its regular dataflow trigger.
 	done     []atomic.Bool
-	latches  []*lco.Latch // one per step, counting Width completions
 	executed atomic.Int64
 	payload  []byte
 
-	// Crash-mode state (nil/zero without a CrashSpec).
-	crash      *CrashSpec
-	crashFired atomic.Bool
-	failed     chan struct{}
-	failOnce   sync.Once
-	stopSweep  chan struct{}
+	// complete counts down the tasks of hosted-owned points; it opens when
+	// the last one has run. Once a re-home moves a point into or out of
+	// this process (scan), the count no longer describes this process's
+	// share: it stops, and the recovery watchdog opens the latch when its
+	// scan of the done set finds every hosted-owned task run.
+	complete *lco.Latch
+	scan     atomic.Bool
 
-	// Cluster-mode state (nil outside RunCluster): this process executes
-	// only its hosted partition and the crash watchdog reacts to
-	// DeclareDown verdicts instead of an injected CrashSpec.
-	cluster *ClusterOptions
+	crash      *CrashSpec // nil outside RunWithCrash
+	crashFired atomic.Bool
+
+	failed   chan struct{} // closed by fail
+	failOnce sync.Once
+	ended    chan struct{} // closed when Run returns
+	// watching starts the recovery watchdog, or, once Run has returned,
+	// rules it out; watched is closed when either has happened and the
+	// watchdog, if any, has exited.
+	watching sync.Once
+	watched  chan struct{}
 }
 
-// fail marks the run cleanly failed (crash detected, no recovery policy);
-// the wait loop observes it and returns instead of hanging.
+// fail marks the run cleanly failed (a locality went down and no recovery
+// policy is active, or recovery has nobody left to run the work).
 func (ru *run) fail() { ru.failOnce.Do(func() { close(ru.failed) }) }
 
-// New registers the input action and returns a bench bound to the
-// runtime.
+// New registers the input action, subscribes the bench to the runtime's
+// peer events and returns the bench.
 func New(rt *runtime.Runtime, opts Options) (*Bench, error) {
-	b := &Bench{rt: rt, action: opts.ActionName, timeout: opts.Timeout}
+	b := &Bench{rt: rt, action: opts.ActionName, timeout: opts.Timeout, recover: opts.Recover}
 	if b.action == "" {
 		b.action = Action
 	}
@@ -121,6 +135,14 @@ func New(rt *runtime.Runtime, opts Options) (*Bench, error) {
 	if err := rt.RegisterAction(b.action, b.inputAction); err != nil {
 		return nil, err
 	}
+	rt.SubscribePeer(func(ev runtime.PeerEvent) {
+		if ev.Kind != runtime.PeerDown {
+			return
+		}
+		if ru := b.cur.Load(); ru != nil {
+			b.down(ru)
+		}
+	})
 	return b, nil
 }
 
@@ -134,19 +156,22 @@ type Result struct {
 	Graph Graph
 	// Wall is the end-to-end execution time.
 	Wall time.Duration
-	// Tasks is the number of task bodies executed (must equal
-	// Graph.TotalTasks()).
+	// Tasks is the number of task bodies executed by this process (equal
+	// to Graph.TotalTasks() when every locality is hosted).
 	Tasks int64
 	// NetworkOverhead is the Eq. 4 metric over the run, and
 	// TaskOverheadUS the Eq. 2 metric.
 	NetworkOverhead float64
 	TaskOverheadUS  float64
 	// MessagesSent and ParcelsSent are the port-level deltas across all
-	// localities: how much coalesced wire traffic the run generated.
+	// hosted localities: how much coalesced wire traffic the run generated.
 	MessagesSent, ParcelsSent int64
 }
 
 // Run executes one graph to completion and returns its measurements.
+// It returns once every task owned by a hosted locality has run. If a
+// locality goes down during the run (or is down when it starts), the
+// run fails with network.ErrLocalityDown unless Options.Recover is set.
 // Runs are serialized; concurrent calls block.
 func (b *Bench) Run(g Graph) (Result, error) { return b.execute(g, nil) }
 
@@ -166,60 +191,55 @@ func (b *Bench) execute(g Graph, crash *CrashSpec) (Result, error) {
 	ru := b.prepare(g)
 	ru.crash = crash
 	b.installRun(ru)
-	defer b.cur.Store(nil)
-	if crash != nil {
-		ru.stopSweep = make(chan struct{})
-		go b.sweep(ru)
-		defer close(ru.stopSweep)
+	defer func() {
+		b.cur.Store(nil)
+		close(ru.ended)
+		ru.watching.Do(func() { close(ru.watched) })
+		<-ru.watched
+	}()
+	for i := 0; i < b.rt.Localities(); i++ {
+		if b.rt.LocalityDead(i) {
+			b.down(ru)
+			break
+		}
 	}
 
 	portBefore := b.portStats()
 	before := metrics.Snapshot(b.rt)
 	start := time.Now()
 
-	// Seed every zero-dependency task: all of step 0, plus any later
-	// task whose pattern gives it no inputs (Trivial everywhere, Random
-	// points that drew no edges). Dataflow triggers everything else.
+	// Seed every hosted zero-dependency task: all of step 0, plus any
+	// later task whose pattern gives it no inputs (Trivial everywhere,
+	// Random points that drew no edges). Every other process seeds its
+	// own partition, and dataflow triggers everything else.
 	w := g.Width
 	for s := 0; s < g.Steps; s++ {
 		for p := 0; p < w; p++ {
-			idx := s*w + p
-			if len(ru.deps[idx]) != 0 {
+			loc := int(ru.owners[p].Load())
+			if len(ru.deps[s*w+p]) != 0 || !b.rt.Hosted(loc) {
 				continue
 			}
-			s, p := s, p
-			loc := int(ru.owners[p].Load())
-			if !b.rt.Locality(loc).Spawn(func() { b.runTask(ru, s, p, loc) }) {
+			if !b.spawn(ru, s, p, loc) {
 				return Result{}, runtime.ErrStopped
 			}
 		}
 	}
 
-	deadline := time.Now().Add(b.timeout)
-	for s, latch := range ru.latches {
-		left := time.Until(deadline)
-		if left <= 0 {
-			return Result{}, fmt.Errorf("taskbench: %s stalled at step %d with %d/%d tasks executed",
-				g, s, ru.executed.Load(), g.TotalTasks())
-		}
-		tmr := time.NewTimer(left)
-		select {
-		case <-latch.Done():
-			tmr.Stop()
-		case <-ru.failed:
-			tmr.Stop()
-			return Result{}, fmt.Errorf("taskbench: %s: %w: locality %d crashed and no retry policy is active (failed cleanly at step %d, %d/%d tasks executed)",
-				g, network.ErrLocalityDown, crash.Locality, s, ru.executed.Load(), g.TotalTasks())
-		case <-tmr.C:
-			return Result{}, fmt.Errorf("taskbench: %s stalled at step %d with %d/%d tasks executed",
-				g, s, ru.executed.Load(), g.TotalTasks())
-		}
+	tmr := time.NewTimer(b.timeout)
+	defer tmr.Stop()
+	select {
+	case <-ru.complete.Done():
+	case <-ru.failed:
+		return Result{}, fmt.Errorf("taskbench: %s failed cleanly: %w (declared down: %s; %d tasks executed here)",
+			g, network.ErrLocalityDown, b.deadList(), ru.executed.Load())
+	case <-tmr.C:
+		return Result{}, fmt.Errorf("taskbench: %s stalled at step %d with %d tasks executed here",
+			g, b.firstUndone(ru), ru.executed.Load())
 	}
 
 	wall := time.Since(start)
 	after := metrics.Snapshot(b.rt)
 	portAfter := b.portStats()
-
 	phase := metrics.Phase{
 		Tasks:          after.Tasks - before.Tasks,
 		TaskDuration:   after.TaskDuration - before.TaskDuration,
@@ -275,9 +295,9 @@ func (b *Bench) bufferInput(ep uint64, step, point, loc int) (*run, bool) {
 	return nil, false
 }
 
-// prepare builds the per-run state and completion LCOs for a graph, and
-// its dependence tables unless the previous run's graph was the same.
-// The caller holds b.mu.
+// prepare builds the per-run state for a graph, and its dependence
+// tables unless the previous run's graph was the same. The caller holds
+// b.mu.
 func (b *Bench) prepare(g Graph) *run {
 	w, L := g.Width, b.rt.Localities()
 	fresh := b.tablesFor != g
@@ -293,18 +313,24 @@ func (b *Bench) prepare(g Graph) *run {
 		dependents: b.dependents,
 		remaining:  make([]atomic.Int32, w*g.Steps),
 		done:       make([]atomic.Bool, w*g.Steps),
-		latches:    make([]*lco.Latch, g.Steps),
 		payload:    make([]byte, g.OutputBytes),
 		failed:     make(chan struct{}),
+		ended:      make(chan struct{}),
+		watched:    make(chan struct{}),
 	}
+	hosted := 0
 	for p := 0; p < w; p++ {
-		ru.owners[p].Store(int32(p * L / w))
+		loc := p * L / w
+		ru.owners[p].Store(int32(loc))
+		if b.rt.Hosted(loc) {
+			hosted++
+		}
 	}
+	ru.complete = lco.NewLatch(hosted * g.Steps)
 	for i := range ru.payload {
 		ru.payload[i] = byte(i)
 	}
 	for s := 0; s < g.Steps; s++ {
-		ru.latches[s] = lco.NewLatch(w)
 		for p := 0; p < w; p++ {
 			idx := s*w + p
 			if fresh {
@@ -372,66 +398,84 @@ func (b *Bench) applyInput(ru *run, step, point, loc int) error {
 	case n == 0:
 		b.runTask(ru, step, point, loc)
 	case n < 0:
-		// Under a crash the recovery sweep (or a cluster redrive) re-sends
-		// inputs and re-spawns tasks directly, so a late dataflow trigger
-		// for an already-run task is expected at-least-once noise, not a
-		// protocol violation.
-		if ru.crash == nil && (ru.cluster == nil || !ru.cluster.Recover) {
+		// Recovery re-sends inputs and re-spawns tasks directly, so a late
+		// dataflow trigger for an already-run task is expected
+		// at-least-once noise, not a protocol violation.
+		if !b.recover {
 			return fmt.Errorf("taskbench: surplus input for task (%d,%d)", step, point)
 		}
 	}
 	return nil
 }
 
+// spawn queues task (step, point) on locality loc, reporting false once
+// the runtime has stopped.
+func (b *Bench) spawn(ru *run, step, point, loc int) bool {
+	return b.rt.Locality(loc).Spawn(func() { b.runTask(ru, step, point, loc) })
+}
+
 // runTask executes the task body at (step, point) on locality loc: spin
-// the configured grain, emit one message per dependent in the next step,
-// and count down the step's completion latch.
+// the configured grain, send its output to every dependent in the next
+// step, and count the task off the run.
 func (b *Bench) runTask(ru *run, step, point, loc int) {
-	if c := ru.crash; c != nil {
-		// Inject the crash the first time any task of the target step
-		// starts: deterministic in graph progress, not wall time.
-		if step >= c.AtStep && ru.crashFired.CompareAndSwap(false, true) {
-			c.Plan.Crash(c.Locality)
-			b.rt.CrashLocality(c.Locality)
-		}
-		// A crashed locality executes nothing more. Its queued tasks stay
-		// not-done so the recovery sweep can re-run them on a survivor —
-		// this models the scheduler state lost with the node.
-		if ru.crashFired.Load() && loc == c.Locality {
-			return
-		}
+	// Inject the crash the first time any task of the target step starts:
+	// deterministic in graph progress, not wall time.
+	if c := ru.crash; c != nil && step >= c.AtStep && ru.crashFired.CompareAndSwap(false, true) {
+		c.Plan.Crash(c.Locality)
+		b.rt.CrashLocality(c.Locality)
 	}
-	// In cluster mode a condemned locality stops executing: the cluster
-	// has already re-homed its partition, and work it completed now would
-	// race the survivors' re-execution.
-	if ru.cluster != nil && b.rt.LocalityDead(loc) {
+	// A crashed or down locality executes nothing more. Its tasks stay
+	// not-done for the survivors to re-run after the re-home — this models
+	// the scheduler state lost with the node.
+	if b.rt.LocalityCrashed(loc) {
 		return
 	}
 	if !ru.done[step*ru.g.Width+point].CompareAndSwap(false, true) {
-		return // already executed (sweep re-spawn raced the dataflow path)
+		return // already executed (a heal re-spawn raced the dataflow path)
 	}
 	if grind(ru.g.Iterations) < 0 {
 		panic("taskbench: grind underflow") // unreachable; pins the spin loop
 	}
+	b.send(ru, b.rt.Locality(loc), step, point, nil)
+	ru.executed.Add(1)
+	if b.rt.Hosted(int(ru.owners[point].Load())) && !ru.scan.Load() {
+		ru.complete.CountDown(1)
+	}
+}
+
+// send writes task (step, point)'s output to each of its dependents in
+// the next step — only to those marked in only, when only is non-nil —
+// from locality src. A failed send skips no other dependent: the loss
+// surfaces as a stall, a failed run, or a recovery re-send.
+func (b *Bench) send(ru *run, src *runtime.Locality, step, point int, only []bool) {
+	if step+1 >= ru.g.Steps {
+		return
+	}
+	for _, q := range ru.dependents[step*ru.g.Width+point] {
+		if only != nil && !only[q] {
+			continue
+		}
+		wr := serialization.NewWriter(24 + len(ru.payload))
+		wr.Uvarint(ru.epoch)
+		wr.Uvarint(uint64(step + 1))
+		wr.Uvarint(uint64(q))
+		wr.BytesField(ru.payload)
+		_ = src.Apply(int(ru.owners[q].Load()), b.action, wr.Bytes())
+	}
+}
+
+// firstUndone returns the lowest step holding a task of a hosted-owned
+// point that has not run here, or -1 when every such task has.
+func (b *Bench) firstUndone(ru *run) int {
 	w := ru.g.Width
-	if step+1 < ru.g.Steps {
-		src := b.rt.Locality(loc)
-		for _, q := range ru.dependents[step*w+point] {
-			wr := serialization.NewWriter(24 + len(ru.payload))
-			wr.Uvarint(ru.epoch)
-			wr.Uvarint(uint64(step + 1))
-			wr.Uvarint(uint64(q))
-			wr.BytesField(ru.payload)
-			if err := src.Apply(int(ru.owners[q].Load()), b.action, wr.Bytes()); err != nil {
-				// The latch still counts down: a send failure surfaces as a
-				// stalled downstream step (or a sweep re-spawn under crash
-				// recovery) with this task recorded done.
-				break
+	for s := 0; s < ru.g.Steps; s++ {
+		for p := 0; p < w; p++ {
+			if !ru.done[s*w+p].Load() && b.rt.Hosted(int(ru.owners[p].Load())) {
+				return s
 			}
 		}
 	}
-	ru.executed.Add(1)
-	ru.latches[step].CountDown(1)
+	return -1
 }
 
 // grind is the task grain: iters dependent floating-point operations the

@@ -171,3 +171,29 @@ func TestRunReusesDependenceTablesOfTheSameGraph(t *testing.T) {
 		t.Error("a different graph reused the previous graph's dependence tables")
 	}
 }
+
+// TestFailedSendSkipsNoDependent: a task whose send to one dependent
+// fails still sends to the others. On a width-3 stencil over three
+// localities, task (0,1) on locality 1 feeds (1,0) on the down locality
+// 0, then (1,1) and (1,2): both must receive its input.
+func TestFailedSendSkipsNoDependent(t *testing.T) {
+	rt := newTestRuntime(t, 3)
+	b, err := New(rt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Graph{Pattern: Stencil1D, Width: 3, Steps: 2}.WithDefaults()
+	ru := b.prepare(g)
+	b.installRun(ru)
+	defer b.cur.Store(nil)
+	rt.DeclareDown(0)
+	b.runTask(ru, 0, 1, 1)
+
+	left := func(point int) int32 { return ru.remaining[g.Width+point].Load() }
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if left(1) == 2 && left(2) == 1 {
+			return
+		}
+	}
+	t.Fatalf("inputs left for (1,1) and (1,2): %d and %d, want 2 and 1 (each got (0,1)'s output)", left(1), left(2))
+}

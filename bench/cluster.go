@@ -84,8 +84,6 @@ type ClusterPartitionPoint struct {
 	Mode               string  `json:"mode"` // pair: one link cut; full: victim isolated
 	PartitionNode      int     `json:"partition_node"`
 	PartitionForMS     float64 `json:"partition_for_ms"`
-	IndirectProbes     bool    `json:"indirect_probes"`
-	Rejoin             bool    `json:"rejoin"`
 	Suspicions         int64   `json:"suspicions"`
 	Convictions        int64   `json:"convictions"`
 	ProbesSent         int64   `json:"probes_sent"`
@@ -130,8 +128,6 @@ type clusterRun struct {
 	recover        bool
 	crashNode      int           // -1: no crash
 	crashAfter     time.Duration // delay before the injected kill
-	rejoin         bool          // partition-tolerance rejoin protocol
-	noProbes       bool          // disable SWIM indirect probing (baseline)
 	partitionNode  int           // victim of the timed partition
 	partitionAfter time.Duration // warm-up → cut delay
 	partitionFor   time.Duration // cut duration; 0 disables the partition
@@ -159,7 +155,7 @@ func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
 		out.WeakScaling = append(out.WeakScaling, p)
 		pp, err := cfg.measurePartition("pair-probes", clusterRun{
 			nodes: 3, pattern: "stencil_1d", width: 6, steps: 16,
-			outputBytes: 64, crashNode: -1, rejoin: true,
+			outputBytes: 64, crashNode: -1,
 			partitionNode: 2, partitionAfter: 200 * time.Millisecond,
 			partitionFor: 500 * time.Millisecond, partitionMode: "pair",
 		})
@@ -201,14 +197,12 @@ func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
 	out.Recovery = &rec
 
 	// Partition-heal sweep: the same 3-node graph under (a) a single cut
-	// link with indirect probes routing around it, (b) the same cut with
-	// probes disabled — the false-conviction baseline the probes are
-	// measured against — and (c) a full isolation long enough that a
-	// conviction is guaranteed and only the rejoin protocol restores the
-	// cluster.
+	// link with indirect probes routing around it and (b) a full
+	// isolation long enough that a conviction is guaranteed and only the
+	// rejoin protocol restores the cluster.
 	base := clusterRun{
 		nodes: 3, pattern: "stencil_1d", width: 24, steps: 32,
-		iterations: 200, outputBytes: 256, crashNode: -1, rejoin: true,
+		iterations: 200, outputBytes: 256, crashNode: -1,
 		partitionNode: 2, partitionAfter: 300 * time.Millisecond,
 		partitionMode: "pair",
 	}
@@ -217,7 +211,6 @@ func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
 		mut  func(*clusterRun)
 	}{
 		{"pair-probes", func(r *clusterRun) { r.partitionFor = 800 * time.Millisecond }},
-		{"pair-no-probes", func(r *clusterRun) { r.partitionFor = 800 * time.Millisecond; r.noProbes = true }},
 		{"full-rejoin", func(r *clusterRun) { r.partitionFor = 1500 * time.Millisecond; r.partitionMode = "full" }},
 	} {
 		r := base
@@ -291,8 +284,8 @@ func (c ClusterConfig) measureRecovery() (ClusterRecovery, error) {
 // out the cut, converges back (rejoin), and only then runs the
 // benchmark — so WallMS/TasksPerSec measure post-heal recovery.
 func (c ClusterConfig) measurePartition(scenario string, r clusterRun) (ClusterPartitionPoint, error) {
-	c.logf("cluster: partition scenario %s (%s, node %d cut for %s, probes=%v)",
-		scenario, r.partitionMode, r.partitionNode, r.partitionFor, !r.noProbes)
+	c.logf("cluster: partition scenario %s (%s, node %d cut for %s)",
+		scenario, r.partitionMode, r.partitionNode, r.partitionFor)
 	agg, _, err := c.runCluster(r)
 	if err != nil {
 		return ClusterPartitionPoint{}, err
@@ -300,7 +293,6 @@ func (c ClusterConfig) measurePartition(scenario string, r clusterRun) (ClusterP
 	p := ClusterPartitionPoint{
 		Scenario: scenario, Nodes: agg.Nodes, Mode: agg.PartitionMode,
 		PartitionNode: agg.PartitionNode, PartitionForMS: float64(agg.PartitionForNS) / 1e6,
-		IndirectProbes: !r.noProbes, Rejoin: agg.Rejoin,
 		Suspicions: agg.Suspicions, Convictions: agg.Convictions,
 		ProbesSent: agg.ProbesSent, ProbeAcks: agg.ProbeAcks, Rebirths: agg.Rebirths,
 		MaxRejoinLatencyMS: float64(agg.MaxRejoinLatencyNS) / 1e6,
@@ -312,7 +304,7 @@ func (c ClusterConfig) measurePartition(scenario string, r clusterRun) (ClusterP
 	if !p.Completed {
 		return p, fmt.Errorf("bench: partition scenario %s ran %d/%d tasks", scenario, agg.TasksRun, agg.TotalTasks)
 	}
-	if r.rejoin && agg.MaxRejoinLatencyNS < 0 {
+	if agg.MaxRejoinLatencyNS < 0 {
 		return p, fmt.Errorf("bench: partition scenario %s never re-converged after the heal", scenario)
 	}
 	c.logf("cluster: %s done — %d/%d probes acked, %d suspicions, %d convictions, %d rebirths, rejoin %.1fms, %.0f tasks/s post-heal",
@@ -348,12 +340,6 @@ func (c ClusterConfig) runCluster(r clusterRun) (cluster.ClusterResult, []int, e
 		)
 		if r.recover {
 			args = append(args, "-recover")
-		}
-		if r.rejoin {
-			args = append(args, "-rejoin")
-		}
-		if r.noProbes {
-			args = append(args, "-no-indirect-probes")
 		}
 		if r.partitionFor > 0 {
 			args = append(args,

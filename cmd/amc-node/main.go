@@ -7,7 +7,7 @@
 // into one JSON report.
 //
 // Exit codes: 0 success, 1 error, 3 clean fail-fast on a detected peer
-// crash (or on this node being condemned by the cluster).
+// crash.
 //
 // A three-node cluster on one machine:
 //

@@ -56,20 +56,10 @@ type Options struct {
 	// AddrBook receives addresses carried by membership entries; nil
 	// disables installation (in-process fabrics need none).
 	AddrBook AddrBook
-	// Rejoin enables the partition-tolerance protocol: StateDown stops
-	// being terminal, membership entries merge under the (Epoch,
-	// Incarnation, State) total order, resurrection probes keep poking
-	// Down members, and a member superseding Down → not-Down drives
-	// runtime.DeclareUp (the un-degradation path).
-	Rejoin bool
 	// JoinEpoch is this process-lifetime's epoch (see Member.Epoch). 0
 	// for in-process clusters; amc-node derives it from wall-clock so a
 	// restart joins at a strictly higher epoch than the crashed life.
 	JoinEpoch uint64
-	// DisableIndirectProbes turns off SWIM ping-req probing, reverting
-	// to pure phi-accrual conviction (the pre-probe behavior; kept as a
-	// benchmark baseline for the false-conviction comparison).
-	DisableIndirectProbes bool
 }
 
 func (o Options) withDefaults() Options {
@@ -88,7 +78,7 @@ const (
 	// probeFanout is how many relays each indirect-probe round asks.
 	probeFanout = 2
 	// rejoinProbeEvery is the gossip-tick period of resurrection probes
-	// sent to confirmed-down members while Rejoin is enabled.
+	// sent to confirmed-down members.
 	rejoinProbeEvery = 4
 )
 
@@ -266,9 +256,9 @@ func (s *Service) handlePingAck(ctx *runtime.Context, args []byte) ([]byte, erro
 // and its retraction become gossiped suspect/refute traffic. A verdict
 // arrives while the peer is still routable, so the observer sends it one
 // obituary carrying its Down entry: a wrongly-convicted node (one-way
-// partition: mute but still hearing) learns it is condemned and can fail
-// fast rather than run on partitioned. A down, declared on this process,
-// is recorded and rebroadcast so every survivor degrades too.
+// partition: mute but still hearing) learns of its conviction and
+// refutes it. A down, declared on this process, is recorded and
+// rebroadcast so every survivor degrades too.
 func (s *Service) onPeer(ev runtime.PeerEvent) {
 	if ev.Kind == runtime.PeerDown {
 		for _, m := range s.mgrs {
@@ -362,12 +352,14 @@ type Manager struct {
 	svc  *Service
 	self int
 
-	mu        sync.Mutex
-	members   map[int]Member
-	selfInc   uint64
-	epoch     uint64
-	condemned bool
-	rng       *rand.Rand
+	mu      sync.Mutex
+	members map[int]Member
+	selfInc uint64
+	epoch   uint64
+	rng     *rand.Rand
+	// obituaryInc is the incarnation of the newest obituary about this
+	// lifetime that has been heard (0: none; incarnations start at 1).
+	obituaryInc uint64
 
 	// Indirect-probe state: pending maps an in-flight probe round's
 	// nonce to its target and deadline; probeRounds counts rounds spent
@@ -491,28 +483,6 @@ func (m *Manager) Lookup(id int) (Member, bool) {
 	return e, ok
 }
 
-// Condemned reports whether the cluster has confirmed *this* locality
-// down — a terminal verdict the node must obey by exiting, since the
-// survivors have already failed its links and rehomed its work.
-func (m *Manager) Condemned() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.condemned
-}
-
-// AliveCount counts members not confirmed down.
-func (m *Manager) AliveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, e := range m.members {
-		if e.State != StateDown {
-			n++
-		}
-	}
-	return n
-}
-
 // AwaitSize polls until the table holds at least size members (any
 // state) or the wait times out, reporting success.
 func (m *Manager) AwaitSize(size int, wait time.Duration) bool {
@@ -537,21 +507,14 @@ func (m *Manager) selfEntry() Member {
 	return m.members[m.self]
 }
 
-// Merge folds a received membership table into the local one under SWIM
-// precedence, installing learned addresses, refuting suspicion about
-// self, and degrading (DeclareDown) for newly confirmed-down members.
-// With Options.Rejoin, precedence is the (Epoch, Incarnation, State)
-// total order instead, a self-obituary at our own epoch triggers
-// rebirth instead of condemnation, and a member superseding Down →
-// not-Down drives DeclareUp. Exposed for tests and the join path; the
-// gossip action calls it for every received table.
+// Merge folds a received membership table into the local one under the
+// (Epoch, Incarnation, State) order, installing learned addresses,
+// refuting rumors about self, degrading (DeclareDown) for newly
+// confirmed-down members, and un-degrading (DeclareUp) for members that
+// supersede Down with a live entry. Exposed for tests and the join path;
+// the gossip action calls it for every received table.
 func (m *Manager) Merge(ms []Member) {
 	m.gossipRecv.Inc()
-	rejoin := m.svc.opts.Rejoin
-	sup := supersedes
-	if rejoin {
-		sup = supersedesRejoin
-	}
 	var newlyDown, newlyUp []int
 	changed := false
 
@@ -561,57 +524,13 @@ func (m *Manager) Merge(ms []Member) {
 			continue // hostile or misconfigured peer; ignore the entry
 		}
 		if e.ID == m.self {
-			// Rumors about ourselves. With rejoin, rumors about another
-			// lifetime are inert: an older epoch is already superseded by
-			// our very existence, and a newer one is impossible (nobody
-			// mints our epochs but us) — hostile, so ignored.
-			if rejoin && e.Epoch != m.epoch {
-				continue
-			}
-			if e.State == StateDown {
-				if !rejoin {
-					// Terminal at any incarnation: our refutations may
-					// never have arrived (one-way partition), so the
-					// verdict can legitimately carry a stale incarnation.
-					// The cluster has degraded around us; rejoining would
-					// need a new identity.
-					m.condemned = true
-					continue
-				}
-				// Rebirth: the cluster convicted this very lifetime
-				// (partition, not crash — we are demonstrably running).
-				// Refute the obituary by outbidding its incarnation, and
-				// start the probe-frame broadcast that can reach peers
-				// that still have us crash-stopped.
-				if e.Incarnation >= m.selfInc {
-					m.selfInc = e.Incarnation + 1
-				} else {
-					m.selfInc++
-				}
-				self := m.members[m.self]
-				self.Incarnation = m.selfInc
-				self.State = StateAlive
-				m.members[m.self] = self
-				m.refuteRounds = rebirthRefuteRounds
-				m.rebirths.Inc()
-				m.refutes.Inc()
+			if m.hearAboutSelf(e) {
 				changed = true
-				continue
 			}
-			if e.Incarnation < m.selfInc || e.State == StateAlive {
-				continue
-			}
-			m.selfInc = e.Incarnation + 1
-			self := m.members[m.self]
-			self.Incarnation = m.selfInc
-			self.State = StateAlive
-			m.members[m.self] = self
-			m.refutes.Inc()
-			changed = true
 			continue
 		}
 		cur, known := m.members[e.ID]
-		if known && !sup(e, cur) {
+		if known && !supersedes(e, cur) {
 			continue
 		}
 		// A less specific rumor must not erase a known dial address.
@@ -629,7 +548,7 @@ func (m *Manager) Merge(ms []Member) {
 			m.downSeen.Inc()
 			newlyDown = append(newlyDown, e.ID)
 		}
-		if rejoin && known && cur.State == StateDown && e.State != StateDown {
+		if known && cur.State == StateDown && e.State != StateDown {
 			m.upSeen.Inc()
 			m.probeRounds[e.ID] = 0
 			newlyUp = append(newlyUp, e.ID)
@@ -645,10 +564,10 @@ func (m *Manager) Merge(ms []Member) {
 	for _, id := range newlyUp {
 		m.svc.rt.DeclareUp(id)
 	}
-	// Before the route closes, send the condemned peer one best-effort
-	// obituary: down members are excluded from gossip targets, so this is
-	// a wrongly-convicted node's (e.g. one-way partition) only chance to
-	// learn it has been condemned and fail fast instead of running on.
+	// Before the route closes, send the convicted peer one best-effort
+	// obituary: down members are excluded from gossip targets, so a
+	// wrongly-convicted node (e.g. one-way partition) learns of its
+	// conviction from this or, later, from a resurrection probe.
 	if len(newlyDown) > 0 {
 		obituary := EncodeMembership(nil, m.Members())
 		loc := m.svc.rt.Locality(m.self)
@@ -660,6 +579,44 @@ func (m *Manager) Merge(ms []Member) {
 	if changed {
 		m.gossipNow()
 	}
+}
+
+// hearAboutSelf applies one rumor about this node itself, with m.mu
+// held, and reports whether the self entry changed. A rumor about
+// another lifetime is inert: an older epoch is already superseded by our
+// very existence, and a newer one is impossible (nobody mints our epochs
+// but us). At our own epoch, a Suspect or Down rumor at or above our
+// incarnation is refuted by outbidding it.
+//
+// A Down rumor there is an obituary for this very lifetime — a
+// partition, not a crash, since we are running. The first obituary at
+// an incarnation counts one rebirth, even when this life has already
+// outbid it (a one-way partition lets a suspicion in and the refutation
+// not out, so the conviction arrives stale); its repeats count nothing.
+// Every obituary, stale or not, restarts the probe-frame broadcast: its
+// sender evidently has not heard the refutation and still has us
+// crash-stopped, beyond the reach of ordinary gossip.
+func (m *Manager) hearAboutSelf(e Member) bool {
+	if e.Epoch != m.epoch || e.State == StateAlive {
+		return false
+	}
+	if e.State == StateDown {
+		m.refuteRounds = rebirthRefuteRounds
+		if e.Incarnation > m.obituaryInc {
+			m.obituaryInc = e.Incarnation
+			m.rebirths.Inc()
+		}
+	}
+	if e.Incarnation < m.selfInc {
+		return false
+	}
+	m.selfInc = e.Incarnation + 1
+	self := m.members[m.self]
+	self.Incarnation = m.selfInc
+	self.State = StateAlive
+	m.members[m.self] = self
+	m.refutes.Inc()
+	return true
 }
 
 // suspect records the local detector's soft verdict and gossips it so
@@ -783,9 +740,6 @@ func (m *Manager) gossipNow() {
 // phi-accrual, as classic SWIM does).
 func (m *Manager) beginProbe(target int) {
 	s := m.svc
-	if s.opts.DisableIndirectProbes {
-		return
-	}
 	m.mu.Lock()
 	if m.probeRounds[target] >= maxProbeRounds {
 		m.mu.Unlock()
@@ -868,7 +822,7 @@ func (m *Manager) maintain() {
 			expired = append(expired, p)
 		}
 	}
-	if s.opts.Rejoin && s.prober != nil {
+	if s.prober != nil {
 		if m.refuteRounds > 0 {
 			// Rebirth broadcast: push the refuted table to every member —
 			// the survivors still have this node crash-stopped, so only

@@ -107,15 +107,22 @@ func TestMergeRefutesSuspicionAboutSelf(t *testing.T) {
 	}
 }
 
-func TestMergeCondemnsSelfOnDownRumor(t *testing.T) {
+// TestMergeRebirthsOnceOnRepeatedObituary: an obituary about this very
+// lifetime is refuted once, as one rebirth. Its repeats — what a
+// survivor's resurrection probes deliver while a one-way partition keeps
+// the refutation from reaching it — are stale: this life has already
+// outbid them, so they neither raise the incarnation nor count again.
+func TestMergeRebirthsOnceOnRepeatedObituary(t *testing.T) {
 	_, svc := newClusterRig(t, 3)
 	m := svc.Manager(2)
-	m.Merge([]Member{{ID: 2, Incarnation: 1, State: StateDown}})
-	if !m.Condemned() {
-		t.Fatal("confirmed-down rumor about self must condemn the manager")
+	for i := 0; i < 5; i++ {
+		m.Merge([]Member{{ID: 2, Incarnation: 1, State: StateDown}})
 	}
-	if e, _ := m.Lookup(2); e.State != StateAlive {
-		t.Fatalf("condemned node's own entry flipped to %v", e.State)
+	if e, _ := m.Lookup(2); e.State != StateAlive || e.Incarnation != 2 {
+		t.Fatalf("self entry after five obituaries: %+v, want alive inc 2", e)
+	}
+	if got := m.rebirths.Get(); got != 1 {
+		t.Fatalf("rebirths = %d after one obituary merged five times, want 1", got)
 	}
 }
 

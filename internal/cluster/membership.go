@@ -5,31 +5,21 @@
 // membership on top of the phi-accrual failure detector (internal/health).
 //
 // Membership follows the SWIM state machine (Das et al.): every member is
-// alive, suspect, or confirmed down, tagged with an incarnation number
-// its own node increments to refute suspicion. Entries merge by
-// precedence — confirmed-down overrides everything; otherwise higher
-// incarnation wins, and at equal incarnation the more severe state wins
-// (suspect > alive) — so rumors converge to the same table everywhere
-// regardless of arrival order. Suspicion comes from
+// alive, suspect, or confirmed down, tagged with the join epoch of its
+// process lifetime and an incarnation number its own node increments to
+// refute rumors about itself. Entries merge by one total order,
+// lexicographic on (Epoch, Incarnation, State), so rumors converge to the
+// same table everywhere regardless of arrival order. Suspicion comes from
 // the local detector's soft threshold (health.Config.PhiThreshold/2);
 // confirmed-down comes from the hard threshold (PhiThreshold) or from
-// gossip, and is terminal: it is the runtime's down transition
-// (runtime.DeclareDown, which fails the peer in every layer) on every
-// surviving node.
-//
-// With rejoin enabled (Options.Rejoin), StateDown stops being terminal:
-// entries additionally carry a join *epoch* (wall-clock-derived for real
-// processes, constant in-process), and merge precedence becomes strictly
-// lexicographic on (Epoch, Incarnation, State). Epoch distinguishes the
-// two rebirth shapes — a partition-healed node refutes its own obituary
-// at the *same* epoch with a higher incarnation, while a crash-restarted
-// process joins at a *fresh* epoch that supersedes every entry the old
-// process left behind. Because the precedence relation is a total order
-// on entries, merges converge identically regardless of gossip delivery
-// order. Observing a Down member supersede to Alive is the up edge that
-// drives runtime.DeclareUp (the un-degradation path). See also SWIM's
-// ping-req indirect probing and Lifeguard's local-health multiplier in
-// manager.go, which keep reachable nodes from being convicted at all.
+// gossip, and drives the runtime's down transition (runtime.DeclareDown,
+// which fails the peer in every layer). Down is not terminal: a node
+// convicted across a partition refutes its own obituary at the same epoch
+// with a higher incarnation, a restarted process joins at a fresh epoch,
+// and a member superseding Down with a live entry drives runtime.DeclareUp
+// (the un-degradation path). See also SWIM's ping-req indirect probing and
+// Lifeguard's local-health multiplier in manager.go, which keep reachable
+// nodes from being convicted at all.
 package cluster
 
 import (
@@ -48,7 +38,8 @@ const (
 	// StateSuspect marks accrued-but-refutable silence: the suspected
 	// node bumps its incarnation and gossips alive to clear it.
 	StateSuspect
-	// StateDown is the terminal confirmed-crash verdict.
+	// StateDown is the confirmed-crash verdict. The member itself can
+	// refute it at a higher incarnation (see Manager.Merge).
 	StateDown
 )
 
@@ -73,44 +64,25 @@ type Member struct {
 	ID          int
 	Incarnation uint64
 	// Epoch identifies one process-lifetime of the member: 0 for
-	// in-process clusters and rejoin-disabled nodes, a wall-clock-derived
-	// value for amc-node processes running the rejoin protocol. A fresh
-	// epoch (crash-restart rebirth) supersedes every entry of an older
-	// one; within an epoch, incarnations arbitrate as in classic SWIM.
+	// in-process clusters, a wall-clock-derived value for amc-node
+	// processes. A fresh epoch (crash-restart rebirth) supersedes every
+	// entry of an older one; within an epoch, incarnations arbitrate as
+	// in classic SWIM.
 	Epoch uint64
 	State State
 	Addr  string
 }
 
-// supersedes reports whether a replaces b under SWIM precedence:
-// confirmed-down overrides any incarnation (death is terminal, not
-// refutable — a suspect's incarnation bumps must not outrun its own
-// obituary); otherwise higher incarnation wins, and at equal incarnation
-// the more severe state wins.
+// supersedes reports whether a replaces b: strictly lexicographic on
+// (Epoch, Incarnation, State), a total order. Down is not terminal — a
+// higher epoch (restarted process) or a higher incarnation at the same
+// epoch (partition-healed node refuting its own obituary) overrides it;
+// at equal (epoch, incarnation) the more severe state still wins, which
+// preserves both "suspect beats alive" and "down beats suspect" for
+// rumors about the same lifetime. Totality is what makes merges
+// order-independent: whatever interleaving gossip delivers, every table
+// converges to the per-member maximum.
 func supersedes(a, b Member) bool {
-	if b.State == StateDown {
-		return false
-	}
-	if a.State == StateDown {
-		return true
-	}
-	if a.Incarnation != b.Incarnation {
-		return a.Incarnation > b.Incarnation
-	}
-	return a.State > b.State
-}
-
-// supersedesRejoin is the precedence relation when the rejoin protocol
-// is enabled: strictly lexicographic on (Epoch, Incarnation, State), a
-// total order. Down is no longer terminal — a higher epoch (restarted
-// process) or a higher incarnation at the same epoch (partition-healed
-// node refuting its own obituary) overrides it; at equal (epoch,
-// incarnation) the more severe state still wins, which preserves both
-// "suspect beats alive" and "down beats suspect" for rumors about the
-// same lifetime. Totality is what makes merges order-independent:
-// whatever interleaving gossip delivers, every table converges to the
-// per-member maximum.
-func supersedesRejoin(a, b Member) bool {
 	if a.Epoch != b.Epoch {
 		return a.Epoch > b.Epoch
 	}

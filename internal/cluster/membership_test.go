@@ -86,27 +86,6 @@ func TestMembershipAddrLimit(t *testing.T) {
 
 func TestSupersedes(t *testing.T) {
 	cases := []struct {
-		a, b Member
-		want bool
-	}{
-		// Down is terminal: it wins and cannot be displaced, even by a
-		// higher incarnation.
-		{Member{Incarnation: 2, State: StateAlive}, Member{Incarnation: 1, State: StateDown}, false},
-		{Member{Incarnation: 1, State: StateDown}, Member{Incarnation: 2, State: StateAlive}, true},
-		{Member{Incarnation: 2, State: StateAlive}, Member{Incarnation: 1, State: StateSuspect}, true},
-		{Member{Incarnation: 1, State: StateSuspect}, Member{Incarnation: 1, State: StateAlive}, true},
-		{Member{Incarnation: 1, State: StateDown}, Member{Incarnation: 1, State: StateSuspect}, true},
-		{Member{Incarnation: 1, State: StateAlive}, Member{Incarnation: 1, State: StateAlive}, false},
-	}
-	for i, tc := range cases {
-		if got := supersedes(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: supersedes(%+v, %+v) = %v, want %v", i, tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestSupersedesRejoin(t *testing.T) {
-	cases := []struct {
 		name string
 		a, b Member
 		want bool
@@ -127,13 +106,13 @@ func TestSupersedesRejoin(t *testing.T) {
 		{"equal is not newer", Member{Epoch: 5, Incarnation: 2, State: StateAlive}, Member{Epoch: 5, Incarnation: 2, State: StateAlive}, false},
 	}
 	for _, tc := range cases {
-		if got := supersedesRejoin(tc.a, tc.b); got != tc.want {
-			t.Errorf("%s: supersedesRejoin(%+v, %+v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
+		if got := supersedes(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: supersedes(%+v, %+v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
 		}
 		// Totality: for unequal entries exactly one direction supersedes,
 		// which is what makes merge order-independent.
 		if tc.a != tc.b {
-			fwd, rev := supersedesRejoin(tc.a, tc.b), supersedesRejoin(tc.b, tc.a)
+			fwd, rev := supersedes(tc.a, tc.b), supersedes(tc.b, tc.a)
 			if fwd == rev {
 				t.Errorf("%s: not a total order: fwd=%v rev=%v", tc.name, fwd, rev)
 			}
@@ -162,7 +141,7 @@ func TestRejoinOrderIndependence(t *testing.T) {
 		if k == len(ms) {
 			cur := ms[0]
 			for _, e := range ms[1:] {
-				if supersedesRejoin(e, cur) {
+				if supersedes(e, cur) {
 					cur = e
 				}
 			}

@@ -21,8 +21,8 @@ import (
 )
 
 // Node exit codes. CodeCrashDetected distinguishes a clean fail-fast on
-// a detected peer crash (or on being condemned) from an ordinary error,
-// so drivers and CI can assert the failure path specifically.
+// a detected peer crash from an ordinary error, so drivers and CI can
+// assert the failure path specifically.
 const (
 	CodeOK            = 0
 	CodeError         = 1
@@ -94,12 +94,6 @@ type NodeSpec struct {
 	// starts: the deterministic crash CI and the chaos driver inject.
 	CrashAfter time.Duration
 
-	// Rejoin enables the partition-tolerance protocol: epoch-tagged
-	// membership, resurrection probes, and DeclareUp un-degradation.
-	Rejoin bool
-	// NoIndirectProbes disables SWIM ping-req probing (the baseline arm
-	// of the false-conviction comparison).
-	NoIndirectProbes bool
 	// Partition, when Partition.For > 0 and Partition.Node >= 0, arms a
 	// timed two-way partition on this node's own fabric. Every node of
 	// the run is given the identical schedule, so the cuts agree
@@ -110,8 +104,8 @@ type NodeSpec struct {
 // PartitionSpec schedules a timed two-way network partition, applied
 // identically by every node from its local fault plan. The partition
 // window sits between the health warm-up and the benchmark: the cluster
-// rides out the cut (suspicion, possibly conviction), heals, optionally
-// waits for rejoin convergence, and only then measures throughput — so
+// rides out the cut (suspicion, possibly conviction), heals, waits for
+// rejoin convergence, and only then measures throughput — so
 // the benchmark numbers are the post-heal recovery, not the outage.
 type PartitionSpec struct {
 	// Node is the victim locality; -1 (the default) disables.
@@ -222,7 +216,6 @@ type ClusterResult struct {
 
 	// Partition-tolerance aggregate (present when the run armed a
 	// partition).
-	Rejoin             bool   `json:"rejoin,omitempty"`
 	PartitionMode      string `json:"partition_mode,omitempty"`
 	PartitionNode      int    `json:"partition_node,omitempty"`
 	PartitionForNS     int64  `json:"partition_for_ns,omitempty"`
@@ -291,9 +284,6 @@ func (n *node) rideOutPartition(fabric *network.TCPFabric) {
 	time.Sleep(p.After + p.For + 100*time.Millisecond)
 	fabric.SetFaultHook(nil) // heal applied; drop the hook from the hot path
 
-	if !spec.Rejoin {
-		return
-	}
 	healed := time.Now()
 	mgr := n.svc.Manager(spec.ID)
 	deadline := healed.Add(20 * time.Second)
@@ -424,20 +414,14 @@ func (n *node) run() (int, error) {
 		defer fftComm.Close()
 	}
 
-	var joinEpoch uint64
-	if spec.Rejoin {
+	n.svc = NewService(n.rt, Options{
+		GossipInterval: spec.GossipInterval,
+		AdvertiseAddr:  advertise,
+		AddrBook:       fabric,
+		Seed:           int64(spec.ID) + 1,
 		// Wall-clock epochs make a restarted process supersede every
 		// entry its previous life left behind, without coordination.
-		joinEpoch = uint64(time.Now().UnixMilli())
-	}
-	n.svc = NewService(n.rt, Options{
-		GossipInterval:        spec.GossipInterval,
-		AdvertiseAddr:         advertise,
-		AddrBook:              fabric,
-		Seed:                  int64(spec.ID) + 1,
-		Rejoin:                spec.Rejoin,
-		JoinEpoch:             joinEpoch,
-		DisableIndirectProbes: spec.NoIndirectProbes,
+		JoinEpoch: uint64(time.Now().UnixMilli()),
 	})
 	defer n.svc.Stop()
 	n.rt.SubscribePeer(func(ev runtime.PeerEvent) {
@@ -521,11 +505,6 @@ func (n *node) run() (int, error) {
 			code = CodeCrashDetected
 		}
 	}
-	if n.svc.Manager(spec.ID).Condemned() || n.rt.LocalityDead(spec.ID) {
-		n.logger.Printf("condemned by the cluster: failing fast")
-		return CodeCrashDetected, benchErr
-	}
-
 	if spec.ID == 0 {
 		if err := n.aggregate(mine, g); err != nil && benchErr == nil {
 			return CodeError, err
@@ -641,10 +620,7 @@ func (n *node) aggregate(mine NodeResult, g taskbench.Graph) error {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	agg := ClusterResult{
-		Nodes: n.spec.N, App: n.spec.App, DownNodes: append([]int(nil), down...),
-		Rejoin: n.spec.Rejoin,
-	}
+	agg := ClusterResult{Nodes: n.spec.N, App: n.spec.App, DownNodes: append([]int(nil), down...)}
 	if p := n.spec.Partition; p.For > 0 && p.Node >= 0 {
 		agg.PartitionMode = p.Mode
 		agg.PartitionNode = p.Node

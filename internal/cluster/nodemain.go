@@ -44,8 +44,6 @@ func NodeMain(args []string, stderr io.Writer) int {
 	fs.BoolVar(&spec.Bench.Recover, "recover", false, "re-home a crashed node's tasks instead of failing fast")
 	fs.DurationVar(&spec.Bench.Timeout, "timeout", 60*time.Second, "benchmark run budget")
 	fs.DurationVar(&spec.CrashAfter, "crash-after", 0, "kill this process hard this long after the run starts (fault injection)")
-	fs.BoolVar(&spec.Rejoin, "rejoin", false, "enable the partition-tolerance rejoin protocol (down is no longer terminal)")
-	fs.BoolVar(&spec.NoIndirectProbes, "no-indirect-probes", false, "disable SWIM ping-req indirect probing (false-conviction baseline)")
 	fs.IntVar(&spec.Partition.Node, "partition-node", -1, "victim locality of the timed partition (-1 = none)")
 	fs.DurationVar(&spec.Partition.After, "partition-after", 300*time.Millisecond, "delay from health warm-up to the partition cut")
 	fs.DurationVar(&spec.Partition.For, "partition-for", 0, "partition duration (0 disables)")

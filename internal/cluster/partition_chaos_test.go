@@ -81,7 +81,7 @@ func TestChaosPartitionHealUndegrades(t *testing.T) {
 		t.Skip("timing-sensitive chaos test")
 	}
 	const n = 3
-	rig := newPartitionRig(t, n, Options{GossipInterval: 5 * time.Millisecond, Rejoin: true}, chaosHealth(150*time.Millisecond))
+	rig := newPartitionRig(t, n, Options{GossipInterval: 5 * time.Millisecond}, chaosHealth(150*time.Millisecond))
 
 	rig.plan.PartitionPair(2, 0)
 	rig.plan.PartitionPair(2, 1)
@@ -175,7 +175,7 @@ func TestChaosExactlyOnceAcrossPartitionHeal(t *testing.T) {
 	const n = 3
 	// Grace beyond the outage keeps the detector honest but quiet; the
 	// probes are still armed should suspicion flare late.
-	rig := newPartitionRig(t, n, Options{GossipInterval: 5 * time.Millisecond, Rejoin: true}, chaosHealth(600*time.Millisecond))
+	rig := newPartitionRig(t, n, Options{GossipInterval: 5 * time.Millisecond}, chaosHealth(600*time.Millisecond))
 
 	b, err := taskbench.New(rig.rt, taskbench.Options{Timeout: 30 * time.Second})
 	if err != nil {

@@ -7,10 +7,11 @@
 #                 via gossiped membership and exit with code 3
 #   3. recover:   same kill with -recover; survivors re-home the dead
 #                 node's partition and exit 0 with the full graph done
-#   4. partition-heal: node 2 is fully partitioned for 1.2s with -rejoin;
-#                 the cluster convicts it, the partition heals, the node
-#                 rebirths and every node converges back before running
-#                 the graph to completion (exit 0 each)
+#   4. partition-heal: node 2 is fully partitioned for 1.2s; the
+#                 cluster convicts it, the partition heals, the node
+#                 refutes its obituary (a rebirth) and every node
+#                 converges back before running the graph to completion
+#                 (exit 0 each)
 #
 # Exits non-zero on the first scenario that misbehaves.
 set -euo pipefail
@@ -94,7 +95,7 @@ grep -q '"completed": true' "$WORK/recover/cluster.json" \
 echo "ok: survivors re-homed the dead partition and completed (exit 0)"
 
 echo "== scenario 4: partition node 2, heal, rejoin =="
-run_cluster partition "${GRAPH[@]}" -steps 32 -rejoin \
+run_cluster partition "${GRAPH[@]}" -steps 32 \
     -partition-node 2 -partition-after 300ms -partition-for 1200ms -partition-mode full
 expect_code partition 0 0; expect_code partition 1 0; expect_code partition 2 0
 grep -q '"completed": true' "$WORK/partition/cluster.json" \

@@ -84,7 +84,10 @@ func TestMembershipAddrLimit(t *testing.T) {
 	}
 }
 
-func TestSupersedes(t *testing.T) {
+// TestSupersedesRejoin checks the one precedence, the (Epoch,
+// Incarnation, State) order under which a conviction can be undone by
+// a rejoin.
+func TestSupersedesRejoin(t *testing.T) {
 	cases := []struct {
 		name string
 		a, b Member

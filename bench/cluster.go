@@ -1,14 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -25,16 +19,6 @@ type ClusterConfig struct {
 	Quick bool
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// RunTimeout bounds one whole cluster run, spawn to exit
-	// (default 120s).
-	RunTimeout time.Duration
-}
-
-func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.RunTimeout <= 0 {
-		c.RunTimeout = 120 * time.Second
-	}
-	return c
 }
 
 func (c ClusterConfig) logf(format string, args ...any) {
@@ -103,62 +87,44 @@ type ClusterSuiteResult struct {
 	PartitionHeal []ClusterPartitionPoint `json:"partition_heal,omitempty"`
 }
 
-// ClusterRunError carries the forensics of a failed multi-process run —
-// every node's exit code and the tail of its stderr — so the driver can
-// embed them in the partial report instead of asking the operator to
-// reproduce a flaky multi-process timeout by hand.
-type ClusterRunError struct {
-	Reason      string
-	Exits       []int
-	StderrTails map[int]string
+// suiteNodes describes an n-node suite run of bench: a 30 s join
+// barrier and a 90 s run budget, so cluster.Launch gives the run 120 s.
+func suiteNodes(n int, bench cluster.BenchSpec) []cluster.NodeSpec {
+	bench.Timeout = 90 * time.Second
+	nodes := make([]cluster.NodeSpec, n)
+	for i := range nodes {
+		nodes[i] = cluster.NodeSpec{JoinTimeout: 30 * time.Second, Bench: bench}
+	}
+	return nodes
 }
 
-func (e *ClusterRunError) Error() string {
-	return fmt.Sprintf("bench: %s (exits %v)", e.Reason, e.Exits)
-}
-
-// clusterRun parameterizes one multi-process execution.
-type clusterRun struct {
-	nodes          int
-	pattern        string
-	width          int
-	steps          int
-	iterations     int
-	outputBytes    int
-	recover        bool
-	crashNode      int           // -1: no crash
-	crashAfter     time.Duration // delay before the injected kill
-	partitionNode  int           // victim of the timed partition
-	partitionAfter time.Duration // warm-up → cut delay
-	partitionFor   time.Duration // cut duration; 0 disables the partition
-	partitionMode  string        // pair | full
+// withPartition gives every node of a run the same partition schedule.
+func withPartition(nodes []cluster.NodeSpec, p cluster.PartitionSpec) []cluster.NodeSpec {
+	for i := range nodes {
+		nodes[i].Partition = p
+	}
+	return nodes
 }
 
 // RunClusterSuite executes the weak- and strong-scaling sweeps (plus the
 // crash-recovery run) and returns the aggregate. Quick mode runs a
 // single tiny three-node cluster.
 func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.NodeCommand) == 0 {
 		return ClusterSuiteResult{}, fmt.Errorf("bench: cluster suite needs a node command")
 	}
 	var out ClusterSuiteResult
 
 	if cfg.Quick {
-		p, err := cfg.measure(clusterRun{
-			nodes: 3, pattern: "stencil_1d", width: 6, steps: 16,
-			outputBytes: 64, crashNode: -1,
-		})
+		tiny := cluster.BenchSpec{Pattern: "stencil_1d", Width: 6, Steps: 16, OutputBytes: 64}
+		p, err := cfg.measure(suiteNodes(3, tiny))
 		if err != nil {
 			return out, err
 		}
 		out.WeakScaling = append(out.WeakScaling, p)
-		pp, err := cfg.measurePartition("pair-probes", clusterRun{
-			nodes: 3, pattern: "stencil_1d", width: 6, steps: 16,
-			outputBytes: 64, crashNode: -1,
-			partitionNode: 2, partitionAfter: 200 * time.Millisecond,
-			partitionFor: 500 * time.Millisecond, partitionMode: "pair",
-		})
+		pp, err := cfg.measurePartition("pair-probes", withPartition(suiteNodes(3, tiny), cluster.PartitionSpec{
+			Node: 2, After: 200 * time.Millisecond, For: 500 * time.Millisecond, Mode: "pair",
+		}))
 		if err != nil {
 			return out, err
 		}
@@ -168,10 +134,9 @@ func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
 
 	// Weak scaling: per-node work held at 16 points.
 	for _, n := range []int{2, 3, 4} {
-		p, err := cfg.measure(clusterRun{
-			nodes: n, pattern: "stencil_1d", width: 16 * n, steps: 64,
-			iterations: 500, outputBytes: 256, crashNode: -1,
-		})
+		p, err := cfg.measure(suiteNodes(n, cluster.BenchSpec{
+			Pattern: "stencil_1d", Width: 16 * n, Steps: 64, Iterations: 500, OutputBytes: 256,
+		}))
 		if err != nil {
 			return out, err
 		}
@@ -180,10 +145,9 @@ func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
 
 	// Strong scaling: total work held at 48 points.
 	for _, n := range []int{2, 4} {
-		p, err := cfg.measure(clusterRun{
-			nodes: n, pattern: "stencil_1d", width: 48, steps: 64,
-			iterations: 500, outputBytes: 256, crashNode: -1,
-		})
+		p, err := cfg.measure(suiteNodes(n, cluster.BenchSpec{
+			Pattern: "stencil_1d", Width: 48, Steps: 64, Iterations: 500, OutputBytes: 256,
+		}))
 		if err != nil {
 			return out, err
 		}
@@ -200,22 +164,15 @@ func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
 	// link with indirect probes routing around it and (b) a full
 	// isolation long enough that a conviction is guaranteed and only the
 	// rejoin protocol restores the cluster.
-	base := clusterRun{
-		nodes: 3, pattern: "stencil_1d", width: 24, steps: 32,
-		iterations: 200, outputBytes: 256, crashNode: -1,
-		partitionNode: 2, partitionAfter: 300 * time.Millisecond,
-		partitionMode: "pair",
-	}
+	graph := cluster.BenchSpec{Pattern: "stencil_1d", Width: 24, Steps: 32, Iterations: 200, OutputBytes: 256}
 	for _, sc := range []struct {
 		name string
-		mut  func(*clusterRun)
+		p    cluster.PartitionSpec
 	}{
-		{"pair-probes", func(r *clusterRun) { r.partitionFor = 800 * time.Millisecond }},
-		{"full-rejoin", func(r *clusterRun) { r.partitionFor = 1500 * time.Millisecond; r.partitionMode = "full" }},
+		{"pair-probes", cluster.PartitionSpec{Node: 2, After: 300 * time.Millisecond, For: 800 * time.Millisecond, Mode: "pair"}},
+		{"full-rejoin", cluster.PartitionSpec{Node: 2, After: 300 * time.Millisecond, For: 1500 * time.Millisecond, Mode: "full"}},
 	} {
-		r := base
-		sc.mut(&r)
-		pp, err := cfg.measurePartition(sc.name, r)
+		pp, err := cfg.measurePartition(sc.name, withPartition(suiteNodes(3, graph), sc.p))
 		if err != nil {
 			return out, err
 		}
@@ -225,12 +182,14 @@ func RunClusterSuite(cfg ClusterConfig) (ClusterSuiteResult, error) {
 }
 
 // measure runs one cluster and distills the aggregate JSON node 0 wrote.
-func (c ClusterConfig) measure(r clusterRun) (ClusterPoint, error) {
-	c.logf("cluster: %d nodes, %s width=%d steps=%d", r.nodes, r.pattern, r.width, r.steps)
-	agg, _, err := c.runCluster(r)
+func (c ClusterConfig) measure(nodes []cluster.NodeSpec) (ClusterPoint, error) {
+	b := nodes[0].Bench
+	c.logf("cluster: %d nodes, %s width=%d steps=%d", len(nodes), b.Pattern, b.Width, b.Steps)
+	res, err := cluster.Launch(c.NodeCommand, nodes, os.Stderr)
 	if err != nil {
 		return ClusterPoint{}, err
 	}
+	agg := res.Result
 	p := ClusterPoint{
 		Nodes: agg.Nodes, Pattern: agg.Pattern, Width: agg.Width, Steps: agg.Steps,
 		Iterations: agg.Iterations, TotalTasks: agg.TotalTasks, TasksRun: agg.TasksRun,
@@ -241,7 +200,7 @@ func (c ClusterConfig) measure(r clusterRun) (ClusterPoint, error) {
 		p.TasksPerSec = float64(agg.TasksRun) / (float64(agg.MaxWallNS) / 1e9)
 	}
 	if !p.Completed {
-		return p, fmt.Errorf("bench: %d-node cluster ran %d/%d tasks", r.nodes, p.TasksRun, p.TotalTasks)
+		return p, fmt.Errorf("bench: %d-node cluster ran %d/%d tasks", len(nodes), p.TasksRun, p.TotalTasks)
 	}
 	c.logf("cluster: done in %.1fms (%d tasks, %.0f tasks/s)", p.WallMS, p.TasksRun, p.TasksPerSec)
 	return p, nil
@@ -251,29 +210,30 @@ func (c ClusterConfig) measure(r clusterRun) (ClusterPoint, error) {
 // survivors must detect the crash via gossiped membership, re-home the
 // dead node's partition, and still complete the whole graph.
 func (c ClusterConfig) measureRecovery() (ClusterRecovery, error) {
-	r := clusterRun{
-		nodes: 3, pattern: "stencil_1d", width: 24, steps: 4000,
-		iterations: 2000, outputBytes: 256, recover: true,
-		crashNode: 2, crashAfter: 300 * time.Millisecond,
-	}
-	c.logf("cluster: recovery run, killing node %d after %s", r.crashNode, r.crashAfter)
-	agg, codes, err := c.runCluster(r)
+	const crashed = 2
+	nodes := suiteNodes(3, cluster.BenchSpec{
+		Pattern: "stencil_1d", Width: 24, Steps: 4000, Iterations: 2000, OutputBytes: 256, Recover: true,
+	})
+	nodes[crashed].CrashAfter = 300 * time.Millisecond
+	c.logf("cluster: recovery run, killing node %d after %s", crashed, nodes[crashed].CrashAfter)
+	res, err := cluster.Launch(c.NodeCommand, nodes, os.Stderr)
 	if err != nil {
 		return ClusterRecovery{}, err
 	}
+	agg := res.Result
 	rec := ClusterRecovery{
-		Nodes: r.nodes, CrashedNode: r.crashNode,
+		Nodes: len(nodes), CrashedNode: crashed,
 		Completed: agg.Completed, TotalTasks: agg.TotalTasks, TasksRun: agg.TasksRun,
 		WallMS: float64(agg.MaxWallNS) / 1e6,
 	}
 	for _, d := range agg.DownNodes {
-		if d == r.crashNode {
+		if d == crashed {
 			rec.Detected = true
 		}
 	}
 	if !rec.Detected || !rec.Completed {
 		return rec, fmt.Errorf("bench: recovery run detected=%v completed=%v (%d/%d tasks, exits %v)",
-			rec.Detected, rec.Completed, rec.TasksRun, rec.TotalTasks, codes)
+			rec.Detected, rec.Completed, rec.TasksRun, rec.TotalTasks, res.Exits)
 	}
 	c.logf("cluster: recovered in %.1fms (%d/%d tasks)", rec.WallMS, rec.TasksRun, rec.TotalTasks)
 	return rec, nil
@@ -283,13 +243,14 @@ func (c ClusterConfig) measureRecovery() (ClusterRecovery, error) {
 // the identical fault schedule locally after the join barrier, rides
 // out the cut, converges back (rejoin), and only then runs the
 // benchmark — so WallMS/TasksPerSec measure post-heal recovery.
-func (c ClusterConfig) measurePartition(scenario string, r clusterRun) (ClusterPartitionPoint, error) {
-	c.logf("cluster: partition scenario %s (%s, node %d cut for %s)",
-		scenario, r.partitionMode, r.partitionNode, r.partitionFor)
-	agg, _, err := c.runCluster(r)
+func (c ClusterConfig) measurePartition(scenario string, nodes []cluster.NodeSpec) (ClusterPartitionPoint, error) {
+	cut := nodes[0].Partition
+	c.logf("cluster: partition scenario %s (%s, node %d cut for %s)", scenario, cut.Mode, cut.Node, cut.For)
+	res, err := cluster.Launch(c.NodeCommand, nodes, os.Stderr)
 	if err != nil {
 		return ClusterPartitionPoint{}, err
 	}
+	agg := res.Result
 	p := ClusterPartitionPoint{
 		Scenario: scenario, Nodes: agg.Nodes, Mode: agg.PartitionMode,
 		PartitionNode: agg.PartitionNode, PartitionForMS: float64(agg.PartitionForNS) / 1e6,
@@ -310,202 +271,4 @@ func (c ClusterConfig) measurePartition(scenario string, r clusterRun) (ClusterP
 	c.logf("cluster: %s done — %d/%d probes acked, %d suspicions, %d convictions, %d rebirths, rejoin %.1fms, %.0f tasks/s post-heal",
 		scenario, p.ProbeAcks, p.ProbesSent, p.Suspicions, p.Convictions, p.Rebirths, p.MaxRejoinLatencyMS, p.TasksPerSec)
 	return p, nil
-}
-
-// runCluster spawns r.nodes amc-node processes over loopback TCP with
-// ephemeral ports — node 0 first (its bound address, learned through an
-// address file, seeds the rest) — waits for them, and returns the
-// aggregate node 0 wrote plus every node's exit code.
-func (c ClusterConfig) runCluster(r clusterRun) (cluster.ClusterResult, []int, error) {
-	dir, err := os.MkdirTemp("", "amc-cluster-")
-	if err != nil {
-		return cluster.ClusterResult{}, nil, err
-	}
-	defer os.RemoveAll(dir)
-	addrFile := filepath.Join(dir, "node0.addr")
-	resultFile := filepath.Join(dir, "cluster.json")
-
-	nodeArgs := func(id int, seed string) []string {
-		args := append([]string(nil), c.NodeCommand[1:]...)
-		args = append(args,
-			"-id", strconv.Itoa(id), "-n", strconv.Itoa(r.nodes),
-			"-bind", "127.0.0.1:0",
-			"-pattern", r.pattern,
-			"-width", strconv.Itoa(r.width),
-			"-steps", strconv.Itoa(r.steps),
-			"-iterations", strconv.Itoa(r.iterations),
-			"-output-bytes", strconv.Itoa(r.outputBytes),
-			"-join-timeout", "30s",
-			"-timeout", (c.RunTimeout - 30*time.Second).String(),
-		)
-		if r.recover {
-			args = append(args, "-recover")
-		}
-		if r.partitionFor > 0 {
-			args = append(args,
-				"-partition-node", strconv.Itoa(r.partitionNode),
-				"-partition-after", r.partitionAfter.String(),
-				"-partition-for", r.partitionFor.String(),
-				"-partition-mode", r.partitionMode,
-			)
-		}
-		if id == 0 {
-			args = append(args, "-addr-file", addrFile, "-result", resultFile)
-		} else {
-			args = append(args, "-seeds", seed)
-		}
-		if id == r.crashNode && r.crashAfter > 0 {
-			args = append(args, "-crash-after", r.crashAfter.String())
-		}
-		return args
-	}
-
-	procs := make([]*exec.Cmd, r.nodes)
-	tails := make([]*tailWriter, r.nodes)
-	codes := make([]int, r.nodes)
-	start := func(id int, seed string) error {
-		tw := newTailWriter(os.Stderr, nodeStderrTailBytes)
-		cmd := exec.Command(c.NodeCommand[0], nodeArgs(id, seed)...)
-		cmd.Stdout = tw
-		cmd.Stderr = tw
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("bench: starting node %d: %w", id, err)
-		}
-		procs[id] = cmd
-		tails[id] = tw
-		return nil
-	}
-	kill := func() {
-		for _, p := range procs {
-			if p != nil && p.Process != nil {
-				_ = p.Process.Kill()
-			}
-		}
-	}
-	// runErr wraps a failure with every node's exit code and stderr tail
-	// so the driver can report the forensics instead of just "timed out".
-	runErr := func(reason string) error {
-		e := &ClusterRunError{Reason: reason, Exits: append([]int(nil), codes...), StderrTails: map[int]string{}}
-		for id, tw := range tails {
-			if tw != nil {
-				if tail := tw.Tail(); tail != "" {
-					e.StderrTails[id] = tail
-				}
-			}
-		}
-		return e
-	}
-
-	if err := start(0, ""); err != nil {
-		return cluster.ClusterResult{}, nil, err
-	}
-	addr, err := awaitFile(addrFile, 15*time.Second)
-	if err != nil {
-		kill()
-		_ = procs[0].Wait()
-		return cluster.ClusterResult{}, nil, runErr(fmt.Sprintf("node 0 never published its address: %v", err))
-	}
-	seed := "0@" + addr
-	for id := 1; id < r.nodes; id++ {
-		if err := start(id, seed); err != nil {
-			kill()
-			return cluster.ClusterResult{}, nil, err
-		}
-	}
-
-	done := make(chan struct{})
-	go func() {
-		for id, p := range procs {
-			err := p.Wait()
-			codes[id] = 0
-			if ee, ok := err.(*exec.ExitError); ok {
-				codes[id] = ee.ExitCode()
-			} else if err != nil {
-				codes[id] = -1
-			}
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(c.RunTimeout):
-		kill()
-		<-done
-		return cluster.ClusterResult{}, codes, runErr(fmt.Sprintf("cluster run exceeded %s", c.RunTimeout))
-	}
-
-	for id, code := range codes {
-		if id == r.crashNode {
-			continue // hard-killed by design; any nonzero exit is fine
-		}
-		if code != 0 {
-			return cluster.ClusterResult{}, codes, runErr(fmt.Sprintf("node %d exited %d", id, code))
-		}
-	}
-
-	data, err := os.ReadFile(resultFile)
-	if err != nil {
-		return cluster.ClusterResult{}, codes, runErr(fmt.Sprintf("node 0 wrote no result: %v", err))
-	}
-	var agg cluster.ClusterResult
-	if err := json.Unmarshal(data, &agg); err != nil {
-		return cluster.ClusterResult{}, codes, fmt.Errorf("bench: bad cluster result: %w", err)
-	}
-	return agg, codes, nil
-}
-
-// nodeStderrTailBytes bounds how much of each node's output is retained
-// for post-mortem reporting.
-const nodeStderrTailBytes = 4096
-
-// tailWriter tees a node's output to the suite's stderr while retaining
-// the last nodeStderrTailBytes for attachment to a ClusterRunError.
-type tailWriter struct {
-	mu  sync.Mutex
-	tee io.Writer
-	buf []byte
-	max int
-}
-
-func newTailWriter(tee io.Writer, max int) *tailWriter {
-	return &tailWriter{tee: tee, max: max}
-}
-
-func (t *tailWriter) Write(p []byte) (int, error) {
-	n, err := t.tee.Write(p)
-	t.mu.Lock()
-	t.buf = append(t.buf, p[:n]...)
-	if len(t.buf) > t.max {
-		t.buf = append(t.buf[:0], t.buf[len(t.buf)-t.max:]...)
-	}
-	t.mu.Unlock()
-	return n, err
-}
-
-func (t *tailWriter) Tail() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return string(t.buf)
-}
-
-// awaitFile polls until path exists with content, returning its first
-// line trimmed.
-func awaitFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		data, err := os.ReadFile(path)
-		if err == nil && len(data) > 0 {
-			s := string(data)
-			for i := 0; i < len(s); i++ {
-				if s[i] == '\n' || s[i] == '\r' {
-					return s[:i], nil
-				}
-			}
-			return s, nil
-		}
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("timed out after %s", timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }

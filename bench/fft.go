@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -33,15 +29,6 @@ type FFTConfig struct {
 	Quick bool
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// RunTimeout bounds one cluster run, spawn to exit (default 120s).
-	RunTimeout time.Duration
-}
-
-func (c FFTConfig) withDefaults() FFTConfig {
-	if c.RunTimeout <= 0 {
-		c.RunTimeout = 120 * time.Second
-	}
-	return c
 }
 
 func (c FFTConfig) logf(format string, args ...any) {
@@ -141,7 +128,6 @@ type fftGrid struct{ rows, cols int }
 
 // RunFFTSuite executes the in-process sweep and the cluster stage.
 func RunFFTSuite(cfg FFTConfig) (FFTSuiteResult, error) {
-	cfg = cfg.withDefaults()
 	var out FFTSuiteResult
 
 	const localities = 4
@@ -383,111 +369,24 @@ func fftRingWins(points []FFTPoint) []FFTComparison {
 	return wins
 }
 
-// measureFFTCluster spawns r.Nodes amc-node processes running the FFT
-// app over loopback TCP (node 0 seeds the rest through an address file)
-// and distills the aggregate node 0 wrote.
+// measureFFTCluster runs r.Nodes amc-node processes of the FFT app over
+// loopback TCP and distills the aggregate node 0 wrote.
 func (c FFTConfig) measureFFTCluster(r FFTClusterPoint) (FFTClusterPoint, error) {
 	c.logf("fft cluster: %d nodes, %s %dx%d coalesce=%d", r.Nodes, r.Algorithm, r.Rows, r.Cols, r.CoalesceParcels)
-	dir, err := os.MkdirTemp("", "amc-fft-")
-	if err != nil {
-		return r, err
-	}
-	defer os.RemoveAll(dir)
-	addrFile := filepath.Join(dir, "node0.addr")
-	resultFile := filepath.Join(dir, "cluster.json")
-
-	nodeArgs := func(id int, seed string) []string {
-		args := append([]string(nil), c.NodeCommand[1:]...)
-		args = append(args,
-			"-id", strconv.Itoa(id), "-n", strconv.Itoa(r.Nodes),
-			"-bind", "127.0.0.1:0",
-			"-app", "fft",
-			"-fft-rows", strconv.Itoa(r.Rows),
-			"-fft-cols", strconv.Itoa(r.Cols),
-			"-fft-alg", r.Algorithm,
-			"-fft-iterations", "2",
-			"-join-timeout", "30s",
-			"-timeout", (c.RunTimeout - 30*time.Second).String(),
-		)
+	nodes := suiteNodes(r.Nodes, cluster.BenchSpec{})
+	for i := range nodes {
+		nodes[i].App = "fft"
+		nodes[i].FFT = cluster.FFTSpec{Rows: r.Rows, Cols: r.Cols, Alg: r.Algorithm, Iterations: 2}
 		if r.CoalesceParcels > 0 {
-			args = append(args,
-				"-fft-coalesce-parcels", strconv.Itoa(r.CoalesceParcels),
-				"-fft-coalesce-interval", "200µs")
-		}
-		if id == 0 {
-			args = append(args, "-addr-file", addrFile, "-result", resultFile)
-		} else {
-			args = append(args, "-seeds", seed)
-		}
-		return args
-	}
-
-	procs := make([]*exec.Cmd, r.Nodes)
-	start := func(id int, seed string) error {
-		cmd := exec.Command(c.NodeCommand[0], nodeArgs(id, seed)...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("bench: starting fft node %d: %w", id, err)
-		}
-		procs[id] = cmd
-		return nil
-	}
-	kill := func() {
-		for _, p := range procs {
-			if p != nil && p.Process != nil {
-				_ = p.Process.Kill()
-			}
+			nodes[i].FFT.CoalesceParcels = r.CoalesceParcels
+			nodes[i].FFT.CoalesceInterval = 200 * time.Microsecond
 		}
 	}
-
-	if err := start(0, ""); err != nil {
-		return r, err
-	}
-	addr, err := awaitFile(addrFile, 15*time.Second)
-	if err != nil {
-		kill()
-		_ = procs[0].Wait()
-		return r, fmt.Errorf("bench: fft node 0 never published its address: %w", err)
-	}
-	for id := 1; id < r.Nodes; id++ {
-		if err := start(id, "0@"+addr); err != nil {
-			kill()
-			return r, err
-		}
-	}
-
-	codes := make([]int, r.Nodes)
-	done := make(chan struct{})
-	go func() {
-		for id, p := range procs {
-			err := p.Wait()
-			codes[id] = 0
-			if ee, ok := err.(*exec.ExitError); ok {
-				codes[id] = ee.ExitCode()
-			} else if err != nil {
-				codes[id] = -1
-			}
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(c.RunTimeout):
-		kill()
-		<-done
-		return r, fmt.Errorf("bench: fft cluster run exceeded %s (exits %v)", c.RunTimeout, codes)
-	}
-	for id, code := range codes {
-		if code != 0 {
-			return r, fmt.Errorf("bench: fft node %d exited %d", id, code)
-		}
-	}
-
-	agg, err := readClusterResult(resultFile)
+	res, err := cluster.Launch(c.NodeCommand, nodes, os.Stderr)
 	if err != nil {
 		return r, err
 	}
+	agg := res.Result
 	r.Completed = agg.Completed
 	r.Verified = agg.Verified
 	r.WallMS = float64(agg.MaxWallNS) / 1e6
@@ -504,17 +403,4 @@ func (c FFTConfig) measureFFTCluster(r FFTClusterPoint) (FFTClusterPoint, error)
 	}
 	c.logf("fft cluster: %s done in %.1fms verified=%v", r.Algorithm, r.WallMS, r.Verified)
 	return r, nil
-}
-
-// readClusterResult loads the aggregate JSON node 0 wrote.
-func readClusterResult(path string) (cluster.ClusterResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return cluster.ClusterResult{}, fmt.Errorf("bench: fft node 0 wrote no result: %w", err)
-	}
-	var agg cluster.ClusterResult
-	if err := json.Unmarshal(data, &agg); err != nil {
-		return cluster.ClusterResult{}, fmt.Errorf("bench: bad fft cluster result: %w", err)
-	}
-	return agg, nil
 }

@@ -447,10 +447,7 @@ func runCluster(out string, opts options) error {
 	res, err := bench.RunClusterSuite(cfg)
 	rep.Cluster = res // partial sweep progress is meaningful even on error
 	if err != nil {
-		var cre *bench.ClusterRunError
-		if errors.As(err, &cre) {
-			rep.NodeStderrTails = cre.StderrTails
-		}
+		rep.NodeStderrTails = nodeTails(err)
 		return failPartial(out, &rep, &rep.partialStatus, err)
 	}
 	rep.AllCompleted = true
@@ -494,6 +491,9 @@ type fftReport struct {
 	AllVerified       bool `json:"all_verified"`
 	RingBeatsDirectOK bool `json:"ring_beats_direct"`
 	ClusterVerifiedOK bool `json:"cluster_verified"`
+	// NodeStderrTails, present only on failure, holds the tail of each
+	// node's output from the cluster run that killed the suite.
+	NodeStderrTails map[int]string `json:"node_stderr_tails,omitempty"`
 }
 
 func runFFT(out string, opts options) error {
@@ -518,6 +518,7 @@ func runFFT(out string, opts options) error {
 	res, err := bench.RunFFTSuite(cfg)
 	rep.FFT = res // partial sweep progress is meaningful even on error
 	if err != nil {
+		rep.NodeStderrTails = nodeTails(err)
 		return failPartial(out, &rep, &rep.partialStatus, err)
 	}
 	rep.AllVerified = len(res.Points) > 0
@@ -542,6 +543,16 @@ func runFFT(out string, opts options) error {
 	fmt.Fprintf(statusW(out), "wrote %s (%d sweep cells, %d cluster runs, all verified=%v, ring beats direct=%v)\n",
 		out, len(rep.FFT.Points), len(rep.FFT.Cluster), rep.AllVerified, rep.RingBeatsDirectOK)
 	return requireOK(field{"all_verified", rep.AllVerified}, field{"cluster_verified", rep.ClusterVerifiedOK})
+}
+
+// nodeTails is the per-node output tails of a failed cluster run in
+// err's chain, nil if err holds none.
+func nodeTails(err error) map[int]string {
+	var le *cluster.LaunchError
+	if errors.As(err, &le) {
+		return le.Tails
+	}
+	return nil
 }
 
 // failPartial writes the partial report with its marker set and returns

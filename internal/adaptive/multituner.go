@@ -192,15 +192,8 @@ func (t *MultiTuner) run() {
 		}
 		prevParcels = curParcels
 
-		if window.Tasks < t.cfg.MinWindowTasks || total == 0 {
-			// Quiet window: no information; reset baselines so a new
-			// phase is judged fresh.
-			t.mu.Lock()
-			for _, cl := range t.tracked {
-				cl.prevOH = -1
-			}
-			t.global.reset()
-			t.mu.Unlock()
+		if window.Tasks < t.cfg.MinWindowTasks {
+			t.quiet()
 			continue
 		}
 		overhead := window.NetworkOverhead()
@@ -208,6 +201,10 @@ func (t *MultiTuner) run() {
 		if err != nil {
 			t.fail(GlobalDest, overhead, coalescing.Params{}, err)
 			return
+		}
+		if total == 0 {
+			t.quiet()
+			continue
 		}
 
 		hot, stop := t.tickDests(seq, overhead, total, deltas, global)
@@ -224,6 +221,17 @@ func (t *MultiTuner) run() {
 			t.mu.Unlock()
 		}
 	}
+}
+
+// quiet judges a window that carries no information: it resets the
+// baselines so a new phase is judged fresh.
+func (t *MultiTuner) quiet() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, cl := range t.tracked {
+		cl.prevOH = -1
+	}
+	t.global.reset()
 }
 
 // tickDests runs one window of per-destination coordinate descent. It

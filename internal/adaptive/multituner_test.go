@@ -78,6 +78,46 @@ func TestOverheadTunerErrSurfacesRuntimeFailure(t *testing.T) {
 	}
 }
 
+func TestMultiTunerErrSurfacesRuntimeFailure(t *testing.T) {
+	// The same uncoalesced action under the MultiTuner: it has no
+	// coalescers, so no window carries per-destination parcels, and the
+	// runtime's refusal must still terminate the loop with an error.
+	rt := newToyRuntime(t, coalescing.Params{NParcels: 4, Interval: time.Millisecond})
+	tuner := NewMultiTuner(rt, "never-coalesced", MultiTunerConfig{
+		SampleInterval: 5 * time.Millisecond,
+		MinWindowTasks: 1,
+	})
+	tuner.Start()
+	if _, err := toy.RunOn(rt, toy.Config{
+		Localities:      2,
+		ParcelsPerPhase: 500,
+		Phases:          1,
+		Params:          coalescing.Params{NParcels: 4, Interval: time.Millisecond},
+		CostModel:       quickModel(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for tuner.Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	tuner.Stop()
+	if tuner.Err() == nil {
+		t.Fatal("Err() == nil after sampling an uncoalesced action")
+	}
+	ds := tuner.Decisions()
+	if len(ds) == 0 {
+		t.Fatal("no terminal decision recorded")
+	}
+	last := ds[len(ds)-1]
+	if !strings.Contains(last.Reason, "terminated:") || last.Dest != GlobalDest {
+		t.Errorf("terminal decision = %+v", last)
+	}
+	if tuner.DecisionCount() != int64(len(ds)) {
+		t.Errorf("DecisionCount = %d, retained %d", tuner.DecisionCount(), len(ds))
+	}
+}
+
 func TestPICSTunerEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string

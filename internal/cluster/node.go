@@ -62,8 +62,8 @@ type FFTSpec struct {
 type NodeSpec struct {
 	// ID is the hosted locality; N is the cluster size.
 	ID, N int
-	// Bind is the listen address (e.g. "127.0.0.1:9000", ":0" for an
-	// ephemeral port); Advertise overrides the address gossiped to peers
+	// Bind is the listen address (default "127.0.0.1:0", an ephemeral
+	// loopback port; ":0" binds every interface); Advertise overrides the address gossiped to peers
 	// (defaults to the bound address).
 	Bind, Advertise string
 	// Seeds are the bootstrap contacts. Node 0 conventionally runs with
@@ -108,17 +108,23 @@ type NodeSpec struct {
 // rejoin convergence, and only then measures throughput — so
 // the benchmark numbers are the post-heal recovery, not the outage.
 type PartitionSpec struct {
-	// Node is the victim locality; -1 (the default) disables.
+	// Node is the victim locality; -1 (amc-node's default) disables.
 	Node int
 	// After delays the cut from the moment the schedule is armed (just
-	// after health warm-up); For bounds the outage. For <= 0 disables.
+	// after health warm-up; default 300ms); For bounds the outage.
+	// For <= 0 disables.
 	After, For time.Duration
 	// Mode is "pair" (cut Node↔0 only, leaving relay paths for indirect
 	// probes) or "full" (isolate Node from every peer).
 	Mode string
 }
 
+// withDefaults fills every unset field with its default; amc-node's
+// flag defaults are read from NodeSpec{}.withDefaults() (nodemain.go).
 func (s NodeSpec) withDefaults() NodeSpec {
+	if s.Bind == "" {
+		s.Bind = "127.0.0.1:0"
+	}
 	if s.Workers <= 0 {
 		s.Workers = 2
 	}
@@ -163,6 +169,12 @@ func (s NodeSpec) withDefaults() NodeSpec {
 	}
 	if s.FFT.Iterations <= 0 {
 		s.FFT.Iterations = 2
+	}
+	if s.FFT.CoalesceInterval <= 0 {
+		s.FFT.CoalesceInterval = time.Millisecond
+	}
+	if s.Partition.After <= 0 {
+		s.Partition.After = 300 * time.Millisecond
 	}
 	if s.Partition.Mode == "" {
 		s.Partition.Mode = "pair"

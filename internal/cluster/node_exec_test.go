@@ -1,11 +1,9 @@
 package cluster_test
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,130 +43,52 @@ func nodeBin(t *testing.T) string {
 	return nodeBinPath
 }
 
-// nodeProc is one spawned amc-node with its captured stderr.
-type nodeProc struct {
-	cmd    *exec.Cmd
-	stderr strings.Builder
-	code   int
-}
-
-type execCluster struct {
-	t       *testing.T
-	dir     string
-	bin     string
-	n       int
-	procs   []*nodeProc
-	resFile string
-}
-
-// startExecCluster launches an n-node cluster on ephemeral loopback
-// ports: node 0 first (its address file seeds the rest). extra(id)
-// returns per-node additional flags.
-func startExecCluster(t *testing.T, n int, extra func(id int) []string) *execCluster {
+// launchExec runs one amc-node process per spec through cluster.Launch
+// and prints every node's output if the test fails.
+func launchExec(t *testing.T, nodes []cluster.NodeSpec) cluster.Launched {
 	t.Helper()
-	c := &execCluster{t: t, dir: t.TempDir(), bin: nodeBin(t), n: n, procs: make([]*nodeProc, n)}
-	c.resFile = filepath.Join(c.dir, "cluster.json")
-	addrFile := filepath.Join(c.dir, "node0.addr")
-
-	start := func(id int, seed string) {
-		// Relaxed detector parameters: the suite shares one core with
-		// every other test package, and at the production 25ms/phi-8
-		// settings scheduling starvation can convict live peers.
-		// Detection still lands within a second — far inside the
-		// test deadlines.
-		args := []string{
-			"-id", strconv.Itoa(id), "-n", strconv.Itoa(n),
-			"-bind", "127.0.0.1:0", "-join-timeout", "30s",
-			"-heartbeat-interval", "50ms", "-gossip-interval", "50ms", "-phi", "12",
-		}
-		if id == 0 {
-			args = append(args, "-addr-file", addrFile, "-result", c.resFile)
-		} else {
-			args = append(args, "-seeds", seed)
-		}
-		args = append(args, extra(id)...)
-		p := &nodeProc{cmd: exec.Command(c.bin, args...)}
-		p.cmd.Stdout = &p.stderr
-		p.cmd.Stderr = &p.stderr
-		if err := p.cmd.Start(); err != nil {
-			t.Fatalf("starting node %d: %v", id, err)
-		}
-		c.procs[id] = p
-	}
-
-	start(0, "")
-	addr := awaitAddr(t, addrFile)
-	for id := 1; id < n; id++ {
-		start(id, "0@"+addr)
+	res, err := cluster.Launch([]string{nodeBin(t)}, nodes, nil)
+	if err != nil {
+		t.Logf("launch: %v", err)
 	}
 	t.Cleanup(func() {
-		for id, p := range c.procs {
-			if p != nil && p.cmd.Process != nil {
-				_ = p.cmd.Process.Kill()
-			}
-			if p != nil && t.Failed() {
-				t.Logf("--- node %d output ---\n%s", id, p.stderr.String())
+		if t.Failed() {
+			for id, out := range res.Outputs {
+				t.Logf("--- node %d output ---\n%s", id, out)
 			}
 		}
 	})
-	return c
+	return res
 }
 
-func awaitAddr(t *testing.T, path string) string {
+// execNodes describes a three-node run of bench in which node 2, when
+// crashAfter > 0, hard-kills itself that long after the run starts.
+// Relaxed detector parameters: the suite shares the machine with every
+// other test package, and at the production 25ms/phi-8 settings
+// scheduling starvation can convict live peers. Detection still lands
+// within a second — far inside the test deadlines.
+func execNodes(bench cluster.BenchSpec, crashAfter time.Duration) []cluster.NodeSpec {
+	nodes := make([]cluster.NodeSpec, 3)
+	for i := range nodes {
+		nodes[i] = cluster.NodeSpec{
+			JoinTimeout:       30 * time.Second,
+			HeartbeatInterval: 50 * time.Millisecond,
+			GossipInterval:    50 * time.Millisecond,
+			PhiThreshold:      12,
+			Bench:             bench,
+		}
+	}
+	nodes[2].CrashAfter = crashAfter
+	return nodes
+}
+
+// result is node 0's aggregate report; the test fails without one.
+func result(t *testing.T, res cluster.Launched) cluster.ClusterResult {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		data, err := os.ReadFile(path)
-		if err == nil && len(data) > 0 {
-			return strings.TrimSpace(string(data))
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("node 0 never published its address")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if res.Result == nil {
+		t.Fatal("node 0 wrote no result")
 	}
-}
-
-// wait blocks until every node exits (or the deadline passes) and
-// records exit codes.
-func (c *execCluster) wait(timeout time.Duration) {
-	c.t.Helper()
-	done := make(chan struct{})
-	go func() {
-		for _, p := range c.procs {
-			err := p.cmd.Wait()
-			if ee, ok := err.(*exec.ExitError); ok {
-				p.code = ee.ExitCode()
-			} else if err != nil {
-				p.code = -1
-			}
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		for _, p := range c.procs {
-			if p.cmd.Process != nil {
-				_ = p.cmd.Process.Kill()
-			}
-		}
-		<-done
-		c.t.Fatalf("cluster did not exit within %s", timeout)
-	}
-}
-
-func (c *execCluster) result() cluster.ClusterResult {
-	c.t.Helper()
-	data, err := os.ReadFile(c.resFile)
-	if err != nil {
-		c.t.Fatalf("node 0 wrote no result: %v", err)
-	}
-	var agg cluster.ClusterResult
-	if err := json.Unmarshal(data, &agg); err != nil {
-		c.t.Fatalf("bad cluster result: %v", err)
-	}
-	return agg
+	return *res.Result
 }
 
 // TestExecThreeNodeTaskbench: three OS processes over real sockets run
@@ -177,16 +97,15 @@ func TestExecThreeNodeTaskbench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
-	c := startExecCluster(t, 3, func(id int) []string {
-		return []string{"-pattern", "stencil_1d", "-width", "6", "-steps", "32", "-timeout", "60s"}
-	})
-	c.wait(90 * time.Second)
-	for id, p := range c.procs {
-		if p.code != 0 {
-			t.Errorf("node %d exited %d", id, p.code)
+	res := launchExec(t, execNodes(cluster.BenchSpec{
+		Pattern: "stencil_1d", Width: 6, Steps: 32, Timeout: 60 * time.Second,
+	}, 0))
+	for id, code := range res.Exits {
+		if code != 0 {
+			t.Errorf("node %d exited %d", id, code)
 		}
 	}
-	agg := c.result()
+	agg := result(t, res)
 	if !agg.Completed {
 		t.Fatalf("run did not complete: %+v", agg)
 	}
@@ -202,20 +121,14 @@ func TestExecKillOneFailFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
-	c := startExecCluster(t, 3, func(id int) []string {
-		args := []string{"-pattern", "stencil_1d", "-width", "6", "-steps", "100000",
-			"-iterations", "500", "-timeout", "60s"}
-		if id == 2 {
-			args = append(args, "-crash-after", "500ms")
-		}
-		return args
-	})
-	c.wait(90 * time.Second)
+	res := launchExec(t, execNodes(cluster.BenchSpec{
+		Pattern: "stencil_1d", Width: 6, Steps: 100000, Iterations: 500, Timeout: 60 * time.Second,
+	}, 500*time.Millisecond))
 	for _, id := range []int{0, 1} {
-		if c.procs[id].code != cluster.CodeCrashDetected {
-			t.Errorf("node %d exited %d, want %d (crash detected)", id, c.procs[id].code, cluster.CodeCrashDetected)
+		if res.Exits[id] != cluster.CodeCrashDetected {
+			t.Errorf("node %d exited %d, want %d (crash detected)", id, res.Exits[id], cluster.CodeCrashDetected)
 		}
-		if !strings.Contains(c.procs[id].stderr.String(), "locality 2 confirmed down") {
+		if !strings.Contains(res.Outputs[id], "locality 2 confirmed down") {
 			t.Errorf("node %d never logged the membership verdict on node 2", id)
 		}
 	}
@@ -227,21 +140,15 @@ func TestExecKillOneRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
-	c := startExecCluster(t, 3, func(id int) []string {
-		args := []string{"-pattern", "stencil_1d", "-width", "12", "-steps", "8000",
-			"-iterations", "2000", "-recover", "-timeout", "90s"}
-		if id == 2 {
-			args = append(args, "-crash-after", "500ms")
-		}
-		return args
-	})
-	c.wait(120 * time.Second)
+	res := launchExec(t, execNodes(cluster.BenchSpec{
+		Pattern: "stencil_1d", Width: 12, Steps: 8000, Iterations: 2000, Recover: true, Timeout: 90 * time.Second,
+	}, 500*time.Millisecond))
 	for _, id := range []int{0, 1} {
-		if c.procs[id].code != 0 {
-			t.Errorf("node %d exited %d, want 0", id, c.procs[id].code)
+		if res.Exits[id] != 0 {
+			t.Errorf("node %d exited %d, want 0", id, res.Exits[id])
 		}
 	}
-	agg := c.result()
+	agg := result(t, res)
 	if !agg.Completed {
 		t.Fatalf("recovery run did not complete: %+v", agg)
 	}

@@ -321,8 +321,9 @@ func (rt *Runtime) DeclareDown(peer int) { rt.convict(-1, peer) }
 
 // convict is the down edge. A detector's conviction (observer >= 0) is
 // dropped if the observer has crashed, and otherwise publishes its
-// verdict first: a membership layer needs one last chance to tell a
-// wrongly convicted (e.g. one-way partitioned) peer it is condemned.
+// verdict first: a membership layer needs one last chance to send a
+// wrongly convicted (e.g. one-way partitioned) peer its obituary, which
+// that peer refutes to rejoin.
 func (rt *Runtime) convict(observer, peer int) {
 	if rt.is(observer, peerCrashed) {
 		return

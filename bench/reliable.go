@@ -200,7 +200,8 @@ func ReliableSendAck(b *testing.B) {
 // payload has the spare capacity the port leaves behind a bundle
 // (network.FrameSlack). At most 24 frames stay unacknowledged — fewer than
 // the 128 KiB pool class has slots, so a steady state that allocates shows
-// as B/op — and ACKs come every 100 µs so that the window, not the ACK
+// as B/op — and ACKs come every second frame (the delayed ACK's byte
+// bound), or at the latest every 100 µs, so that the window, not the ACK
 // cadence, is what the sender waits for: ns/op is then CPU per message on
 // both sides of the socket.
 func ReliableLargeTCP(b *testing.B) {

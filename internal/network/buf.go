@@ -55,11 +55,15 @@ const (
 
 	// classBudgetBytes bounds the memory parked in each size class. A
 	// class needs a slot for every buffer in flight at once or it drops
-	// buffers on release and allocates (and clears) new ones on demand:
-	// 66 KiB bundles keep up to about sixty 128 KiB buffers between a
-	// sender's retransmission window and the receiver's undecoded and
-	// borrowed messages, and at 4 MiB (32 slots) one Get in thirty missed
-	// (/network/payload-pool/misses@131072).
+	// buffers on release and allocates (and clears) new ones on demand.
+	// On the stream_large benchmark workload (66 KiB bundles over reliable
+	// and loopback TCP, 2 vCPUs), sampled every millisecond, the 128 KiB
+	// buffers outstanding between the sender's retransmission window and
+	// the receiver's undecoded and borrowed messages number 10-11 at the
+	// median, 30 at the 99th percentile and 60-90 at most, so the 64 slots
+	// here drop a few (/network/payload-pool/drops@131072). They numbered
+	// 19-20, 50-52 and 78-113 while the delayed ACK was bounded in time
+	// only, and at 4 MiB (32 slots) one Get in thirty missed then.
 	classBudgetBytes = 8 << 20
 )
 
@@ -67,11 +71,11 @@ const payloadClassCount = maxPayloadShift - minPayloadShift + 1
 
 var payloadClasses [payloadClassCount]chan []byte
 
-// poolCounts are one size class's GetPayload outcomes, padded so that two
-// classes' counters do not share a cache line.
+// poolCounts are one size class's GetPayload and PutPayload outcomes,
+// padded so that two classes' counters do not share a cache line.
 type poolCounts struct {
-	gets, misses atomic.Uint64
-	_            [48]byte
+	gets, misses, drops atomic.Uint64
+	_                   [40]byte
 }
 
 var payloadCounts [payloadClassCount]poolCounts
@@ -81,17 +85,20 @@ type PayloadClassStats struct {
 	Size   int    // buffer capacity of the class in bytes
 	Gets   uint64 // GetPayload calls served by the class
 	Misses uint64 // of those, calls that found it empty and allocated
+	Drops  uint64 // PutPayload calls that found it full: garbage left to the GC
 }
 
-// PayloadPoolStats returns the cumulative, process-wide GetPayload counts
-// per size class, smallest class first. A class whose misses keep growing
-// in steady state has more buffers in flight than slots.
+// PayloadPoolStats returns the cumulative, process-wide GetPayload and
+// PutPayload counts per size class, smallest class first. A class whose
+// misses keep growing in steady state has more buffers in flight than
+// slots; its drops are the buffers the collector must reclaim.
 func PayloadPoolStats() (st [payloadClassCount]PayloadClassStats) {
 	for i := range payloadCounts {
 		st[i] = PayloadClassStats{
 			Size:   1 << (minPayloadShift + i),
 			Gets:   payloadCounts[i].gets.Load(),
 			Misses: payloadCounts[i].misses.Load(),
+			Drops:  payloadCounts[i].drops.Load(),
 		}
 	}
 	return st
@@ -173,5 +180,6 @@ func PutPayload(b []byte) {
 	select {
 	case payloadClasses[idx] <- b:
 	default:
+		payloadCounts[idx].drops.Add(1)
 	}
 }

@@ -44,6 +44,26 @@ func TestPutPayloadIgnoresForeignBuffers(t *testing.T) {
 	PutPayload(make([]byte, 0, 1<<22))
 }
 
+// TestPutPayloadCountsDrops: a buffer released into a full class goes to
+// the garbage collector, and PayloadPoolStats counts it.
+func TestPutPayloadCountsDrops(t *testing.T) {
+	const size = 1 << 19 // a class nothing else in the package uses
+	c := payloadClass(size)
+	free := payloadClasses[c]
+	for len(free) < cap(free) {
+		PutPayload(make([]byte, size))
+	}
+	before := PayloadPoolStats()[c]
+	PutPayload(make([]byte, size))
+	after := PayloadPoolStats()[c]
+	if after.Size != size || after.Drops-before.Drops != 1 {
+		t.Errorf("%d-byte class: %d drops for one buffer put into a full class, want 1", after.Size, after.Drops-before.Drops)
+	}
+	if after.Gets != before.Gets || after.Misses != before.Misses {
+		t.Errorf("a put moved gets %d -> %d, misses %d -> %d", before.Gets, after.Gets, before.Misses, after.Misses)
+	}
+}
+
 func TestPayloadClassBounds(t *testing.T) {
 	if c := payloadClass(1); c != 0 {
 		t.Errorf("class(1) = %d", c)

@@ -108,6 +108,18 @@ const (
 	// [1-jitter/2, 1+jitter/2] x RTO, so synchronized losses do not
 	// retransmit in lockstep.
 	jitter = 0.2
+
+	// ackBytes bounds a delayed ACK in data as AckDelay bounds it in time:
+	// once a link has delivered this many in-order payload bytes since its
+	// last ACK, the pending ACK is due at once. It is two of the largest
+	// bundles in use (16 x 4 KiB parcels), RFC 5681 §4.2's ACK for every
+	// second full-sized segment; 1 KiB frames reach it only after 128
+	// frames, so AckDelay acknowledges them first unless the scanner is
+	// held off that long.
+	ackBytes = 128 << 10
+	// ackDueNow is the ackDue of an ACK due by ackBytes: earlier than every
+	// tick, so both a kick and the next tick send it.
+	ackDueNow = 1
 )
 
 // Config tunes the reliability protocol. The zero value selects defaults
@@ -130,7 +142,11 @@ type Config struct {
 	MaxRetries int
 	// AckDelay bounds how long an in-order frame waits for reverse
 	// traffic to piggyback its ACK before a standalone ACK frame is sent
-	// (default 500µs). Arrivals around a gap are acknowledged at once.
+	// (default 500µs). Arrivals around a gap are acknowledged at once, and
+	// so, from the scanner, is the in-order arrival that brings the bytes
+	// delivered since the link's last ACK to 128 KiB: a one-way stream of
+	// large frames is acknowledged every second 64 KiB frame, not every
+	// AckDelay.
 	AckDelay time.Duration
 	// Tick is the granularity of the timer/ACK scanner goroutine
 	// (default 250µs).
@@ -237,6 +253,9 @@ type txState struct {
 	// Fabric.t0, 0 while it is stopped. Written under mu; the scanner
 	// reads it without the lock.
 	deadline atomic.Int64
+	// owing is set while owed holds frames. Written under mu; the scanner
+	// reads it without the lock.
+	owing atomic.Bool
 
 	mu    sync.Mutex
 	next  uint64 // next sequence number to assign, starting at 1
@@ -266,6 +285,10 @@ type txState struct {
 	// recover == 0 outside recovery.
 	recover   uint64
 	recoverAt int64
+	// owed holds the timeout-recovery resends an ACK released, busy, for
+	// the scanner to write: the ACK arrived on the fabric's read loop,
+	// which writes no frame of a lossless link.
+	owed [][]byte
 }
 
 func (ts *txState) entry(seq uint64) *txEntry {
@@ -294,6 +317,11 @@ func (ts *txState) discard() {
 	for ; ts.una != ts.next; ts.una++ {
 		ts.entry(ts.una).release()
 	}
+	for _, frame := range ts.owed {
+		network.PutPayload(frame) // owed frames are busy: their buffers are ours
+	}
+	ts.owed = nil
+	ts.owing.Store(false)
 	ts.nSacked, ts.hiSacked, ts.rackSent = 0, 0, 0
 	ts.timeouts, ts.recover = 0, 0
 	ts.deadline.Store(0)
@@ -337,6 +365,7 @@ type rxState struct {
 	mu        sync.Mutex
 	epoch     uint32 // session epoch adopted from the sender
 	delivered uint64 // highest in-order sequence delivered
+	unacked   int    // in-order payload bytes delivered since the last ACK left
 	buf       [][]byte
 	buffered  int
 	hi        uint64 // highest buffered sequence number (valid while buffered > 0)
@@ -384,7 +413,10 @@ type Fabric struct {
 	t0     time.Time // origin of every int64 time in this package
 	closed atomic.Bool
 	stop   chan struct{}
-	wg     sync.WaitGroup
+	// kick wakes the scanner for the ACKs that ackBytes made due and the
+	// resends that ACKs left owed (txState.owed).
+	kick chan struct{}
+	wg   sync.WaitGroup
 
 	// tx and rx hold the per-link state, created on first use, at
 	// [src*n+dst]. mu guards creation and the append-only lists of
@@ -451,6 +483,7 @@ func New(inner network.Fabric, cfg Config) *Fabric {
 		n:             n,
 		t0:            time.Now(),
 		stop:          make(chan struct{}),
+		kick:          make(chan struct{}, 1),
 		tx:            make([]atomic.Pointer[txState], n*n),
 		rx:            make([]atomic.Pointer[rxState], n*n),
 		handlers:      make([]atomic.Pointer[network.Handler], n),
@@ -769,6 +802,7 @@ func (f *Fabric) cumAck(local, remote int) (uint64, uint32) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.ackDue.Store(0)
+	rs.unacked = 0
 	return rs.delivered, rs.epoch
 }
 
@@ -965,7 +999,10 @@ func (f *Fabric) onFrame(src, dst int, frame []byte) {
 // reorder buffer; otherwise it is still the caller's. receive also
 // returns a standalone ACK frame (and whether it carries a SACK bitmap)
 // when the sender should hear about this arrival at once: the frame that
-// fills a gap, and any arrival while frames wait behind one.
+// fills a gap, and any arrival while frames wait behind one. An in-order
+// arrival that brings the link to ackBytes is acknowledged at once too,
+// but by the scanner: the caller is the fabric's read loop, which must not
+// write an ACK per large frame (DESIGN.md §8, Known limits (i)).
 func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte) (kept bool, ackNow []byte, sack bool) {
 	rs := f.rxFor(src, dst)
 	rs.mu.Lock()
@@ -1012,8 +1049,13 @@ func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte)
 		}
 	}
 	if rs.buffered == 0 && !filled {
-		// Nothing is missing: wait for reverse traffic to carry the ACK.
-		if rs.ackDue.Load() == 0 {
+		// Nothing is missing: wait for reverse traffic to carry the ACK,
+		// unless enough bytes wait on it already.
+		switch {
+		case rs.unacked >= ackBytes:
+			rs.ackDue.Store(ackDueNow)
+			f.kickScanner()
+		case rs.ackDue.Load() == 0:
 			rs.ackDue.Store(f.now() + int64(f.cfg.AckDelay))
 		}
 		return kept, nil, false
@@ -1031,6 +1073,7 @@ func (f *Fabric) receive(src, dst int, seq uint64, epoch uint32, payload []byte)
 func (f *Fabric) deliverLocked(rs *rxState, payload []byte) {
 	hp := f.handlers[rs.dst].Load()
 	emit := func(b []byte) {
+		rs.unacked += len(b)
 		if hp != nil {
 			(*hp)(rs.src, b)
 		} else {
@@ -1057,6 +1100,7 @@ func (f *Fabric) deliverLocked(rs *rxState, payload []byte) {
 // the pending delayed ACK, which it supersedes.
 func (f *Fabric) ackFrameLocked(rs *rxState) (frame []byte, sack bool) {
 	rs.ackDue.Store(0)
+	rs.unacked = 0
 	if rs.buffered == 0 {
 		return encodeFrame(kindAck, 0, rs.delivered, 0, rs.epoch, nil), false
 	}
@@ -1113,8 +1157,9 @@ func (f *Fabric) handleAck(local, remote int, ack uint64, ackEpoch uint32, sack 
 
 // ackLocked releases what ack covers, marks what sack reports, feeds the
 // round-trip estimator, restarts or stops the timer, and returns the
-// frames that the acknowledgement shows to be lost, marked busy for
-// transmit. Called with ts.mu held.
+// frames that the selective acknowledgement shows to be lost, marked busy
+// for transmit. The timeout-recovery resends it releases, busy too, go to
+// ts.owed for the scanner. Called with ts.mu held.
 func (f *Fabric) ackLocked(ts *txState, now int64, ack uint64, sack []byte) (resend [][]byte) {
 	sample := int64(-1)
 	first := ts.una
@@ -1173,10 +1218,14 @@ marks:
 		for s, n := ts.una, 2*released; n > 0 && s <= ts.recover; s++ {
 			if e := ts.entry(s); !e.sacked && e.sentAt < ts.recoverAt {
 				if frame := f.resendLocked(ts, s, now, "retransmit"); frame != nil {
-					resend = append(resend, frame)
+					ts.owed = append(ts.owed, frame)
 				}
 				n--
 			}
+		}
+		if len(ts.owed) > 0 {
+			ts.owing.Store(true)
+			f.kickScanner()
 		}
 	}
 
@@ -1242,9 +1291,18 @@ func (f *Fabric) transmit(ts *txState, frames [][]byte) {
 	}
 }
 
+// kickScanner wakes the scanner without waiting for it.
+func (f *Fabric) kickScanner() {
+	select {
+	case f.kick <- struct{}{}:
+	default:
+	}
+}
+
 // run is the scanner goroutine: every Tick it serves the retransmission
 // timers that expired (declaring links down when the retry budget runs
-// out) and sends the delayed ACKs that came due.
+// out) and sends the delayed ACKs that came due; a kick sends the ACKs
+// that ackBytes made due and the owed recovery resends, and nothing else.
 func (f *Fabric) run() {
 	defer f.wg.Done()
 	ticker := time.NewTicker(f.cfg.Tick)
@@ -1255,6 +1313,9 @@ func (f *Fabric) run() {
 			return
 		case t := <-ticker.C:
 			f.sweep(int64(t.Sub(f.t0)))
+		case <-f.kick:
+			f.sendDueAcks(ackDueNow)
+			f.sendOwed()
 		}
 	}
 }
@@ -1263,14 +1324,38 @@ func (f *Fabric) run() {
 // time the scanner got to run. A scanner that is scheduled late on a
 // loaded host therefore sends no more standalone ACKs than its ticks
 // allow (judging by the clock instead was measured at +20 % ACK frames on
-// the lossless stream workloads).
+// the lossless stream workloads). For the same reason a kick serves only
+// the ACKs made due by bytes, whose due time is before every tick.
 func (f *Fabric) sweep(tick int64) {
-	txs, rxs := f.links()
+	txs, _ := f.links()
 	for _, ts := range txs {
 		if d := ts.deadline.Load(); d != 0 && tick >= d {
 			f.expire(ts, tick)
 		}
 	}
+	f.sendDueAcks(tick)
+}
+
+// sendOwed writes the recovery resends that ACKs left owed.
+func (f *Fabric) sendOwed() {
+	txs, _ := f.links()
+	for _, ts := range txs {
+		if !ts.owing.Load() {
+			continue
+		}
+		ts.mu.Lock()
+		frames := ts.owed
+		ts.owed = nil
+		ts.owing.Store(false)
+		ts.mu.Unlock()
+		f.transmit(ts, frames)
+	}
+}
+
+// sendDueAcks sends the standalone ACK of every link whose pending ACK is
+// due at tick.
+func (f *Fabric) sendDueAcks(tick int64) {
+	_, rxs := f.links()
 	for _, rs := range rxs {
 		if d := rs.ackDue.Load(); d == 0 || tick < d {
 			continue

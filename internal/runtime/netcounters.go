@@ -14,9 +14,9 @@ import (
 // counters reading the fabric on demand, so the fabric's own atomics stay
 // the single source of truth; both directions of the wire are visible
 // (sent at the fabric's Send, received when a frame is handed to the
-// destination handler). Beside them, /network/payload-pool/{gets,misses}@B
-// count the payload pool's traffic in its B-byte size class; the pool is
-// process-wide, so they count every runtime in the process.
+// destination handler). Beside them, /network/payload-pool/{gets,misses,
+// drops}@B count the payload pool's traffic in its B-byte size class; the
+// pool is process-wide, so they count every runtime in the process.
 func (rt *Runtime) registerFabricCounters() {
 	f := rt.fabric
 	mk := func(name string, read func(network.Stats) uint64) {
@@ -39,6 +39,7 @@ func (rt *Runtime) registerFabricCounters() {
 		}
 		pool("gets", func(c network.PayloadClassStats) uint64 { return c.Gets })
 		pool("misses", func(c network.PayloadClassStats) uint64 { return c.Misses })
+		pool("drops", func(c network.PayloadClassStats) uint64 { return c.Drops })
 	}
 }
 

@@ -60,7 +60,7 @@ func (b *Bench) validateCrash(g Graph, c *CrashSpec) error {
 // once per run.
 func (b *Bench) down(ru *run) {
 	if !b.recover {
-		ru.fail()
+		ru.fail(nil)
 		return
 	}
 	ru.watching.Do(func() {
@@ -101,7 +101,7 @@ func (b *Bench) watch(ru *run) {
 		}
 		if fresh {
 			if !b.rehome(ru, dead, lost) {
-				ru.fail()
+				ru.fail(nil)
 				return
 			}
 			// A fresh death may re-home new dependents of producers whose
@@ -117,7 +117,7 @@ func (b *Bench) watch(ru *run) {
 			b.redrive(ru, lost, sent)
 		}
 		if !b.heal(ru) {
-			ru.fail() // runtime shutting down under us
+			ru.fail(nil) // runtime shutting down under us
 			return
 		}
 		if ru.scan.Load() && b.allRun(ru, next) {

@@ -27,7 +27,9 @@ type Options struct {
 	Timeout time.Duration
 	// Recover keeps a run going when a locality goes down: its points are
 	// re-homed onto the survivors and their dataflow re-driven. Without
-	// it the run fails with network.ErrLocalityDown.
+	// it the run fails with network.ErrLocalityDown. A re-drive can
+	// deliver an input twice, so with Recover a surplus input is
+	// tolerated instead of failing the run.
 	Recover bool
 }
 
@@ -35,8 +37,9 @@ type Options struct {
 // action once and then executes any number of graphs sequentially. Task
 // points are block-partitioned across localities (point p lives on
 // locality p*L/Width), so a pattern's cross-partition edges become
-// parcels while vertical edges stay local, exactly as a distributed
-// Task Bench instance would behave. A runtime hosting only some
+// parcels while same-locality edges are counted down in place, exactly
+// as a distributed Task Bench instance would behave: one scheduler task
+// per graph task, plus one per received parcel. A runtime hosting only some
 // localities (cluster mode, runtime.Config.Hosted) executes only the
 // points they own; every process runs the same graph.
 type Bench struct {
@@ -110,6 +113,7 @@ type run struct {
 
 	failed   chan struct{} // closed by fail
 	failOnce sync.Once
+	err      error         // why the run failed; nil for a down locality. Read after failed closes.
 	ended    chan struct{} // closed when Run returns
 	// watching starts the recovery watchdog, or, once Run has returned,
 	// rules it out; watched is closed when either has happened and the
@@ -118,9 +122,15 @@ type run struct {
 	watched  chan struct{}
 }
 
-// fail marks the run cleanly failed (a locality went down and no recovery
-// policy is active, or recovery has nobody left to run the work).
-func (ru *run) fail() { ru.failOnce.Do(func() { close(ru.failed) }) }
+// fail marks the run failed: with err nil cleanly (a locality went down
+// and no recovery policy is active, or recovery has nobody left to run
+// the work), otherwise with err (a protocol violation). The first call wins.
+func (ru *run) fail(err error) {
+	ru.failOnce.Do(func() {
+		ru.err = err
+		close(ru.failed)
+	})
+}
 
 // New registers the input action, subscribes the bench to the runtime's
 // peer events and returns the bench.
@@ -172,7 +182,8 @@ type Result struct {
 // It returns once every task owned by a hosted locality has run. If a
 // locality goes down during the run (or is down when it starts), the
 // run fails with network.ErrLocalityDown unless Options.Recover is set.
-// Runs are serialized; concurrent calls block.
+// Without it, an input delivered twice fails the run too, naming the
+// task. Runs are serialized; concurrent calls block.
 func (b *Bench) Run(g Graph) (Result, error) { return b.execute(g, nil) }
 
 func (b *Bench) execute(g Graph, crash *CrashSpec) (Result, error) {
@@ -230,11 +241,22 @@ func (b *Bench) execute(g Graph, crash *CrashSpec) (Result, error) {
 	select {
 	case <-ru.complete.Done():
 	case <-ru.failed:
-		return Result{}, fmt.Errorf("taskbench: %s failed cleanly: %w (declared down: %s; %d tasks executed here)",
-			g, network.ErrLocalityDown, b.deadList(), ru.executed.Load())
+		if ru.err == nil {
+			return Result{}, fmt.Errorf("taskbench: %s failed cleanly: %w (declared down: %s; %d tasks executed here)",
+				g, network.ErrLocalityDown, b.deadList(), ru.executed.Load())
+		}
 	case <-tmr.C:
 		return Result{}, fmt.Errorf("taskbench: %s stalled at step %d with %d tasks executed here",
 			g, b.firstUndone(ru), ru.executed.Load())
+	}
+	// A surplus input can make a task run early, before its last genuine
+	// input, so the latch may open with the violation already recorded.
+	select {
+	case <-ru.failed:
+		if ru.err != nil {
+			return Result{}, fmt.Errorf("taskbench: %s failed: %w", g, ru.err)
+		}
+	default:
 	}
 
 	wall := time.Since(start)
@@ -275,7 +297,7 @@ func (b *Bench) installRun(ru *run) {
 	b.pending = keep
 	b.pendMu.Unlock()
 	for _, p := range replay {
-		_ = b.applyInput(ru, p.step, p.point, p.loc)
+		_ = b.applyInput(ru, p.step, p.point, p.loc, true)
 	}
 }
 
@@ -384,26 +406,31 @@ func (b *Bench) inputAction(ctx *runtime.Context, args []byte) ([]byte, error) {
 			return nil, nil
 		}
 	}
-	return nil, b.applyInput(ru, step, point, ctx.Locality)
+	return nil, b.applyInput(ru, step, point, ctx.Locality, true)
 }
 
-// applyInput counts one dependence input down for (step, point); the
-// last arriving input runs the task body inline.
-func (b *Bench) applyInput(ru *run, step, point, loc int) error {
+// applyInput counts one dependence input down for (step, point), owned
+// by locality loc. The last input makes the task ready: inline, in a
+// received parcel's task, it runs the body there; otherwise, in the
+// producer, it spawns it, so dataflow never recurses into later steps.
+// A surplus input fails the run.
+func (b *Bench) applyInput(ru *run, step, point, loc int, inline bool) error {
 	w := ru.g.Width
 	if step < 0 || step >= ru.g.Steps || point < 0 || point >= w {
 		return fmt.Errorf("taskbench: input for (%d,%d) outside %s", step, point, ru.g)
 	}
 	switch n := ru.remaining[step*w+point].Add(-1); {
-	case n == 0:
+	case n == 0 && inline:
 		b.runTask(ru, step, point, loc)
-	case n < 0:
-		// Recovery re-sends inputs and re-spawns tasks directly, so a late
-		// dataflow trigger for an already-run task is expected
-		// at-least-once noise, not a protocol violation.
-		if !b.recover {
-			return fmt.Errorf("taskbench: surplus input for task (%d,%d)", step, point)
-		}
+	case n == 0:
+		b.spawn(ru, step, point, loc)
+	case n < 0 && !b.recover:
+		// With Recover, re-drives re-send inputs and heal re-spawns tasks,
+		// so a late trigger for an already-run task is expected
+		// at-least-once noise. Without it, an input arrived twice.
+		err := fmt.Errorf("surplus input for task (%d,%d)", step, point)
+		ru.fail(err)
+		return err
 	}
 	return nil
 }
@@ -445,8 +472,10 @@ func (b *Bench) runTask(ru *run, step, point, loc int) {
 
 // send writes task (step, point)'s output to each of its dependents in
 // the next step — only to those marked in only, when only is non-nil —
-// from locality src. A failed send skips no other dependent: the loss
-// surfaces as a stall, a failed run, or a recovery re-send.
+// from locality src. A dependent on src itself is counted down in place;
+// any other gets an input parcel. A failed send skips no other
+// dependent: the loss surfaces as a stall, a failed run, or a recovery
+// re-send.
 func (b *Bench) send(ru *run, src *runtime.Locality, step, point int, only []bool) {
 	if step+1 >= ru.g.Steps {
 		return
@@ -455,12 +484,22 @@ func (b *Bench) send(ru *run, src *runtime.Locality, step, point int, only []boo
 		if only != nil && !only[q] {
 			continue
 		}
+		dst := int(ru.owners[q].Load())
+		if dst == src.ID() && !b.rt.LocalityDead(dst) {
+			// An ended run takes no more inputs, as its parcels' epoch
+			// check drops them; a dead destination gets none, as Apply
+			// refuses it.
+			if b.cur.Load() == ru {
+				_ = b.applyInput(ru, step+1, q, dst, false)
+			}
+			continue
+		}
 		wr := serialization.NewWriter(24 + len(ru.payload))
 		wr.Uvarint(ru.epoch)
 		wr.Uvarint(uint64(step + 1))
 		wr.Uvarint(uint64(q))
 		wr.BytesField(ru.payload)
-		_ = src.Apply(int(ru.owners[q].Load()), b.action, wr.Bytes())
+		_ = src.Apply(dst, b.action, wr.Bytes())
 	}
 }
 

@@ -1,6 +1,10 @@
 package taskbench
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,4 +200,115 @@ func TestFailedSendSkipsNoDependent(t *testing.T) {
 		}
 	}
 	t.Fatalf("inputs left for (1,1) and (1,2): %d and %d, want 2 and 1 (each got (0,1)'s output)", left(1), left(2))
+}
+
+// TestOneSchedulerTaskPerGraphTask: a same-locality input is counted down
+// in place, so a graph costs the scheduler one task per graph task, plus
+// one per received parcel (a parcel bringing a task's last input runs its
+// body inline). On one locality every edge is local and the count is
+// exact.
+func TestOneSchedulerTaskPerGraphTask(t *testing.T) {
+	for _, localities := range []int{1, 2} {
+		t.Run(fmt.Sprintf("localities-%d", localities), func(t *testing.T) {
+			rt := newTestRuntime(t, localities)
+			bench, err := New(rt, Options{Timeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := func() (n int64) {
+				for i := 0; i < localities; i++ {
+					n += rt.Locality(i).SchedStats().Tasks
+				}
+				return n
+			}
+			before := tasks()
+			res, err := bench.Run(Graph{Width: 64, Steps: 16, Pattern: Stencil1D, Iterations: 8, OutputBytes: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(res.Graph.TotalTasks())
+			if res.Tasks != want {
+				t.Fatalf("executed %d graph tasks, want %d", res.Tasks, want)
+			}
+			// The scheduler counts a task once its accounting epilogue has
+			// run, a few µs after the body returned: wait for the count.
+			got := tasks() - before
+			for deadline := time.Now().Add(2 * time.Second); got < want && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+				got = tasks() - before
+			}
+			if limit := want + res.ParcelsSent; got < want || got > limit {
+				t.Errorf("%d scheduler tasks for %d graph tasks and %d parcels, want %d..%d",
+					got, want, res.ParcelsSent, want, limit)
+			}
+		})
+	}
+}
+
+// dupFabric delivers a seeded share of its messages twice, copying each
+// duplicate before the original leaves: once sent, the original belongs
+// to the receiver, which may release and recycle it at once.
+type dupFabric struct {
+	network.Fabric
+	mu   sync.Mutex
+	rng  *rand.Rand
+	rate float64
+}
+
+func (f *dupFabric) Send(src, dst int, payload []byte) error {
+	f.mu.Lock()
+	twice := f.rng.Float64() < f.rate
+	f.mu.Unlock()
+	var dup []byte
+	if twice {
+		dup = network.GetPayload(len(payload))
+		copy(dup, payload)
+	}
+	if err := f.Fabric.Send(src, dst, payload); err != nil {
+		network.PutPayload(dup)
+		return err
+	}
+	if dup != nil && f.Fabric.Send(src, dst, dup) != nil {
+		network.PutPayload(dup)
+	}
+	return nil
+}
+
+// TestSurplusInputFailsTheRun: an input delivered twice is a protocol
+// violation. Over a fabric that duplicates half its messages, with no
+// reliable layer to suppress the copies, Run fails naming a task;
+// Options.Recover tolerates it (a recovery re-drive sends inputs twice
+// by design), and every task still runs exactly once.
+func TestSurplusInputFailsTheRun(t *testing.T) {
+	for _, recov := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recover-%v", recov), func(t *testing.T) {
+			fab := &dupFabric{
+				Fabric: network.NewSimFabric(2, network.CostModel{
+					SendOverhead: time.Microsecond, Latency: 2 * time.Microsecond,
+				}),
+				rng:  rand.New(rand.NewSource(5)),
+				rate: 0.5,
+			}
+			rt := runtime.New(runtime.Config{Localities: 2, WorkersPerLocality: 2, Fabric: fab})
+			t.Cleanup(func() {
+				rt.Shutdown()
+				fab.Close()
+			})
+			bench, err := New(rt, Options{Timeout: 30 * time.Second, Recover: recov})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pat := range []Pattern{Stencil1D, FFT, Spread} {
+				res, err := bench.Run(Graph{Width: 64, Steps: 16, Pattern: pat, Iterations: 8, OutputBytes: 8})
+				switch {
+				case recov && err != nil:
+					t.Errorf("%s: %v", pat, err)
+				case recov && res.Tasks != int64(res.Graph.TotalTasks()):
+					t.Errorf("%s: executed %d tasks, want exactly %d", pat, res.Tasks, res.Graph.TotalTasks())
+				case !recov && (err == nil || !strings.Contains(err.Error(), "surplus input for task (")):
+					t.Errorf("%s: Run returned %v, want a surplus input error", pat, err)
+				}
+			}
+		})
+	}
 }

@@ -99,11 +99,12 @@ type (
 
 // Adaptive tuning.
 type (
-	// OverheadTuner hill-climbs coalescing parameters against the
-	// instantaneous network-overhead counter.
-	OverheadTuner = adaptive.OverheadTuner
-	// OverheadTunerConfig configures an OverheadTuner.
-	OverheadTunerConfig = adaptive.TunerConfig
+	// MultiTuner hill-climbs coalescing parameters against the
+	// instantaneous network-overhead counter, per hot destination and
+	// action-wide.
+	MultiTuner = adaptive.MultiTuner
+	// MultiTunerConfig configures a MultiTuner.
+	MultiTunerConfig = adaptive.MultiTunerConfig
 	// PICSTuner is the iteration-driven baseline controller.
 	PICSTuner = adaptive.PICSTuner
 )
@@ -163,9 +164,9 @@ func Snapshot(rt *Runtime) MetricsSample { return metrics.Snapshot(rt) }
 // NewPhaseRecorder starts per-phase metric recording on a runtime.
 func NewPhaseRecorder(rt *Runtime) *PhaseRecorder { return metrics.NewPhaseRecorder(rt) }
 
-// NewOverheadTuner creates an adaptive tuner for a coalesced action.
-func NewOverheadTuner(rt *Runtime, action string, cfg OverheadTunerConfig) *OverheadTuner {
-	return adaptive.NewOverheadTuner(rt, action, cfg)
+// NewMultiTuner creates an adaptive tuner for a coalesced action.
+func NewMultiTuner(rt *Runtime, action string, cfg MultiTunerConfig) *MultiTuner {
+	return adaptive.NewMultiTuner(rt, action, cfg)
 }
 
 // NewPICSTuner creates the iteration-driven baseline tuner over a

@@ -32,7 +32,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	rec := amc.NewPhaseRecorder(rt)
-	tuner := amc.NewOverheadTuner(rt, "echo", amc.OverheadTunerConfig{SampleInterval: 10 * time.Millisecond})
+	tuner := amc.NewMultiTuner(rt, "echo", amc.MultiTunerConfig{SampleInterval: 10 * time.Millisecond})
 	tuner.Start()
 	defer tuner.Stop()
 

@@ -41,7 +41,7 @@ func TaskbenchSweepConfig(quick bool) taskbench.SweepConfig {
 
 // TaskbenchPhaseConfig returns the adaptive phase-demo configuration:
 // a stencil → fft → random pattern sequence on one runtime under a live
-// OverheadTuner, demonstrating re-convergence across phase changes.
+// MultiTuner, demonstrating re-convergence across phase changes.
 func TaskbenchPhaseConfig(quick bool) taskbench.PhaseDemoConfig {
 	cfg := taskbench.PhaseDemoConfig{
 		Localities:         2,

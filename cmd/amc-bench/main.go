@@ -10,15 +10,8 @@
 // across a 3×3 coalescing-parameter grid on two simulated localities,
 // recording per-pattern execution time, Eq. 4 network overhead and the
 // Pearson correlation between the two, followed by the adaptive
-// phase demo (stencil → fft → random under a live OverheadTuner).
+// phase demo (stencil → fft → random under a live MultiTuner).
 // -quick shrinks it to a CI-smoke size.
-//
-// The adaptive suite A/Bs the two online controllers — the global
-// OverheadTuner against the per-destination multi-knob MultiTuner — on a
-// mixed uniform workload and on the deliberately skewed fan-in pattern,
-// from identical uncoalesced starting parameters, reporting wall time,
-// Eq. 4 overhead, convergence time, decision counts and steady-state
-// stability per arm. -quick shrinks it to a CI-smoke size.
 //
 // The fft suite runs the distributed 2-D FFT app (internal/apps/fft)
 // on the collectives layer: {direct, ring} all-to-all variants ×
@@ -33,8 +26,7 @@
 // survive_crash_ok and fail_fast_ok, cluster's all_completed and
 // partition_heal_ok, fft's all_verified and cluster_verified — still
 // writes the report and then exits non-zero. The statistical fields
-// (zero false positives, correlation, re-convergence, controller and
-// variant wins) and cluster's recovery_ok, which -quick leaves false by
+// (zero false positives, correlation, re-convergence, variant wins) and cluster's recovery_ok, which -quick leaves false by
 // design, are informational.
 //
 // -suite is required: an empty or unknown value prints the registry of
@@ -88,7 +80,6 @@ type suiteDef struct {
 var suites = []suiteDef{
 	{"taskbench", "BENCH_taskbench.json", "Task Bench-style pattern sweep: per-pattern overhead/time correlation + adaptive phase demo", runTaskbench},
 	{"health", "BENCH_health.json", "crash-stop chaos: phi-accrual detection latency, false-positive soak, survive-crash workload", runHealth},
-	{"adaptive", "BENCH_adaptive.json", "controller A/B: global OverheadTuner vs per-destination MultiTuner on uniform and skewed workloads", runAdaptive},
 	{"cluster", "BENCH_cluster.json", "multi-process cluster: weak/strong scaling over real TCP sockets + crash-recovery run", runCluster},
 	{"fft", "BENCH_fft.json", "distributed 2-D FFT on collectives: all-to-all variants x coalescing arms, Eq. 4 correlation, 3-node cluster runs", runFFT},
 }
@@ -342,64 +333,6 @@ func runHealth(out string, opts options) error {
 		int(rep.Health.SoakSeconds), rep.Health.SoakSuspicions,
 		rep.SurviveCrashOK, rep.Health.FailFastMS)
 	return requireOK(field{"survive_crash_ok", rep.SurviveCrashOK}, field{"fail_fast_ok", rep.FailFastOK})
-}
-
-// adaptiveReport is the BENCH_adaptive.json schema: the controller A/B
-// harness (internal/taskbench.RunAB) comparing the global OverheadTuner
-// against the per-destination MultiTuner on a mixed uniform workload and
-// on the skewed fan-in pattern, from identical uncoalesced starting
-// parameters. Each arm records wall time, mean Eq. 4 overhead,
-// convergence time, decision counts and steady-state stability.
-type adaptiveReport struct {
-	partialStatus
-	GoVersion  string             `json:"go_version"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Quick      bool               `json:"quick"`
-	Localities int                `json:"localities"`
-	Runs       int                `json:"runs_per_arm"`
-	AB         taskbench.ABResult `json:"ab"`
-	// MultiWinsSkewedOK: on the skewed workload the MultiTuner arm beat
-	// the global arm on wall time or Eq. 4 overhead at equal work.
-	// MultiNoWorseUniformOK: on the uniform workload the MultiTuner arm
-	// stayed within 5% of the global arm's wall time.
-	MultiWinsSkewedOK     bool `json:"multi_wins_skewed"`
-	MultiNoWorseUniformOK bool `json:"multi_no_worse_uniform"`
-}
-
-func runAdaptive(out string, opts options) error {
-	cfg := bench.TaskbenchABConfig(opts.quick)
-	cfg = cfg.WithDefaults()
-	rep := adaptiveReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      opts.quick,
-		Localities: cfg.Localities,
-		Runs:       cfg.Runs,
-	}
-	res, err := taskbench.RunAB(cfg)
-	rep.AB = res // partial arm progress is meaningful even on error
-	if err != nil {
-		return failPartial(out, &rep, &rep.partialStatus, err)
-	}
-	for _, wl := range res.Workloads {
-		if opts.verbose {
-			fmt.Fprintf(os.Stderr, "%-10s global: wall=%.2fms oh=%.4f dec=%d conv=%.0fms | multi: wall=%.2fms oh=%.4f dec=%d conv=%.0fms dests=%d\n",
-				wl.Workload, wl.Global.MeanWallMS, wl.Global.MeanOverhead, wl.Global.Decisions, wl.Global.ConvergenceMS,
-				wl.Multi.MeanWallMS, wl.Multi.MeanOverhead, wl.Multi.Decisions, wl.Multi.ConvergenceMS, wl.Multi.TrackedDests)
-		}
-		switch wl.Workload {
-		case "skewed":
-			rep.MultiWinsSkewedOK = wl.WallRatio > 1 || wl.OverheadRatio > 1
-		case "uniform":
-			rep.MultiNoWorseUniformOK = wl.WallRatio >= 0.95
-		}
-	}
-	if err := writeJSON(out, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(statusW(out), "wrote %s (%d workloads, multi wins skewed=%v, no worse uniform=%v)\n",
-		out, len(rep.AB.Workloads), rep.MultiWinsSkewedOK, rep.MultiNoWorseUniformOK)
-	return nil
 }
 
 // clusterReport is the BENCH_cluster.json schema: weak and strong

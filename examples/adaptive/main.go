@@ -1,9 +1,10 @@
 // Adaptive tuning demo: the capability the paper's methodology targets.
 // A toy-style workload starts with coalescing effectively disabled
-// (1 parcel per message); an OverheadTuner watches the instantaneous
+// (1 parcel per message); a MultiTuner watches the instantaneous
 // network-overhead counter and retunes the parameter while the
 // application runs. The decision log shows the controller climbing toward
-// heavier coalescing as the overhead falls.
+// heavier coalescing as the overhead falls, action-wide and for each
+// destination that dominated a window.
 package main
 
 import (
@@ -27,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tuner := amc.NewOverheadTuner(rt, "ping", amc.OverheadTunerConfig{
+	tuner := amc.NewMultiTuner(rt, "ping", amc.MultiTunerConfig{
 		SampleInterval: 25 * time.Millisecond,
 		MaxNParcels:    256,
 	})
@@ -60,4 +61,10 @@ func main() {
 	}
 	final, _ := rt.CoalescingParams("ping")
 	fmt.Printf("\nstarted at %s, settled at %s\n", start, final)
+	// A window of only requests or only responses has one dominant
+	// destination, which the tuner climbs on its own override.
+	for _, d := range tuner.TrackedDests() {
+		p, _, _ := rt.CoalescingParamsDest("ping", d)
+		fmt.Printf("destination %d settled at %s\n", d, p)
+	}
 }

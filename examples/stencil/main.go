@@ -40,9 +40,9 @@ func main() {
 		if err := rt.EnableCoalescing(stencil.Action, params); err != nil {
 			log.Fatal(err)
 		}
-		var tuner *adaptive.OverheadTuner
+		var tuner *adaptive.MultiTuner
 		if tune {
-			tuner = adaptive.NewOverheadTuner(rt, stencil.Action, adaptive.TunerConfig{
+			tuner = adaptive.NewMultiTuner(rt, stencil.Action, adaptive.MultiTunerConfig{
 				SampleInterval: 25 * time.Millisecond,
 				MaxNParcels:    64,
 			})

@@ -8,7 +8,7 @@
 //     coalescing grid, with the per-pattern Pearson r between overhead
 //     and execution time — the paper's central claim, per pattern.
 //  3. The adaptive phase demo: a stencil → fft → random sequence under
-//     a live OverheadTuner, showing the tuner re-converging when the
+//     a live MultiTuner, showing the tuner re-converging when the
 //     communication structure changes underneath it.
 //
 // The committed BENCH_taskbench.json is the full-size version of acts 2
@@ -78,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nadaptive phase demo (stencil_1d → fft → random under one OverheadTuner):")
+	fmt.Println("\nadaptive phase demo (stencil_1d → fft → random under one MultiTuner):")
 	for _, ph := range demo.Phases {
 		fmt.Printf("  %-12s runs=%d  final NParcels=%-4d decisions=%-3d mean n_oh=%.4f  wall=%.1fms\n",
 			ph.Pattern, ph.Runs, ph.FinalNParcels, ph.Decisions, ph.MeanOverhead, ph.WallMS)

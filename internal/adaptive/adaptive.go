@@ -2,27 +2,19 @@
 // toward: runtime tuning of parcel-coalescing parameters from
 // introspective performance counters.
 //
-// Three controllers are provided:
+// Two controllers are provided:
 //
-//   - OverheadTuner monitors the network-overhead metric (Eq. 4, the
+//   - MultiTuner monitors the network-overhead metric (Eq. 4, the
 //     /threads/background-overhead counter) in sliding windows while the
-//     application runs and hill-climbs the number of parcels to coalesce
-//     per message. Because it reads instantaneous state rather than
+//     application runs. Because it reads instantaneous state rather than
 //     iteration boundaries, it works for applications "that do not have a
 //     well defined iterative step or a predictable pattern of
 //     communication" — the capability the paper argues its metrics
-//     enable.
-//
-//   - MultiTuner generalizes the same signal per destination: it weights
-//     each window's overhead by a destination's share of sent parcels,
-//     hill-climbs NParcels and Interval via coordinate descent
-//     independently for each hot destination (installed as per-dest
-//     Params overrides), and leaves cold destinations on the global
-//     policy. See multituner.go.
-//
-//     The two share one hill-climb step, one action-wide climb and one
-//     Start/Stop lifecycle (climb.go): under uniform traffic MultiTuner
-//     runs OverheadTuner's code, not a copy of it.
+//     enable. It weights each window's overhead by a destination's share
+//     of sent parcels and hill-climbs NParcels and Interval independently
+//     for each hot destination (installed as per-dest Params overrides);
+//     under uniform traffic it hill-climbs the action-wide NParcels. See
+//     multituner.go.
 //
 //   - PICSTuner reproduces the prior state of the art the paper compares
 //     against (Charm++'s PICS, which "converged to a decision on
@@ -38,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/coalescing"
-	"repro/internal/metrics"
 	"repro/internal/runtime"
 )
 
@@ -54,8 +45,7 @@ type Decision struct {
 	// GlobalDest for an action-wide change.
 	Dest int
 	// Overhead is the observed metric that triggered the decision (Eq. 4
-	// ratio for OverheadTuner/MultiTuner, iteration seconds for
-	// PICSTuner).
+	// ratio for MultiTuner, iteration seconds for PICSTuner).
 	Overhead float64
 	// From and To are the parameter values before and after.
 	From, To coalescing.Params
@@ -69,86 +59,6 @@ func (d Decision) String() string {
 		return fmt.Sprintf("%.4f: %s -> %s (%s)", d.Overhead, d.From, d.To, d.Reason)
 	}
 	return fmt.Sprintf("%.4f: dest %d %s -> %s (%s)", d.Overhead, d.Dest, d.From, d.To, d.Reason)
-}
-
-// TunerConfig configures an OverheadTuner.
-type TunerConfig struct {
-	// SampleInterval is the window length between decisions
-	// (default 50ms).
-	SampleInterval time.Duration
-	// MinNParcels and MaxNParcels bound the search (defaults 1 and 1024).
-	MinNParcels, MaxNParcels int
-	// MinWindowTasks skips windows with fewer executed tasks, when the
-	// application is between communication phases (default 50).
-	MinWindowTasks int64
-}
-
-func (c TunerConfig) withDefaults() TunerConfig {
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 50 * time.Millisecond
-	}
-	if c.MinNParcels <= 0 {
-		c.MinNParcels = 1
-	}
-	if c.MaxNParcels <= 0 {
-		c.MaxNParcels = 1024
-	}
-	if c.MinWindowTasks <= 0 {
-		c.MinWindowTasks = 50
-	}
-	return c
-}
-
-// OverheadTuner hill-climbs NParcels against the instantaneous network
-// overhead metric on its own goroutine. It is the climb MultiTuner runs
-// under uniform traffic (tuner.climbGlobal), and nothing else.
-type OverheadTuner struct {
-	tuner
-	cfg TunerConfig
-}
-
-// NewOverheadTuner creates (but does not start) a tuner for one coalesced
-// action. Coalescing must already be enabled for the action.
-func NewOverheadTuner(rt *runtime.Runtime, action string, cfg TunerConfig) *OverheadTuner {
-	cfg = cfg.withDefaults()
-	t := &OverheadTuner{tuner: newTuner(rt, action), cfg: cfg}
-	t.loop = t.run
-	return t
-}
-
-func (t *OverheadTuner) run() {
-	last := metrics.Snapshot(t.rt)
-	ticker := time.NewTicker(t.cfg.SampleInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C:
-		}
-		window := t.window(&last)
-		if window.Tasks < t.cfg.MinWindowTasks {
-			// Quiet window: no information; also reset the baseline so a
-			// new phase is judged fresh.
-			t.global.reset()
-			continue
-		}
-		overhead := window.NetworkOverhead()
-		params, err := t.rt.CoalescingParams(t.action)
-		if err != nil {
-			t.fail(GlobalDest, overhead, coalescing.Params{}, err)
-			return
-		}
-		if t.tick(overhead, params) {
-			return
-		}
-	}
-}
-
-// tick judges one busy window. It returns true if the loop must
-// terminate.
-func (t *OverheadTuner) tick(overhead float64, params coalescing.Params) bool {
-	return t.climbGlobal(overhead, params, t.cfg.MinNParcels, t.cfg.MaxNParcels, "")
 }
 
 // PICSTuner is the iteration-driven baseline: the application calls

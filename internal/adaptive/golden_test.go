@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/apps/toy"
 	"repro/internal/coalescing"
-	"repro/internal/runtime"
 )
 
 // The golden tables pin the hill-climb's decisions — every From, To and
@@ -20,7 +19,7 @@ import (
 const quiet = -1.0
 
 // globalUniformSuffix is what MultiTuner's uniform-traffic path appends
-// to an otherwise identical reason.
+// to every global climb's reason.
 const globalUniformSuffix = " (uniform fallback)"
 
 // globalSeries are the action-wide NParcels climbs. want has one entry
@@ -116,67 +115,52 @@ var globalSeries = []struct {
 	},
 }
 
-// renderNew renders the decisions a window added to the log.
-func renderNew(ds []Decision, seen int, suffix string) string {
+// renderNew renders the decisions a window added to the log, without
+// the uniform-fallback suffix.
+func renderNew(ds []Decision, seen int) string {
 	if len(ds) == seen {
 		return "-"
 	}
 	var parts []string
 	for _, d := range ds[seen:] {
-		parts = append(parts, fmt.Sprintf("%d->%d %s", d.From.NParcels, d.To.NParcels, strings.TrimSuffix(d.Reason, suffix)))
+		parts = append(parts, fmt.Sprintf("%d->%d %s", d.From.NParcels, d.To.NParcels, strings.TrimSuffix(d.Reason, globalUniformSuffix)))
 	}
 	return strings.Join(parts, "; ")
 }
 
-// TestGoldenGlobalClimb runs every series through both controllers'
-// per-window functions: the decisions must be the same ones, MultiTuner's
-// carrying the uniform-fallback suffix.
+// TestGoldenGlobalClimb runs every series through MultiTuner's
+// uniform-traffic climb, one call of tickGlobal per window; every
+// decision carries the uniform-fallback suffix.
 func TestGoldenGlobalClimb(t *testing.T) {
-	type tickFunc = func(overhead float64, params coalescing.Params) bool
-	controllers := []struct {
-		name   string
-		suffix string
-		build  func(rt *runtime.Runtime, lo, hi int) (tickFunc, *tuner)
-	}{
-		{"MultiTuner.tickGlobal", globalUniformSuffix, func(rt *runtime.Runtime, lo, hi int) (tickFunc, *tuner) {
-			mt := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MinNParcels: lo, MaxNParcels: hi})
-			return mt.tickGlobal, &mt.tuner
-		}},
-		{"OverheadTuner.tick", "", func(rt *runtime.Runtime, lo, hi int) (tickFunc, *tuner) {
-			ot := NewOverheadTuner(rt, toy.Action, TunerConfig{MinNParcels: lo, MaxNParcels: hi})
-			return ot.tick, &ot.tuner
-		}},
-	}
-	for _, ctl := range controllers {
-		for _, tc := range globalSeries {
-			t.Run(ctl.name+"/"+tc.name, func(t *testing.T) {
-				rt := newToyRuntime(t, coalescing.Params{NParcels: tc.start, Interval: time.Millisecond})
-				tick, tn := ctl.build(rt, tc.lo, tc.hi)
-				for i, oh := range tc.windows {
-					seen := len(tn.Decisions())
-					if oh == quiet {
-						tn.global.reset() // what run does with a quiet window
-					} else {
-						g, err := rt.CoalescingParams(toy.Action)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if tick(oh, g) {
-							t.Fatalf("window %d: stopped (err=%v)", i, tn.Err())
-						}
+	for _, tc := range globalSeries {
+		t.Run("MultiTuner.tickGlobal/"+tc.name, func(t *testing.T) {
+			rt := newToyRuntime(t, coalescing.Params{NParcels: tc.start, Interval: time.Millisecond})
+			mt := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MaxNParcels: tc.hi})
+			mt.minNParcels = tc.lo
+			for i, oh := range tc.windows {
+				seen := len(mt.Decisions())
+				if oh == quiet {
+					mt.global.reset() // what run does with a quiet window
+				} else {
+					g, err := rt.CoalescingParams(toy.Action)
+					if err != nil {
+						t.Fatal(err)
 					}
-					ds := tn.Decisions()
-					for _, d := range ds[seen:] {
-						if !strings.HasSuffix(d.Reason, ctl.suffix) {
-							t.Errorf("window %d: reason %q lacks %q", i, d.Reason, ctl.suffix)
-						}
-					}
-					if got := renderNew(ds, seen, ctl.suffix); got != tc.want[i] {
-						t.Errorf("window %d (oh=%v): got %q, want %q", i, oh, got, tc.want[i])
+					if mt.tickGlobal(oh, g) {
+						t.Fatalf("window %d: stopped (err=%v)", i, mt.Err())
 					}
 				}
-			})
-		}
+				ds := mt.Decisions()
+				for _, d := range ds[seen:] {
+					if !strings.HasSuffix(d.Reason, globalUniformSuffix) {
+						t.Errorf("window %d: reason %q lacks %q", i, d.Reason, globalUniformSuffix)
+					}
+				}
+				if got := renderNew(ds, seen); got != tc.want[i] {
+					t.Errorf("window %d (oh=%v): got %q, want %q", i, oh, got, tc.want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -300,7 +284,7 @@ func TestGoldenDestClimb(t *testing.T) {
 				got := "-"
 				if oh == quiet {
 					cl.prevOH = -1 // what run and tickDests do with a quiet or cold window
-				} else if next, reason, moved := cl.step(oh, cfg); moved {
+				} else if next, reason, moved := cl.step(oh, minNParcels, cfg.MaxNParcels); moved {
 					got = fmt.Sprintf("n=%d iv=%v %s", next.NParcels, next.Interval, reason)
 					cl.params = next
 				}

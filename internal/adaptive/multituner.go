@@ -16,39 +16,16 @@ type MultiTunerConfig struct {
 	// SampleInterval is the window length between decisions
 	// (default 50ms).
 	SampleInterval time.Duration
-	// MinNParcels and MaxNParcels bound the NParcels search
-	// (defaults 1 and 1024).
-	MinNParcels, MaxNParcels int
-	// MinWindowTasks skips windows with fewer executed tasks
-	// (default 50).
+	// MaxNParcels bounds the NParcels search (default 1024).
+	MaxNParcels int
+	// MinWindowTasks skips windows with fewer executed tasks, when the
+	// application is between communication phases (default 50).
 	MinWindowTasks int64
-	// MaxTrackedDests caps how many destinations get their own climb;
-	// beyond the cap the least-recently-hot destination is evicted back
-	// to the global policy (default 8).
-	MaxTrackedDests int
-	// HotShare is the minimum fraction of the window's parcels a
-	// destination must receive to be tuned independently (default 0.10).
-	HotShare float64
-	// SkewFactor is how many multiples of the fair share (1/active
-	// destinations) a destination must carry to count as hot — under
-	// uniform traffic no destination qualifies and the tuner falls back
-	// to a global NParcels climb, matching OverheadTuner (default 2).
-	SkewFactor float64
-	// MinDestParcels is the minimum absolute parcels per window for a
-	// destination to be tuned — guards the share test in quiet windows
-	// (default 16).
-	MinDestParcels int64
-	// IdleWindows evicts a tracked destination after this many
-	// consecutive windows below the hot threshold (default 10).
-	IdleWindows int
 }
 
 func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
 	if c.SampleInterval <= 0 {
 		c.SampleInterval = 50 * time.Millisecond
-	}
-	if c.MinNParcels <= 0 {
-		c.MinNParcels = 1
 	}
 	if c.MaxNParcels <= 0 {
 		c.MaxNParcels = 1024
@@ -56,23 +33,33 @@ func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
 	if c.MinWindowTasks <= 0 {
 		c.MinWindowTasks = 50
 	}
-	if c.MaxTrackedDests <= 0 {
-		c.MaxTrackedDests = 8
-	}
-	if c.HotShare <= 0 {
-		c.HotShare = 0.10
-	}
-	if c.SkewFactor <= 0 {
-		c.SkewFactor = 2
-	}
-	if c.MinDestParcels <= 0 {
-		c.MinDestParcels = 16
-	}
-	if c.IdleWindows <= 0 {
-		c.IdleWindows = 10
-	}
 	return c
 }
+
+// The tuner's policy beyond MultiTunerConfig. NewMultiTuner copies these
+// into the tuner's fields of the same names.
+const (
+	// minNParcels is the floor of every NParcels climb.
+	minNParcels = 1
+	// maxTrackedDests caps how many destinations get their own climb;
+	// beyond the cap the least-recently-hot destination is evicted back
+	// to the global policy.
+	maxTrackedDests = 8
+	// hotShare is the minimum fraction of the window's parcels a
+	// destination must receive to be tuned independently.
+	hotShare = 0.10
+	// skewFactor is how many multiples of the fair share (1/active
+	// destinations) a destination must carry to count as hot — under
+	// uniform traffic no destination qualifies and the tuner climbs the
+	// action-wide NParcels instead.
+	skewFactor = 2
+	// minDestParcels is the minimum absolute parcels per window for a
+	// destination to be tuned — guards the share test in quiet windows.
+	minDestParcels = 16
+	// idleWindows evicts a tracked destination after this many
+	// consecutive windows below the hot threshold.
+	idleWindows = 10
+)
 
 // Knob indices for the coordinate descent.
 const (
@@ -107,36 +94,113 @@ type destClimb struct {
 	coldFor int     // consecutive windows below threshold
 }
 
-// MultiTuner generalizes OverheadTuner to a per-destination, multi-knob
-// controller. It partitions the Eq. 4 overhead signal by destination
-// (weighting the window's overhead by each destination's share of sent
-// parcels), runs an independent bounded hill-climb per hot destination —
-// coordinate descent alternating between NParcels and Interval — and
-// leaves cold destinations on the action's global policy. Tracked
-// destinations are capped; the least-recently-hot is evicted (its
-// override cleared) when the cap is exceeded or after IdleWindows quiet
-// windows.
+// MultiTuner hill-climbs the coalescing parameters of one action against
+// the instantaneous Eq. 4 network overhead, on its own goroutine. It
+// partitions the signal by destination (weighting the window's overhead
+// by each destination's share of sent parcels), runs an independent
+// bounded hill-climb per hot destination — coordinate descent
+// alternating between NParcels and Interval — and leaves cold
+// destinations on the action's global policy. With no hot destination it
+// climbs the action-wide NParcels instead. Tracked destinations are
+// capped; the least-recently-hot is evicted (its override cleared) when
+// the cap is exceeded or after idleWindows quiet windows.
 type MultiTuner struct {
-	tuner
-	cfg MultiTunerConfig
+	rt     *runtime.Runtime
+	action string
+	cfg    MultiTunerConfig
+	log    *decisionLog
+
+	// The policy constants above; the package's tests overwrite them.
+	minNParcels, maxTrackedDests, idleWindows int
+	hotShare, skewFactor                      float64
+	minDestParcels                            int64
 
 	// mu guards tracked and the climbs, the action-wide one included.
 	mu      sync.Mutex
+	global  climb
 	tracked map[int]*destClimb
+
+	started, stopped sync.Once
+	stop, done       chan struct{}
+
+	errMu sync.Mutex
+	err   error
 }
 
-// NewMultiTuner creates (but does not start) a per-destination tuner for
-// one coalesced action. Coalescing must already be enabled for the
-// action.
+// NewMultiTuner creates (but does not start) a tuner for one coalesced
+// action. Coalescing must already be enabled for the action.
 func NewMultiTuner(rt *runtime.Runtime, action string, cfg MultiTunerConfig) *MultiTuner {
-	cfg = cfg.withDefaults()
-	t := &MultiTuner{
-		tuner:   newTuner(rt, action),
-		cfg:     cfg,
-		tracked: make(map[int]*destClimb),
+	return &MultiTuner{
+		rt:              rt,
+		action:          action,
+		cfg:             cfg.withDefaults(),
+		log:             newDecisionLog(DefaultMaxDecisions),
+		minNParcels:     minNParcels,
+		maxTrackedDests: maxTrackedDests,
+		idleWindows:     idleWindows,
+		hotShare:        hotShare,
+		skewFactor:      skewFactor,
+		minDestParcels:  minDestParcels,
+		global:          climb{prev: -1, dir: +1},
+		tracked:         make(map[int]*destClimb),
+		stop:            make(chan struct{}),
+		done:            make(chan struct{}),
 	}
-	t.loop = t.run
-	return t
+}
+
+// Start launches the sampling loop. Only the first call does; a tuner
+// that was stopped does not start again.
+func (t *MultiTuner) Start() {
+	t.started.Do(func() {
+		go func() {
+			defer close(t.done)
+			t.run()
+		}()
+	})
+}
+
+// Stop terminates the loop and waits for it to exit. Stop is idempotent,
+// and on a tuner that was never started it returns at once.
+func (t *MultiTuner) Stop() {
+	t.started.Do(func() { close(t.done) })
+	t.stopped.Do(func() { close(t.stop) })
+	<-t.done
+}
+
+// Decisions returns the retained decision log (oldest first). When more
+// than DefaultMaxDecisions decisions have been made, the oldest are dropped —
+// use DecisionCount for the cumulative total.
+func (t *MultiTuner) Decisions() []Decision { return t.log.all() }
+
+// DecisionCount returns the total number of decisions ever made,
+// including ones the bounded log has since dropped.
+func (t *MultiTuner) DecisionCount() int64 { return t.log.count() }
+
+// DroppedDecisions returns how many decisions the bounded log discarded.
+func (t *MultiTuner) DroppedDecisions() int64 { return t.log.droppedCount() }
+
+// Err reports the error that terminated the sampling loop, if any. A nil
+// result after Stop means the loop exited cleanly.
+func (t *MultiTuner) Err() error {
+	t.errMu.Lock()
+	defer t.errMu.Unlock()
+	return t.err
+}
+
+// fail records a terminal decision carrying the error reason; the caller
+// then leaves the loop, and the error is surfaced via Err.
+func (t *MultiTuner) fail(dest int, overhead float64, params coalescing.Params, err error) {
+	t.errMu.Lock()
+	t.err = err
+	t.errMu.Unlock()
+	t.log.add(Decision{
+		When:     time.Now(),
+		Dest:     dest,
+		Overhead: overhead,
+		From:     params,
+		To:       params,
+		Reason:   "terminated: " + err.Error(),
+	})
 }
 
 // TrackedDests returns the destinations currently under independent
@@ -163,6 +227,20 @@ func (t *MultiTuner) destParcels() map[int]int64 {
 		}
 	}
 	return out
+}
+
+// window returns the Section III counter deltas since *last and advances
+// *last to now.
+func (t *MultiTuner) window(last *metrics.Sample) metrics.Phase {
+	now := metrics.Snapshot(t.rt)
+	w := metrics.Phase{
+		Tasks:          now.Tasks - last.Tasks,
+		TaskDuration:   now.TaskDuration - last.TaskDuration,
+		ExecDuration:   now.ExecDuration - last.ExecDuration,
+		BackgroundWork: now.BackgroundWork - last.BackgroundWork,
+	}
+	*last = now
+	return w
 }
 
 func (t *MultiTuner) run() {
@@ -245,8 +323,8 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 	// and a multiple of the fair share among this window's active
 	// destinations — under uniform traffic nothing qualifies and the
 	// global fallback climb runs instead.
-	hotBar := t.cfg.HotShare
-	if fair := t.cfg.SkewFactor / float64(len(deltas)); fair > hotBar {
+	hotBar := t.hotShare
+	if fair := t.skewFactor / float64(len(deltas)); fair > hotBar {
 		hotBar = fair
 	}
 	if hotBar > 0.9 {
@@ -258,7 +336,7 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 	for d, delta := range deltas {
 		share := float64(delta) / float64(total)
 		cl, ok := t.tracked[d]
-		if share < hotBar || delta < t.cfg.MinDestParcels {
+		if share < hotBar || delta < t.minDestParcels {
 			continue
 		}
 		hot++
@@ -271,7 +349,7 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 		cl.coldFor = 0
 
 		destOH := overhead * share
-		next, reason, moved := cl.step(destOH, t.cfg)
+		next, reason, moved := cl.step(destOH, t.minNParcels, t.cfg.MaxNParcels)
 		if !moved {
 			continue
 		}
@@ -297,12 +375,12 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 		if cl.lastHot != seq {
 			cl.prevOH = -1 // signal composition changed; judge fresh
 			cl.coldFor++
-			if cl.coldFor >= t.cfg.IdleWindows {
+			if cl.coldFor >= t.idleWindows {
 				t.evict(d, "cold")
 			}
 		}
 	}
-	for len(t.tracked) > t.cfg.MaxTrackedDests {
+	for len(t.tracked) > t.maxTrackedDests {
 		lru, lruSeq := -1, int64(1<<62)
 		for d, cl := range t.tracked {
 			if cl.lastHot < lruSeq {
@@ -334,12 +412,13 @@ func (t *MultiTuner) evict(d int, why string) {
 	})
 }
 
-// step advances one destination's coordinate descent and returns the
-// next parameters, a reason string, and whether a move was made. The
+// step advances one destination's coordinate descent, with NParcels
+// bounded by [minN, maxN], and returns the next parameters, a reason
+// string, and whether a move was made. The
 // climb itself is climb.step on whichever knob the descent is on; what a
 // destination adds is the rotation between knobs.
-func (cl *destClimb) step(destOH float64, cfg MultiTunerConfig) (coalescing.Params, string, bool) {
-	cur, lo, hi := int64(cl.params.NParcels), int64(cfg.MinNParcels), int64(cfg.MaxNParcels)
+func (cl *destClimb) step(destOH float64, minN, maxN int) (coalescing.Params, string, bool) {
+	cur, lo, hi := int64(cl.params.NParcels), int64(minN), int64(maxN)
 	if cl.knob == knobInterval {
 		cur, lo, hi = int64(cl.params.Interval), int64(minInterval), int64(cl.ivCap)
 	}
@@ -397,10 +476,29 @@ func (cl *destClimb) rotate() {
 }
 
 // tickGlobal is the uniform-traffic fallback: with no hot destination to
-// single out, hill-climb the action-wide NParcels exactly as
-// OverheadTuner does. It returns true if the loop must terminate.
+// single out, hill-climb the action-wide NParcels by one judged window
+// and install the move, if there is one. It returns true if the loop must
+// terminate.
 func (t *MultiTuner) tickGlobal(overhead float64, global coalescing.Params) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.climbGlobal(overhead, global, t.cfg.MinNParcels, t.cfg.MaxNParcels, " (uniform fallback)")
+	n, out := t.global.step(overhead, int64(global.NParcels), int64(t.minNParcels), int64(t.cfg.MaxNParcels))
+	if out != moved {
+		return false
+	}
+	next := global
+	next.NParcels = int(n)
+	if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
+		t.fail(GlobalDest, overhead, global, err)
+		return true
+	}
+	t.log.add(Decision{
+		When:     time.Now(),
+		Dest:     GlobalDest,
+		Overhead: overhead,
+		From:     global,
+		To:       next,
+		Reason:   fmt.Sprintf("n_oh=%.4f dir=%+d (uniform fallback)", overhead, t.global.dir),
+	})
+	return false
 }

@@ -38,50 +38,11 @@ func TestDecisionLogDefaultCap(t *testing.T) {
 	}
 }
 
-func TestOverheadTunerErrSurfacesRuntimeFailure(t *testing.T) {
-	// The tuner watches an action that never had coalescing enabled: the
-	// first busy window must terminate the loop with a recorded error
-	// decision instead of vanishing silently.
-	rt := newToyRuntime(t, coalescing.Params{NParcels: 4, Interval: time.Millisecond})
-	tuner := NewOverheadTuner(rt, "never-coalesced", TunerConfig{
-		SampleInterval: 5 * time.Millisecond,
-		MinWindowTasks: 1,
-	})
-	tuner.Start()
-	if _, err := toy.RunOn(rt, toy.Config{
-		Localities:      2,
-		ParcelsPerPhase: 500,
-		Phases:          1,
-		Params:          coalescing.Params{NParcels: 4, Interval: time.Millisecond},
-		CostModel:       quickModel(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for tuner.Err() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	tuner.Stop()
-	if tuner.Err() == nil {
-		t.Fatal("Err() == nil after sampling an uncoalesced action")
-	}
-	ds := tuner.Decisions()
-	if len(ds) == 0 {
-		t.Fatal("no terminal decision recorded")
-	}
-	last := ds[len(ds)-1]
-	if !strings.Contains(last.Reason, "terminated:") || last.Dest != GlobalDest {
-		t.Errorf("terminal decision = %+v", last)
-	}
-	if tuner.DecisionCount() != int64(len(ds)) {
-		t.Errorf("DecisionCount = %d, retained %d", tuner.DecisionCount(), len(ds))
-	}
-}
-
 func TestMultiTunerErrSurfacesRuntimeFailure(t *testing.T) {
-	// The same uncoalesced action under the MultiTuner: it has no
-	// coalescers, so no window carries per-destination parcels, and the
-	// runtime's refusal must still terminate the loop with an error.
+	// The tuner watches an action that never had coalescing enabled: it
+	// has no coalescers, so no window carries per-destination parcels,
+	// and the first busy window must still terminate the loop with a
+	// recorded error decision instead of vanishing silently.
 	rt := newToyRuntime(t, coalescing.Params{NParcels: 4, Interval: time.Millisecond})
 	tuner := NewMultiTuner(rt, "never-coalesced", MultiTunerConfig{
 		SampleInterval: 5 * time.Millisecond,
@@ -188,10 +149,13 @@ func TestPICSTunerEdgeCases(t *testing.T) {
 }
 
 func TestMultiTunerConfigDefaults(t *testing.T) {
-	c := MultiTunerConfig{}.withDefaults()
-	if c.MaxTrackedDests != 8 || c.HotShare != 0.10 || c.SkewFactor != 2 ||
-		c.IdleWindows != 10 {
+	tn := NewMultiTuner(nil, toy.Action, MultiTunerConfig{})
+	if c := tn.cfg; c.SampleInterval != 50*time.Millisecond || c.MaxNParcels != 1024 || c.MinWindowTasks != 50 {
 		t.Errorf("defaults = %+v", c)
+	}
+	if tn.minNParcels != 1 || tn.maxTrackedDests != 8 || tn.hotShare != 0.10 || tn.skewFactor != 2 ||
+		tn.minDestParcels != 16 || tn.idleWindows != 10 {
+		t.Errorf("policy = %+v", tn)
 	}
 }
 
@@ -208,7 +172,8 @@ func tickWindow(t *MultiTuner, seq int64, overhead float64, deltas map[int]int64
 func TestMultiTunerTracksHotDestAndInstallsOverride(t *testing.T) {
 	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
 	rt := newToyRuntime(t, global)
-	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MinDestParcels: 1})
+	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
+	tuner.minDestParcels = 1
 	g, _ := rt.CoalescingParams(toy.Action)
 
 	// Dest 1 carries 90% of the traffic: it must be tracked and get an
@@ -247,7 +212,8 @@ func TestMultiTunerTracksHotDestAndInstallsOverride(t *testing.T) {
 func TestMultiTunerEvictsColdDest(t *testing.T) {
 	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
 	rt := newToyRuntime(t, global)
-	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MinDestParcels: 1, IdleWindows: 3})
+	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
+	tuner.minDestParcels, tuner.idleWindows = 1, 3
 	g, _ := rt.CoalescingParams(toy.Action)
 
 	seq := int64(0)
@@ -259,7 +225,7 @@ func TestMultiTunerEvictsColdDest(t *testing.T) {
 	if len(tuner.TrackedDests()) != 1 {
 		t.Fatalf("tracked = %v", tuner.TrackedDests())
 	}
-	// Dest 1 goes silent: after IdleWindows quiet windows the override is
+	// Dest 1 goes silent: after idleWindows quiet windows the override is
 	// cleared and the climb state dropped.
 	coldWin := map[int]int64{0: 50, 2: 50}
 	for i := 0; i < 4; i++ {
@@ -286,9 +252,8 @@ func TestMultiTunerEvictsColdDest(t *testing.T) {
 func TestMultiTunerLRUEvictsBeyondCap(t *testing.T) {
 	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
 	rt := newToyRuntime(t, global)
-	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{
-		MinDestParcels: 1, MaxTrackedDests: 1, SkewFactor: 0.1, HotShare: 0.05,
-	})
+	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
+	tuner.minDestParcels, tuner.maxTrackedDests, tuner.skewFactor, tuner.hotShare = 1, 1, 0.1, 0.05
 	g, _ := rt.CoalescingParams(toy.Action)
 
 	// Two destinations above the bar with a cap of one: the least
@@ -302,7 +267,8 @@ func TestMultiTunerLRUEvictsBeyondCap(t *testing.T) {
 func TestMultiTunerUniformTrafficFallsBackToGlobalClimb(t *testing.T) {
 	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
 	rt := newToyRuntime(t, global)
-	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MinDestParcels: 1})
+	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
+	tuner.minDestParcels = 1
 
 	// Four equal destinations: nobody clears the 2× fair-share bar.
 	deltas := map[int]int64{0: 25, 1: 25, 2: 25, 3: 25}
@@ -338,7 +304,7 @@ func TestDestClimbIntervalNeverExceedsInheritedCap(t *testing.T) {
 		} else {
 			oh *= 1.1
 		}
-		next, _, moved := cl.step(oh, cfg)
+		next, _, moved := cl.step(oh, minNParcels, cfg.MaxNParcels)
 		if moved {
 			if next.Interval > start.Interval {
 				t.Fatalf("step %d raised interval to %v above cap %v", i, next.Interval, start.Interval)

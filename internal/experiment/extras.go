@@ -170,7 +170,7 @@ func Adaptive(s Scale) (AdaptiveResult, error) {
 	if err := rt.EnableCoalescing(toy.Action, start); err != nil {
 		return res, err
 	}
-	tuner := adaptive.NewOverheadTuner(rt, toy.Action, adaptive.TunerConfig{
+	tuner := adaptive.NewMultiTuner(rt, toy.Action, adaptive.MultiTunerConfig{
 		SampleInterval: 20 * time.Millisecond,
 		MaxNParcels:    best,
 	})

@@ -439,12 +439,16 @@ func (f *SimFabric) Send(src, dst int, payload []byte) error {
 	if fault.Action == FaultDelay {
 		m.extra = fault.Delay
 	}
-	lk.push(m, fault.Action == FaultReorder)
+	var dup []byte
 	if fault.Action == FaultDuplicate {
 		// Each delivery hands buffer ownership to the handler, so the
-		// duplicate needs its own copy.
-		dup := GetPayload(len(payload))
+		// duplicate needs its own copy, taken before the original is
+		// pushed: its handler may release it at once.
+		dup = GetPayload(len(payload))
 		copy(dup, payload)
+	}
+	lk.push(m, fault.Action == FaultReorder)
+	if fault.Action == FaultDuplicate {
 		lk.push(linkMsg{src: src, dst: dst, payload: dup}, false)
 	}
 	return nil

@@ -231,6 +231,64 @@ func TestSimFabricFaultDuplicate(t *testing.T) {
 	}
 }
 
+// TestSimFabricDuplicateOfReleasedPayload: a handler may release a
+// delivered payload at once, so a duplicate must be copied before the
+// original is handed over. Each message carries its sequence number in
+// every byte; a duplicate copied after the release carries the poison or
+// another message's bytes, and the race detector sees the copy race the
+// release.
+func TestSimFabricDuplicateOfReleasedPayload(t *testing.T) {
+	PoisonReleasedPayloads(true)
+	t.Cleanup(func() { PoisonReleasedPayloads(false) })
+	const msgs = 2000
+	f := NewSimFabric(2, CostModel{})
+	defer f.Close()
+	var (
+		mu   sync.Mutex
+		seen = make(map[byte]int)
+		bad  int
+	)
+	delivered := make(chan struct{}, 2*msgs)
+	f.SetHandler(1, func(_ int, payload []byte) {
+		mu.Lock()
+		if len(payload) != 64 || bytes.Count(payload, payload[:1]) != len(payload) {
+			bad++
+		} else {
+			seen[payload[0]]++
+		}
+		mu.Unlock()
+		PutPayload(payload)
+		delivered <- struct{}{}
+	})
+	f.SetFaultHook(func(int, int, []byte) Fault { return Fault{Action: FaultDuplicate} })
+	for i := 0; i < msgs; i++ {
+		p := GetPayload(64)
+		for j := range p {
+			p[j] = byte(i % 200) // 0xDB, the poison, is never a sequence byte
+		}
+		if err := f.Send(0, 1, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*msgs; i++ {
+		select {
+		case <-delivered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("delivered %d of %d", i, 2*msgs)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if bad != 0 {
+		t.Errorf("%d deliveries carried bytes of no single message", bad)
+	}
+	for b, n := range seen {
+		if want := 2 * msgs / 200; n != want {
+			t.Errorf("sequence byte %d delivered %d times, want %d", b, n, want)
+		}
+	}
+}
+
 func TestSimFabricManyToOne(t *testing.T) {
 	const senders = 4
 	const per = 100

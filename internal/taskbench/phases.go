@@ -12,7 +12,7 @@ import (
 
 // PhaseDemoConfig drives the multi-phase adaptive demo: a single runtime
 // executes a sequence of dependence patterns back to back while an
-// OverheadTuner watches the Eq. 4 counter, demonstrating the tuner
+// MultiTuner watches the Eq. 4 counter, demonstrating the tuner
 // re-converging when the communication structure changes under it — the
 // capability the paper argues introspective metrics enable for
 // applications without "a predictable pattern of communication".
@@ -90,7 +90,7 @@ type PhaseDemoResult struct {
 	TotalDecisions int `json:"total_decisions"`
 }
 
-// RunPhaseDemo executes the pattern sequence under a live OverheadTuner.
+// RunPhaseDemo executes the pattern sequence under a live MultiTuner.
 func RunPhaseDemo(cfg PhaseDemoConfig) (PhaseDemoResult, error) {
 	cfg = cfg.WithDefaults()
 	rt := runtime.New(runtime.Config{
@@ -109,7 +109,7 @@ func RunPhaseDemo(cfg PhaseDemoConfig) (PhaseDemoResult, error) {
 	}
 	// A faster, narrower climb than the tuner's defaults, sized to the
 	// demo's run lengths.
-	tuner := adaptive.NewOverheadTuner(rt, bench.ActionName(), adaptive.TunerConfig{
+	tuner := adaptive.NewMultiTuner(rt, bench.ActionName(), adaptive.MultiTunerConfig{
 		SampleInterval: 20 * time.Millisecond,
 		MaxNParcels:    256,
 		MinWindowTasks: 20,

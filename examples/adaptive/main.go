@@ -59,12 +59,13 @@ func main() {
 	for i, d := range tuner.Decisions() {
 		fmt.Printf("  %2d. %s\n", i+1, d)
 	}
-	final, _ := rt.CoalescingParams("ping")
-	fmt.Printf("\nstarted at %s, settled at %s\n", start, final)
 	// A window of only requests or only responses has one dominant
 	// destination, which the tuner climbs on its own override.
+	final, dests, _ := tuner.Settled()
+	fmt.Printf("\nstarted at %s, settled at %s\n", start, final)
 	for _, d := range tuner.TrackedDests() {
-		p, _, _ := rt.CoalescingParamsDest("ping", d)
-		fmt.Printf("destination %d settled at %s\n", d, p)
+		if p, ok := dests[d]; ok {
+			fmt.Printf("destination %d settled at %s\n", d, p)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package adaptive
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -50,16 +49,15 @@ func TestDefaultLadder(t *testing.T) {
 func TestOverheadTunerImprovesToyRun(t *testing.T) {
 	// Start from the worst static choice (no coalescing); the tuner must
 	// raise NParcels while the burst runs. The toy's windows alternate
-	// between a request burst and a response tail, each one destination
-	// the per-destination path would single out; this test pins the
-	// action-wide climb on live traffic, so no destination qualifies.
+	// between a request burst and a response tail, each with one dominant
+	// destination, so the climb may settle on the action-wide NParcels or
+	// on a tracked destination's override.
 	start := coalescing.Params{NParcels: 1, Interval: 2 * time.Millisecond}
 	rt := newToyRuntime(t, start)
 	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{
 		SampleInterval: 15 * time.Millisecond,
 		MaxNParcels:    256,
 	})
-	tuner.minDestParcels = math.MaxInt64
 	tuner.Start()
 	defer tuner.Stop()
 	_, err := toy.RunOn(rt, toy.Config{
@@ -73,12 +71,16 @@ func TestOverheadTunerImprovesToyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuner.Stop()
-	final, err := rt.CoalescingParams(toy.Action)
+	global, dests, err := tuner.Settled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.NParcels <= start.NParcels {
-		t.Errorf("tuner never raised NParcels: final %+v (decisions: %v)", final, tuner.Decisions())
+	raised := global.NParcels > start.NParcels
+	for _, p := range dests {
+		raised = raised || p.NParcels > start.NParcels
+	}
+	if !raised {
+		t.Errorf("tuner never raised NParcels: settled at %+v, overrides %v (decisions: %v)", global, dests, tuner.Decisions())
 	}
 	if len(tuner.Decisions()) == 0 {
 		t.Error("no decisions recorded")

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps/toy"
 	"repro/internal/coalescing"
 )
 
@@ -115,48 +114,28 @@ var globalSeries = []struct {
 	},
 }
 
-// renderNew renders the decisions a window added to the log, without
-// the uniform-fallback suffix.
-func renderNew(ds []Decision, seen int) string {
-	if len(ds) == seen {
-		return "-"
-	}
-	var parts []string
-	for _, d := range ds[seen:] {
-		parts = append(parts, fmt.Sprintf("%d->%d %s", d.From.NParcels, d.To.NParcels, strings.TrimSuffix(d.Reason, globalUniformSuffix)))
-	}
-	return strings.Join(parts, "; ")
-}
-
 // TestGoldenGlobalClimb runs every series through MultiTuner's
-// uniform-traffic climb, one call of tickGlobal per window; every
-// decision carries the uniform-fallback suffix.
+// uniform-traffic climb, one call per window of climb.move, which
+// tickGlobal installs with NParcels bounded by [minNParcels,
+// MaxNParcels]; the series' own bounds reach the clamps. Every decision
+// carries the uniform-fallback suffix.
 func TestGoldenGlobalClimb(t *testing.T) {
 	for _, tc := range globalSeries {
 		t.Run("MultiTuner.tickGlobal/"+tc.name, func(t *testing.T) {
-			rt := newToyRuntime(t, coalescing.Params{NParcels: tc.start, Interval: time.Millisecond})
-			mt := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MaxNParcels: tc.hi})
-			mt.minNParcels = tc.lo
+			c := climb{prev: -1, dir: +1}
+			g := coalescing.Params{NParcels: tc.start, Interval: time.Millisecond}
 			for i, oh := range tc.windows {
-				seen := len(mt.Decisions())
+				got := "-"
 				if oh == quiet {
-					mt.global.reset() // what run does with a quiet window
-				} else {
-					g, err := rt.CoalescingParams(toy.Action)
-					if err != nil {
-						t.Fatal(err)
+					c.reset() // what run does with a quiet window
+				} else if next, reason, ok := c.move(oh, g, tc.lo, tc.hi); ok {
+					if !strings.HasSuffix(reason, globalUniformSuffix) {
+						t.Errorf("window %d: reason %q lacks %q", i, reason, globalUniformSuffix)
 					}
-					if mt.tickGlobal(oh, g) {
-						t.Fatalf("window %d: stopped (err=%v)", i, mt.Err())
-					}
+					got = fmt.Sprintf("%d->%d %s", g.NParcels, next.NParcels, strings.TrimSuffix(reason, globalUniformSuffix))
+					g = next
 				}
-				ds := mt.Decisions()
-				for _, d := range ds[seen:] {
-					if !strings.HasSuffix(d.Reason, globalUniformSuffix) {
-						t.Errorf("window %d: reason %q lacks %q", i, d.Reason, globalUniformSuffix)
-					}
-				}
-				if got := renderNew(ds, seen); got != tc.want[i] {
+				if got != tc.want[i] {
 					t.Errorf("window %d (oh=%v): got %q, want %q", i, oh, got, tc.want[i])
 				}
 			}
@@ -284,7 +263,7 @@ func TestGoldenDestClimb(t *testing.T) {
 				got := "-"
 				if oh == quiet {
 					cl.prevOH = -1 // what run and tickDests do with a quiet or cold window
-				} else if next, reason, moved := cl.step(oh, minNParcels, cfg.MaxNParcels); moved {
+				} else if next, reason, moved := cl.step(oh, cfg.MaxNParcels); moved {
 					got = fmt.Sprintf("n=%d iv=%v %s", next.NParcels, next.Interval, reason)
 					cl.params = next
 				}

@@ -36,8 +36,7 @@ func (c MultiTunerConfig) withDefaults() MultiTunerConfig {
 	return c
 }
 
-// The tuner's policy beyond MultiTunerConfig. NewMultiTuner copies these
-// into the tuner's fields of the same names.
+// The tuner's policy beyond MultiTunerConfig.
 const (
 	// minNParcels is the floor of every NParcels climb.
 	minNParcels = 1
@@ -110,11 +109,6 @@ type MultiTuner struct {
 	cfg    MultiTunerConfig
 	log    *decisionLog
 
-	// The policy constants above; the package's tests overwrite them.
-	minNParcels, maxTrackedDests, idleWindows int
-	hotShare, skewFactor                      float64
-	minDestParcels                            int64
-
 	// mu guards tracked and the climbs, the action-wide one included.
 	mu      sync.Mutex
 	global  climb
@@ -131,20 +125,14 @@ type MultiTuner struct {
 // action. Coalescing must already be enabled for the action.
 func NewMultiTuner(rt *runtime.Runtime, action string, cfg MultiTunerConfig) *MultiTuner {
 	return &MultiTuner{
-		rt:              rt,
-		action:          action,
-		cfg:             cfg.withDefaults(),
-		log:             newDecisionLog(DefaultMaxDecisions),
-		minNParcels:     minNParcels,
-		maxTrackedDests: maxTrackedDests,
-		idleWindows:     idleWindows,
-		hotShare:        hotShare,
-		skewFactor:      skewFactor,
-		minDestParcels:  minDestParcels,
-		global:          climb{prev: -1, dir: +1},
-		tracked:         make(map[int]*destClimb),
-		stop:            make(chan struct{}),
-		done:            make(chan struct{}),
+		rt:      rt,
+		action:  action,
+		cfg:     cfg.withDefaults(),
+		log:     newDecisionLog(DefaultMaxDecisions),
+		global:  climb{prev: -1, dir: +1},
+		tracked: make(map[int]*destClimb),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -214,6 +202,22 @@ func (t *MultiTuner) TrackedDests() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// Settled returns where the climbs stand: the action-wide parameters and
+// the override each tracked destination has installed.
+func (t *MultiTuner) Settled() (coalescing.Params, map[int]coalescing.Params, error) {
+	global, err := t.rt.CoalescingParams(t.action)
+	if err != nil {
+		return global, nil, err
+	}
+	dests := make(map[int]coalescing.Params)
+	for _, d := range t.TrackedDests() {
+		if p, overridden, err := t.rt.CoalescingParamsDest(t.action, d); err == nil && overridden {
+			dests[d] = p
+		}
+	}
+	return global, dests, nil
 }
 
 // destParcels aggregates cumulative sent-parcel counts per destination
@@ -323,8 +327,8 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 	// and a multiple of the fair share among this window's active
 	// destinations — under uniform traffic nothing qualifies and the
 	// global fallback climb runs instead.
-	hotBar := t.hotShare
-	if fair := t.skewFactor / float64(len(deltas)); fair > hotBar {
+	hotBar := hotShare
+	if fair := skewFactor / float64(len(deltas)); fair > hotBar {
 		hotBar = fair
 	}
 	if hotBar > 0.9 {
@@ -336,7 +340,7 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 	for d, delta := range deltas {
 		share := float64(delta) / float64(total)
 		cl, ok := t.tracked[d]
-		if share < hotBar || delta < t.minDestParcels {
+		if share < hotBar || delta < minDestParcels {
 			continue
 		}
 		hot++
@@ -349,7 +353,7 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 		cl.coldFor = 0
 
 		destOH := overhead * share
-		next, reason, moved := cl.step(destOH, t.minNParcels, t.cfg.MaxNParcels)
+		next, reason, moved := cl.step(destOH, t.cfg.MaxNParcels)
 		if !moved {
 			continue
 		}
@@ -370,31 +374,33 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 
 	// Age destinations that were not hot this window (whether below the
 	// bar or silent entirely) and evict the ones cold too long or beyond
-	// the tracking cap.
+	// the tracking cap. An eviction records the destination's share of
+	// this window's overhead.
+	shareOH := func(d int) float64 { return overhead * float64(deltas[d]) / float64(total) }
 	for d, cl := range t.tracked {
 		if cl.lastHot != seq {
 			cl.prevOH = -1 // signal composition changed; judge fresh
 			cl.coldFor++
-			if cl.coldFor >= t.idleWindows {
-				t.evict(d, "cold")
+			if cl.coldFor >= idleWindows {
+				t.evict(d, shareOH(d), "cold")
 			}
 		}
 	}
-	for len(t.tracked) > t.maxTrackedDests {
+	for len(t.tracked) > maxTrackedDests {
 		lru, lruSeq := -1, int64(1<<62)
 		for d, cl := range t.tracked {
 			if cl.lastHot < lruSeq {
 				lru, lruSeq = d, cl.lastHot
 			}
 		}
-		t.evict(lru, "lru")
+		t.evict(lru, shareOH(lru), "lru")
 	}
 	return hot, false
 }
 
 // evict clears a destination's override and drops its climb state; the
 // caller holds t.mu.
-func (t *MultiTuner) evict(d int, why string) {
+func (t *MultiTuner) evict(d int, overhead float64, why string) {
 	cl := t.tracked[d]
 	delete(t.tracked, d)
 	_ = t.rt.ClearCoalescingParamsDest(t.action, d)
@@ -405,7 +411,7 @@ func (t *MultiTuner) evict(d int, why string) {
 	t.log.add(Decision{
 		When:     time.Now(),
 		Dest:     d,
-		Overhead: cl.prevOH,
+		Overhead: overhead,
 		From:     cl.params,
 		To:       global,
 		Reason:   "evicted: " + why,
@@ -413,12 +419,12 @@ func (t *MultiTuner) evict(d int, why string) {
 }
 
 // step advances one destination's coordinate descent, with NParcels
-// bounded by [minN, maxN], and returns the next parameters, a reason
-// string, and whether a move was made. The
-// climb itself is climb.step on whichever knob the descent is on; what a
-// destination adds is the rotation between knobs.
-func (cl *destClimb) step(destOH float64, minN, maxN int) (coalescing.Params, string, bool) {
-	cur, lo, hi := int64(cl.params.NParcels), int64(minN), int64(maxN)
+// bounded by [minNParcels, maxN], and returns the next parameters, a
+// reason string, and whether a move was made. The climb itself is
+// climb.step on whichever knob the descent is on; what a destination adds
+// is the rotation between knobs.
+func (cl *destClimb) step(destOH float64, maxN int) (coalescing.Params, string, bool) {
+	cur, lo, hi := int64(cl.params.NParcels), int64(minNParcels), int64(maxN)
 	if cl.knob == knobInterval {
 		cur, lo, hi = int64(cl.params.Interval), int64(minInterval), int64(cl.ivCap)
 	}
@@ -482,12 +488,10 @@ func (cl *destClimb) rotate() {
 func (t *MultiTuner) tickGlobal(overhead float64, global coalescing.Params) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, out := t.global.step(overhead, int64(global.NParcels), int64(t.minNParcels), int64(t.cfg.MaxNParcels))
-	if out != moved {
+	next, reason, ok := t.global.move(overhead, global, minNParcels, t.cfg.MaxNParcels)
+	if !ok {
 		return false
 	}
-	next := global
-	next.NParcels = int(n)
 	if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
 		t.fail(GlobalDest, overhead, global, err)
 		return true
@@ -498,7 +502,20 @@ func (t *MultiTuner) tickGlobal(overhead float64, global coalescing.Params) bool
 		Overhead: overhead,
 		From:     global,
 		To:       next,
-		Reason:   fmt.Sprintf("n_oh=%.4f dir=%+d (uniform fallback)", overhead, t.global.dir),
+		Reason:   reason,
 	})
 	return false
+}
+
+// move is one window of the action-wide climb, with NParcels bounded by
+// [lo, hi]: the parameters to install and the decision's reason, or false
+// when the knob stays.
+func (c *climb) move(overhead float64, global coalescing.Params, lo, hi int) (coalescing.Params, string, bool) {
+	n, out := c.step(overhead, int64(global.NParcels), int64(lo), int64(hi))
+	if out != moved {
+		return global, "", false
+	}
+	next := global
+	next.NParcels = int(n)
+	return next, fmt.Sprintf("n_oh=%.4f dir=%+d (uniform fallback)", overhead, c.dir), true
 }

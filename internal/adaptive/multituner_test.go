@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps/toy"
 	"repro/internal/coalescing"
+	"repro/internal/runtime"
 )
 
 func TestDecisionLogRingBound(t *testing.T) {
@@ -153,10 +154,6 @@ func TestMultiTunerConfigDefaults(t *testing.T) {
 	if c := tn.cfg; c.SampleInterval != 50*time.Millisecond || c.MaxNParcels != 1024 || c.MinWindowTasks != 50 {
 		t.Errorf("defaults = %+v", c)
 	}
-	if tn.minNParcels != 1 || tn.maxTrackedDests != 8 || tn.hotShare != 0.10 || tn.skewFactor != 2 ||
-		tn.minDestParcels != 16 || tn.idleWindows != 10 {
-		t.Errorf("policy = %+v", tn)
-	}
 }
 
 // tickWindow feeds one synthetic sampling window to the tuner's decision
@@ -173,7 +170,6 @@ func TestMultiTunerTracksHotDestAndInstallsOverride(t *testing.T) {
 	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
 	rt := newToyRuntime(t, global)
 	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
-	tuner.minDestParcels = 1
 	g, _ := rt.CoalescingParams(toy.Action)
 
 	// Dest 1 carries 90% of the traffic: it must be tracked and get an
@@ -213,7 +209,6 @@ func TestMultiTunerEvictsColdDest(t *testing.T) {
 	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
 	rt := newToyRuntime(t, global)
 	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
-	tuner.minDestParcels, tuner.idleWindows = 1, 3
 	g, _ := rt.CoalescingParams(toy.Action)
 
 	seq := int64(0)
@@ -228,7 +223,10 @@ func TestMultiTunerEvictsColdDest(t *testing.T) {
 	// Dest 1 goes silent: after idleWindows quiet windows the override is
 	// cleared and the climb state dropped.
 	coldWin := map[int]int64{0: 50, 2: 50}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < idleWindows; i++ {
+		if dests := tuner.TrackedDests(); len(dests) != 1 {
+			t.Fatalf("tracked after %d cold windows = %v, want [1]", i, dests)
+		}
 		seq++
 		tickWindow(tuner, seq, 0.5, coldWin, g)
 	}
@@ -242,6 +240,9 @@ func TestMultiTunerEvictsColdDest(t *testing.T) {
 	for _, d := range tuner.Decisions() {
 		if d.Dest == 1 && strings.Contains(d.Reason, "evicted: cold") {
 			found = true
+			if d.Overhead != 0 {
+				t.Errorf("eviction overhead = %v, want 0: dest 1 sent nothing that window", d.Overhead)
+			}
 		}
 	}
 	if !found {
@@ -250,17 +251,41 @@ func TestMultiTunerEvictsColdDest(t *testing.T) {
 }
 
 func TestMultiTunerLRUEvictsBeyondCap(t *testing.T) {
-	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
-	rt := newToyRuntime(t, global)
+	// One more locality than the tracking cap, and one more for the
+	// background traffic.
+	rt := runtime.New(runtime.Config{Localities: maxTrackedDests + 2, WorkersPerLocality: 1, CostModel: quickModel()})
+	t.Cleanup(rt.Shutdown)
+	toy.Register(rt)
+	if err := rt.EnableCoalescing(toy.Action, coalescing.Params{NParcels: 1, Interval: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
-	tuner.minDestParcels, tuner.maxTrackedDests, tuner.skewFactor, tuner.hotShare = 1, 1, 0.1, 0.05
 	g, _ := rt.CoalescingParams(toy.Action)
 
-	// Two destinations above the bar with a cap of one: the least
-	// recently hot one is evicted.
-	tickWindow(tuner, 1, 0.5, map[int]int64{0: 60, 1: 40}, g)
-	if dests := tuner.TrackedDests(); len(dests) != 1 {
-		t.Fatalf("tracked = %v, want exactly 1", dests)
+	// Destinations 0..maxTrackedDests each dominate one window in turn,
+	// all within idleWindows: the one past the cap evicts the least
+	// recently hot, destination 0.
+	background := maxTrackedDests + 1
+	for d := 0; d <= maxTrackedDests; d++ {
+		if hot, stop := tickWindow(tuner, int64(d+1), 0.5, map[int]int64{d: 90, background: 10}, g); hot != 1 || stop {
+			t.Fatalf("window %d: hot = %d, stop = %v (err=%v)", d, hot, stop, tuner.Err())
+		}
+	}
+	dests := tuner.TrackedDests()
+	if len(dests) != maxTrackedDests || dests[0] != 1 {
+		t.Fatalf("tracked = %v, want 1..%d", dests, maxTrackedDests)
+	}
+	if _, overridden, _ := rt.CoalescingParamsDest(toy.Action, 0); overridden {
+		t.Error("override survived eviction")
+	}
+	found := false
+	for _, d := range tuner.Decisions() {
+		if d.Dest == 0 && strings.Contains(d.Reason, "evicted: lru") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no LRU eviction decision: %v", tuner.Decisions())
 	}
 }
 
@@ -268,7 +293,6 @@ func TestMultiTunerUniformTrafficFallsBackToGlobalClimb(t *testing.T) {
 	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
 	rt := newToyRuntime(t, global)
 	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
-	tuner.minDestParcels = 1
 
 	// Four equal destinations: nobody clears the 2× fair-share bar.
 	deltas := map[int]int64{0: 25, 1: 25, 2: 25, 3: 25}
@@ -304,7 +328,7 @@ func TestDestClimbIntervalNeverExceedsInheritedCap(t *testing.T) {
 		} else {
 			oh *= 1.1
 		}
-		next, _, moved := cl.step(oh, minNParcels, cfg.MaxNParcels)
+		next, _, moved := cl.step(oh, cfg.MaxNParcels)
 		if moved {
 			if next.Interval > start.Interval {
 				t.Fatalf("step %d raised interval to %v above cap %v", i, next.Interval, start.Interval)

@@ -281,8 +281,8 @@ func TestAdaptiveQuick(t *testing.T) {
 	if res.StaticWorst <= res.StaticBest {
 		t.Errorf("static worst %v <= static best %v", res.StaticWorst, res.StaticBest)
 	}
-	if res.FinalNParcels <= 1 {
-		t.Errorf("tuner final nparcels = %d, never adapted", res.FinalNParcels)
+	if res.SettledNParcels() <= 1 {
+		t.Errorf("tuner settled at nparcels=%d (overrides %v), never adapted", res.FinalNParcels, res.FinalDestNParcels)
 	}
 	if res.PICSBest.NParcels == 0 || res.PICSDecisions == 0 {
 		t.Errorf("PICS result = %+v", res)

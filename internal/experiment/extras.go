@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/adaptive"
@@ -131,10 +132,12 @@ func (r RSDResult) Table() Table {
 type AdaptiveResult struct {
 	// Toy totals under three policies.
 	StaticWorst, StaticBest, Tuned time.Duration
-	// TunerDecisions is the overhead tuner's decision count; FinalNParcels
-	// is where it landed.
-	TunerDecisions int
-	FinalNParcels  int
+	// TunerDecisions is the overhead tuner's decision count. FinalNParcels
+	// is where it left the action-wide NParcels, FinalDestNParcels the
+	// override of each destination it was tracking at the end.
+	TunerDecisions    int
+	FinalNParcels     int
+	FinalDestNParcels map[int]int
 	// PICS results on the iterative parquet application.
 	PICSDecisions  int
 	PICSBest       coalescing.Params
@@ -188,8 +191,14 @@ func Adaptive(s Scale) (AdaptiveResult, error) {
 	}
 	res.Tuned = tr.Total
 	res.TunerDecisions = len(tuner.Decisions())
-	if p, err := rt.CoalescingParams(toy.Action); err == nil {
-		res.FinalNParcels = p.NParcels
+	global, dests, err := tuner.Settled()
+	if err != nil {
+		return res, fmt.Errorf("adaptive tuned run: %w", err)
+	}
+	res.FinalNParcels = global.NParcels
+	res.FinalDestNParcels = make(map[int]int, len(dests))
+	for d, p := range dests {
+		res.FinalDestNParcels[d] = p.NParcels
 	}
 
 	// PICS baseline on the iterative parquet application.
@@ -225,15 +234,34 @@ func Adaptive(s Scale) (AdaptiveResult, error) {
 	return res, nil
 }
 
+// SettledNParcels is the largest NParcels the overhead tuner left
+// installed, action-wide or on a destination's override.
+func (r AdaptiveResult) SettledNParcels() int {
+	n := r.FinalNParcels
+	for _, dn := range r.FinalDestNParcels {
+		n = max(n, dn)
+	}
+	return n
+}
+
 // Table renders the comparison.
 func (r AdaptiveResult) Table() Table {
+	final := fmt.Sprintf("final nparcels=%d", r.FinalNParcels)
+	dests := make([]int, 0, len(r.FinalDestNParcels))
+	for d := range r.FinalDestNParcels {
+		dests = append(dests, d)
+	}
+	sort.Ints(dests)
+	for _, d := range dests {
+		final += fmt.Sprintf(", dest %d: %d", d, r.FinalDestNParcels[d])
+	}
 	return Table{
 		Title:   "Adaptive tuning (extension): overhead-driven tuner vs static choices vs PICS-style baseline",
 		Headers: []string{"policy", "toy total(ms)", "decisions", "outcome"},
 		Rows: [][]string{
 			{"static worst (nparcels=1)", ms(r.StaticWorst), "-", "-"},
 			{"static best", ms(r.StaticBest), "-", "-"},
-			{"overhead tuner (start at 1)", ms(r.Tuned), fmt.Sprint(r.TunerDecisions), fmt.Sprintf("final nparcels=%d", r.FinalNParcels)},
+			{"overhead tuner (start at 1)", ms(r.Tuned), fmt.Sprint(r.TunerDecisions), final},
 			{"PICS-style (parquet)", "-", fmt.Sprint(r.PICSDecisions), fmt.Sprintf("best %s after %d iterations", r.PICSBest, r.PICSIterations)},
 		},
 	}

@@ -39,7 +39,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/runtime"
-	"repro/internal/trace"
 )
 
 // Core runtime types.
@@ -88,8 +87,6 @@ type (
 
 // Introspection.
 type (
-	// CounterRegistry is the performance-counter directory.
-	CounterRegistry = counters.Registry
 	// MetricsSample is a point-in-time reading of the Section III
 	// metrics.
 	MetricsSample = metrics.Sample
@@ -120,20 +117,6 @@ type (
 
 // NewComm creates a named collective communicator on a runtime.
 func NewComm(rt *Runtime, name string) (*Comm, error) { return collectives.NewComm(rt, name) }
-
-// Tracing.
-type (
-	// TraceBuffer records runtime events (tasks, messages, coalescing
-	// flushes, phases) in bounded rings with Chrome-trace export; pass it
-	// via RuntimeConfig.Trace.
-	TraceBuffer = trace.Buffer
-	// TraceEvent is one trace record.
-	TraceEvent = trace.Event
-)
-
-// NewTraceBuffer creates a trace buffer holding up to perKind events of
-// each kind.
-func NewTraceBuffer(perKind int) *TraceBuffer { return trace.New(perKind) }
 
 // Counter time series.
 type (

@@ -12,9 +12,9 @@
 //     communication" — the capability the paper argues its metrics
 //     enable. It weights each window's overhead by a destination's share
 //     of sent parcels and hill-climbs NParcels and Interval independently
-//     for each hot destination (installed as per-dest Params overrides);
-//     under uniform traffic it hill-climbs the action-wide NParcels. See
-//     multituner.go.
+//     for each hot destination (installed as per-dest Params overrides),
+//     and the action-wide NParcels on the share of every other
+//     destination. See multituner.go.
 //
 //   - PICSTuner reproduces the prior state of the art the paper compares
 //     against (Charm++'s PICS, which "converged to a decision on

@@ -17,7 +17,7 @@ const (
 // tolerance is the relative overhead change a climb treats as noise.
 const tolerance = 0.02
 
-// climb is the hill-climb MultiTuner runs on every knob, the action-wide
+// climb is the hill-climb MultiTuner runs on every knob, the rest's
 // NParcels and each hot destination's: double it while the Eq. 4 overhead
 // falls, halve it once it rises.
 type climb struct {
@@ -26,6 +26,8 @@ type climb struct {
 	prev float64
 	// dir is +1 to double the knob, -1 to halve it.
 	dir int
+	// lo and hi bound the knob.
+	lo, hi int64
 }
 
 // reset forgets the last overhead, so that a window after a quiet spell
@@ -36,7 +38,7 @@ func (c *climb) reset() { c.prev = -1 }
 // the last window by more than tolerance reverses the direction, better
 // by more keeps it, anything between holds. A move past lo or hi is
 // clamped and leaves the direction pointing back inward.
-func (c *climb) step(overhead float64, cur, lo, hi int64) (int64, outcome) {
+func (c *climb) step(overhead float64, cur int64) (int64, outcome) {
 	if c.prev >= 0 {
 		change := overhead - c.prev
 		switch {
@@ -54,12 +56,12 @@ func (c *climb) step(overhead float64, cur, lo, hi int64) (int64, outcome) {
 	if c.dir > 0 {
 		next = cur * 2
 	}
-	if next < lo {
-		next = lo
+	if next < c.lo {
+		next = c.lo
 		c.dir = +1
 	}
-	if next > hi {
-		next = hi
+	if next > c.hi {
+		next = c.hi
 		c.dir = -1
 	}
 	if next == cur {

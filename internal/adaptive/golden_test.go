@@ -2,10 +2,10 @@ package adaptive
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/apps/toy"
 	"repro/internal/coalescing"
 )
 
@@ -13,17 +13,13 @@ import (
 // Reason — against synthetic overhead series, with no wall clock: each
 // window is fed straight to the controller's per-window function.
 
-// quiet marks a window with too few tasks to judge: the sampling loop
-// makes no decision and forgets the previous overhead.
+// quiet marks a window with nothing to judge: the sampling loop makes no
+// decision and forgets the previous overhead.
 const quiet = -1.0
-
-// globalUniformSuffix is what MultiTuner's uniform-traffic path appends
-// to every global climb's reason.
-const globalUniformSuffix = " (uniform fallback)"
 
 // globalSeries are the action-wide NParcels climbs. want has one entry
 // per window: "-" when the window made no decision, else
-// "<from>-><to> <reason>" without the uniform-fallback suffix.
+// "<from>-><to> <reason>".
 var globalSeries = []struct {
 	name          string
 	start, lo, hi int
@@ -115,25 +111,31 @@ var globalSeries = []struct {
 }
 
 // TestGoldenGlobalClimb runs every series through MultiTuner's
-// uniform-traffic climb, one call per window of climb.move, which
-// tickGlobal installs with NParcels bounded by [minNParcels,
-// MaxNParcels]; the series' own bounds reach the clamps. Every decision
-// carries the uniform-fallback suffix.
+// per-window method under uniform traffic, where no destination is hot
+// and the rest is all of it, so its share of the overhead is the whole
+// window's. The tuner climbs NParcels within [minNParcels, MaxNParcels];
+// the series' own bounds reach the clamps. A quiet window sends nothing.
 func TestGoldenGlobalClimb(t *testing.T) {
+	uniform := map[int]int64{0: 50, 1: 50}
 	for _, tc := range globalSeries {
-		t.Run("MultiTuner.tickGlobal/"+tc.name, func(t *testing.T) {
-			c := climb{prev: -1, dir: +1}
-			g := coalescing.Params{NParcels: tc.start, Interval: time.Millisecond}
+		t.Run("MultiTuner.tick/"+tc.name, func(t *testing.T) {
+			rt := newToyRuntime(t, coalescing.Params{NParcels: tc.start, Interval: time.Millisecond})
+			tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{MaxNParcels: tc.hi})
+			tuner.rest.lo = int64(tc.lo) // minNParcels is 1: a higher floor reaches a clamp between halvings
 			for i, oh := range tc.windows {
-				got := "-"
+				deltas := uniform
 				if oh == quiet {
-					c.reset() // what run does with a quiet window
-				} else if next, reason, ok := c.move(oh, g, tc.lo, tc.hi); ok {
-					if !strings.HasSuffix(reason, globalUniformSuffix) {
-						t.Errorf("window %d: reason %q lacks %q", i, reason, globalUniformSuffix)
-					}
-					got = fmt.Sprintf("%d->%d %s", g.NParcels, next.NParcels, strings.TrimSuffix(reason, globalUniformSuffix))
-					g = next
+					deltas = nil
+				}
+				g, _ := rt.CoalescingParams(toy.Action)
+				made := tuner.DecisionCount()
+				if _, stop := tuner.tick(int64(i+1), oh, deltas, g); stop {
+					t.Fatalf("window %d: stopped (err=%v)", i, tuner.Err())
+				}
+				got := "-"
+				if ds := tuner.Decisions(); tuner.DecisionCount() > made {
+					d := ds[len(ds)-1]
+					got = fmt.Sprintf("%d->%d %s", d.From.NParcels, d.To.NParcels, d.Reason)
 				}
 				if got != tc.want[i] {
 					t.Errorf("window %d (oh=%v): got %q, want %q", i, oh, got, tc.want[i])
@@ -262,7 +264,7 @@ func TestGoldenDestClimb(t *testing.T) {
 			for i, oh := range tc.windows {
 				got := "-"
 				if oh == quiet {
-					cl.prevOH = -1 // what run and tickDests do with a quiet or cold window
+					cl.prevOH = -1 // what tick does with a quiet or cold window
 				} else if next, reason, moved := cl.step(oh, cfg.MaxNParcels); moved {
 					got = fmt.Sprintf("n=%d iv=%v %s", next.NParcels, next.Interval, reason)
 					cl.params = next

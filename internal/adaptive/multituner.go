@@ -49,11 +49,11 @@ const (
 	hotShare = 0.10
 	// skewFactor is how many multiples of the fair share (1/active
 	// destinations) a destination must carry to count as hot — under
-	// uniform traffic no destination qualifies and the tuner climbs the
-	// action-wide NParcels instead.
+	// uniform traffic no destination qualifies and all of it is the rest.
 	skewFactor = 2
 	// minDestParcels is the minimum absolute parcels per window for a
-	// destination to be tuned — guards the share test in quiet windows.
+	// destination, or the rest, to be judged — guards the share test in
+	// quiet windows.
 	minDestParcels = 16
 	// idleWindows evicts a tracked destination after this many
 	// consecutive windows below the hot threshold.
@@ -96,22 +96,23 @@ type destClimb struct {
 // MultiTuner hill-climbs the coalescing parameters of one action against
 // the instantaneous Eq. 4 network overhead, on its own goroutine. It
 // partitions the signal by destination (weighting the window's overhead
-// by each destination's share of sent parcels), runs an independent
+// by each destination's share of sent parcels) and runs an independent
 // bounded hill-climb per hot destination — coordinate descent
-// alternating between NParcels and Interval — and leaves cold
-// destinations on the action's global policy. With no hot destination it
-// climbs the action-wide NParcels instead. Tracked destinations are
-// capped; the least-recently-hot is evicted (its override cleared) when
-// the cap is exceeded or after idleWindows quiet windows.
+// alternating between NParcels and Interval. The rest, every destination
+// without a climb of its own, is one more climb on the same signal: its
+// share of the overhead moves the action-wide NParcels. Tracked
+// destinations are capped; the least-recently-hot is evicted (its
+// override cleared) when the cap is exceeded or after idleWindows quiet
+// windows.
 type MultiTuner struct {
 	rt     *runtime.Runtime
 	action string
 	cfg    MultiTunerConfig
 	log    *decisionLog
 
-	// mu guards tracked and the climbs, the action-wide one included.
+	// mu guards tracked and the climbs, the rest's included.
 	mu      sync.Mutex
-	global  climb
+	rest    climb
 	tracked map[int]*destClimb
 
 	started, stopped sync.Once
@@ -124,12 +125,13 @@ type MultiTuner struct {
 // NewMultiTuner creates (but does not start) a tuner for one coalesced
 // action. Coalescing must already be enabled for the action.
 func NewMultiTuner(rt *runtime.Runtime, action string, cfg MultiTunerConfig) *MultiTuner {
+	cfg = cfg.withDefaults()
 	return &MultiTuner{
 		rt:      rt,
 		action:  action,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		log:     newDecisionLog(DefaultMaxDecisions),
-		global:  climb{prev: -1, dir: +1},
+		rest:    climb{prev: -1, dir: +1, lo: minNParcels, hi: int64(cfg.MaxNParcels)},
 		tracked: make(map[int]*destClimb),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -264,12 +266,9 @@ func (t *MultiTuner) run() {
 
 		curParcels := t.destParcels()
 		deltas := make(map[int]int64, len(curParcels))
-		var total int64
 		for d, n := range curParcels {
-			delta := n - prevParcels[d]
-			if delta > 0 {
+			if delta := n - prevParcels[d]; delta > 0 {
 				deltas[d] = delta
-				total += delta
 			}
 		}
 		prevParcels = curParcels
@@ -284,23 +283,8 @@ func (t *MultiTuner) run() {
 			t.fail(GlobalDest, overhead, coalescing.Params{}, err)
 			return
 		}
-		if total == 0 {
-			t.quiet()
-			continue
-		}
-
-		hot, stop := t.tickDests(seq, overhead, total, deltas, global)
-		if stop {
+		if _, stop := t.tick(seq, overhead, deltas, global); stop {
 			return
-		}
-		if hot == 0 {
-			if stop := t.tickGlobal(overhead, global); stop {
-				return
-			}
-		} else {
-			t.mu.Lock()
-			t.global.reset()
-			t.mu.Unlock()
 		}
 	}
 }
@@ -313,20 +297,30 @@ func (t *MultiTuner) quiet() {
 	for _, cl := range t.tracked {
 		cl.prevOH = -1
 	}
-	t.global.reset()
+	t.rest.reset()
 }
 
-// tickDests runs one window of per-destination coordinate descent. It
-// returns the number of hot destinations this window and whether the
-// loop must terminate (a runtime call failed).
-func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas map[int]int64, global coalescing.Params) (int, bool) {
+// tick judges one window of parcels sent per destination (deltas) under
+// the window's Eq. 4 overhead and the action-wide parameters global:
+// every hot destination's climb, then the rest's, then the ageing of the
+// destinations that were not hot. A window that sent nothing is quiet.
+// It returns the number of hot destinations and whether the loop must
+// terminate (a runtime call failed).
+func (t *MultiTuner) tick(seq int64, overhead float64, deltas map[int]int64, global coalescing.Params) (int, bool) {
+	var total int64
+	for _, n := range deltas {
+		total += n
+	}
+	if total == 0 {
+		t.quiet()
+		return 0, false
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
 	// A destination is hot when it clears both the absolute share floor
 	// and a multiple of the fair share among this window's active
-	// destinations — under uniform traffic nothing qualifies and the
-	// global fallback climb runs instead.
+	// destinations — under uniform traffic nothing qualifies.
 	hotBar := hotShare
 	if fair := skewFactor / float64(len(deltas)); fair > hotBar {
 		hotBar = fair
@@ -336,15 +330,21 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 		// 1; cap it so a single dominant destination still qualifies.
 		hotBar = 0.9
 	}
-	hot := 0
+	// The rest is every destination without a climb of its own: the
+	// traffic the action-wide parameters govern.
+	hot, rest, joined := 0, int64(0), false
 	for d, delta := range deltas {
 		share := float64(delta) / float64(total)
 		cl, ok := t.tracked[d]
 		if share < hotBar || delta < minDestParcels {
+			if !ok {
+				rest += delta
+			}
 			continue
 		}
 		hot++
 		if !ok {
+			joined = true
 			ivCap := min(max(global.Interval, minInterval), maxInterval)
 			cl = &destClimb{params: global, ivCap: ivCap, prevOH: -1, dir: +1, knob: knobNParcels}
 			t.tracked[d] = cl
@@ -370,6 +370,34 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 			Reason:   reason,
 		})
 		cl.params = next
+	}
+
+	// The rest climbs NParcels on its share of the overhead, and keeps
+	// its baseline through a window that sends it too little to judge.
+	// A window in which a destination left the rest, here, or rejoined
+	// it, in evict, is no baseline for the next: the share measured
+	// different traffic.
+	if rest >= minDestParcels {
+		restOH := overhead * (float64(rest) / float64(total))
+		if n, out := t.rest.step(restOH, int64(global.NParcels)); out == moved {
+			next := global
+			next.NParcels = int(n)
+			if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
+				t.fail(GlobalDest, restOH, global, err)
+				return hot, true
+			}
+			t.log.add(Decision{
+				When:     time.Now(),
+				Dest:     GlobalDest,
+				Overhead: restOH,
+				From:     global,
+				To:       next,
+				Reason:   fmt.Sprintf("n_oh=%.4f dir=%+d", restOH, t.rest.dir),
+			})
+		}
+	}
+	if joined {
+		t.rest.reset()
 	}
 
 	// Age destinations that were not hot this window (whether below the
@@ -398,11 +426,12 @@ func (t *MultiTuner) tickDests(seq int64, overhead float64, total int64, deltas 
 	return hot, false
 }
 
-// evict clears a destination's override and drops its climb state; the
-// caller holds t.mu.
+// evict clears a destination's override and drops its climb state, and
+// the destination rejoins the rest; the caller holds t.mu.
 func (t *MultiTuner) evict(d int, overhead float64, why string) {
 	cl := t.tracked[d]
 	delete(t.tracked, d)
+	t.rest.reset()
 	_ = t.rt.ClearCoalescingParamsDest(t.action, d)
 	global, err := t.rt.CoalescingParams(t.action)
 	if err != nil {
@@ -424,13 +453,13 @@ func (t *MultiTuner) evict(d int, overhead float64, why string) {
 // climb.step on whichever knob the descent is on; what a destination adds
 // is the rotation between knobs.
 func (cl *destClimb) step(destOH float64, maxN int) (coalescing.Params, string, bool) {
-	cur, lo, hi := int64(cl.params.NParcels), int64(minNParcels), int64(maxN)
+	c := climb{prev: cl.prevOH, dir: cl.dir, lo: minNParcels, hi: int64(maxN)}
+	cur := int64(cl.params.NParcels)
 	if cl.knob == knobInterval {
-		cur, lo, hi = int64(cl.params.Interval), int64(minInterval), int64(cl.ivCap)
+		cur, c.lo, c.hi = int64(cl.params.Interval), int64(minInterval), int64(cl.ivCap)
 	}
 	judged := cl.prevOH >= 0
-	c := climb{prev: cl.prevOH, dir: cl.dir}
-	n, out := c.step(destOH, cur, lo, hi)
+	n, out := c.step(destOH, cur)
 	cl.prevOH, cl.dir = c.prev, c.dir
 
 	if out == held {
@@ -479,43 +508,4 @@ func (cl *destClimb) rotate() {
 	} else {
 		cl.dir = +1
 	}
-}
-
-// tickGlobal is the uniform-traffic fallback: with no hot destination to
-// single out, hill-climb the action-wide NParcels by one judged window
-// and install the move, if there is one. It returns true if the loop must
-// terminate.
-func (t *MultiTuner) tickGlobal(overhead float64, global coalescing.Params) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	next, reason, ok := t.global.move(overhead, global, minNParcels, t.cfg.MaxNParcels)
-	if !ok {
-		return false
-	}
-	if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
-		t.fail(GlobalDest, overhead, global, err)
-		return true
-	}
-	t.log.add(Decision{
-		When:     time.Now(),
-		Dest:     GlobalDest,
-		Overhead: overhead,
-		From:     global,
-		To:       next,
-		Reason:   reason,
-	})
-	return false
-}
-
-// move is one window of the action-wide climb, with NParcels bounded by
-// [lo, hi]: the parameters to install and the decision's reason, or false
-// when the knob stays.
-func (c *climb) move(overhead float64, global coalescing.Params, lo, hi int) (coalescing.Params, string, bool) {
-	n, out := c.step(overhead, int64(global.NParcels), int64(lo), int64(hi))
-	if out != moved {
-		return global, "", false
-	}
-	next := global
-	next.NParcels = int(n)
-	return next, fmt.Sprintf("n_oh=%.4f dir=%+d (uniform fallback)", overhead, c.dir), true
 }

@@ -2,6 +2,8 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,14 +158,10 @@ func TestMultiTunerConfigDefaults(t *testing.T) {
 	}
 }
 
-// tickWindow feeds one synthetic sampling window to the tuner's decision
-// core, bypassing the timer loop for determinism.
+// tickWindow feeds one synthetic sampling window to the tuner's
+// per-window method, bypassing the timer loop for determinism.
 func tickWindow(t *MultiTuner, seq int64, overhead float64, deltas map[int]int64, global coalescing.Params) (int, bool) {
-	var total int64
-	for _, d := range deltas {
-		total += d
-	}
-	return t.tickDests(seq, overhead, total, deltas, global)
+	return t.tick(seq, overhead, deltas, global)
 }
 
 func TestMultiTunerTracksHotDestAndInstallsOverride(t *testing.T) {
@@ -298,11 +296,11 @@ func TestMultiTunerUniformTrafficFallsBackToGlobalClimb(t *testing.T) {
 	deltas := map[int]int64{0: 25, 1: 25, 2: 25, 3: 25}
 	for i := 1; i <= 3; i++ {
 		g, _ := rt.CoalescingParams(toy.Action)
-		hot, _ := tickWindow(tuner, int64(i), 0.5-float64(i)*0.1, deltas, g)
+		hot, stop := tickWindow(tuner, int64(i), 0.5-float64(i)*0.1, deltas, g)
 		if hot != 0 {
 			t.Fatalf("window %d: hot = %d, want 0 under uniform traffic", i, hot)
 		}
-		if stop := tuner.tickGlobal(0.5-float64(i)*0.1, g); stop {
+		if stop {
 			t.Fatalf("window %d: global climb stopped (err=%v)", i, tuner.Err())
 		}
 	}
@@ -312,6 +310,125 @@ func TestMultiTunerUniformTrafficFallsBackToGlobalClimb(t *testing.T) {
 	p, _ := rt.CoalescingParams(toy.Action)
 	if p.NParcels <= global.NParcels {
 		t.Errorf("global fallback never raised NParcels: %+v", p)
+	}
+}
+
+// globalDecisions returns the decisions that moved the action-wide
+// parameters.
+func globalDecisions(tuner *MultiTuner) []Decision {
+	var out []Decision
+	for _, d := range tuner.Decisions() {
+		if d.Dest == GlobalDest {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func TestMultiTunerOverriddenTrafficLeavesGlobalAlone(t *testing.T) {
+	global := coalescing.Params{NParcels: 1, Interval: time.Millisecond}
+	rt := newToyRuntime(t, global)
+	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
+
+	// Each destination dominates one window in turn and gets an override;
+	// the other sends too little to judge.
+	seq := int64(0)
+	for _, deltas := range []map[int]int64{{0: 10, 1: 190}, {0: 190, 1: 10}} {
+		seq++
+		if hot, stop := tickWindow(tuner, seq, 0.5, deltas, global); hot != 1 || stop {
+			t.Fatalf("window %d: hot = %d, stop = %v (err=%v)", seq, hot, stop, tuner.Err())
+		}
+	}
+	for d := 0; d < 2; d++ {
+		if _, overridden, _ := rt.CoalescingParamsDest(toy.Action, d); !overridden {
+			t.Fatalf("dest %d has no override", d)
+		}
+	}
+	// Now the traffic is even, so neither destination is hot, but both
+	// overrides still carry all of it: no parcel uses the action-wide
+	// NParcels, and nothing may move it.
+	for i, oh := range []float64{0.5, 0.4, 0.3} {
+		seq++
+		if hot, stop := tickWindow(tuner, seq, oh, map[int]int64{0: 100, 1: 100}, global); hot != 0 || stop {
+			t.Fatalf("even window %d: hot = %d, stop = %v (err=%v)", i, hot, stop, tuner.Err())
+		}
+	}
+	if ds := globalDecisions(tuner); len(ds) != 0 {
+		t.Errorf("action-wide decisions with every parcel on an override: %v", ds)
+	}
+	if p, _ := rt.CoalescingParams(toy.Action); p.NParcels != global.NParcels {
+		t.Errorf("action-wide NParcels = %d, want %d", p.NParcels, global.NParcels)
+	}
+}
+
+func TestMultiTunerRestKeepsItsBaselineBesideAHotDest(t *testing.T) {
+	rt := newToyRuntime(t, coalescing.Params{NParcels: 1, Interval: time.Millisecond})
+	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
+
+	// Destination 1 is hot in every window; the first tracks it. Then
+	// the rest, destination 0, sends 20 parcels, then too few to judge,
+	// then 20 again under a higher overhead: its share worsens against
+	// the second window's, so the rest's climb reverses. A baseline reset
+	// in the third window would judge the fourth fresh and keep raising
+	// NParcels instead.
+	for i, w := range []struct {
+		oh     float64
+		deltas map[int]int64
+	}{
+		{0.50, map[int]int64{0: 5, 1: 200}},
+		{0.50, map[int]int64{0: 20, 1: 200}},
+		{0.50, map[int]int64{0: 5, 1: 200}},
+		{0.60, map[int]int64{0: 20, 1: 200}},
+	} {
+		g, _ := rt.CoalescingParams(toy.Action)
+		if hot, stop := tickWindow(tuner, int64(i+1), w.oh, w.deltas, g); hot != 1 || stop {
+			t.Fatalf("window %d: hot = %d, stop = %v (err=%v)", i, hot, stop, tuner.Err())
+		}
+	}
+	ds := globalDecisions(tuner)
+	if len(ds) != 2 {
+		t.Fatalf("action-wide decisions = %v, want a raise then a reversal", ds)
+	}
+	if ds[0].From.NParcels != 1 || ds[0].To.NParcels != 2 || !strings.HasSuffix(ds[0].Reason, "dir=+1") {
+		t.Errorf("first decision = %v, want 1 -> 2 upward", ds[0])
+	}
+	if ds[1].From.NParcels != 2 || ds[1].To.NParcels != 1 || !strings.HasSuffix(ds[1].Reason, "dir=-1") {
+		t.Errorf("second decision = %v, want 2 -> 1 reversed", ds[1])
+	}
+	if want := 0.60 * 20 / 220; math.Abs(ds[1].Overhead-want) > 1e-12 {
+		t.Errorf("rest overhead = %v, want its share %v", ds[1].Overhead, want)
+	}
+}
+
+func TestMultiTunerRestJudgedFreshWhenItsMembershipChanges(t *testing.T) {
+	rt := newToyRuntime(t, coalescing.Params{NParcels: 1, Interval: time.Millisecond})
+	tuner := NewMultiTuner(rt, toy.Action, MultiTunerConfig{})
+
+	// Window 1 tracks destination 1, so the rest's share there counts
+	// destination 0 alone; from window 2 on destination 1 is never hot
+	// again, and the window that evicts it hands its traffic back to the
+	// rest. Each of those windows measured other traffic than the next
+	// one, whose share (0.25 after 0.045, then 0.5 after 0.25) would
+	// otherwise read as worse and turn the climb back down.
+	windows := []map[int]int64{{0: 20, 1: 200}}
+	for i := 0; i <= idleWindows; i++ {
+		windows = append(windows, map[int]int64{0: 100, 1: 100})
+	}
+	for i, deltas := range windows {
+		g, _ := rt.CoalescingParams(toy.Action)
+		if _, stop := tickWindow(tuner, int64(i+1), 0.5, deltas, g); stop {
+			t.Fatalf("window %d: stopped (err=%v)", i, tuner.Err())
+		}
+	}
+	if dests := tuner.TrackedDests(); len(dests) != 0 {
+		t.Fatalf("tracked = %v, want destination 1 evicted", dests)
+	}
+	var got []string
+	for _, d := range globalDecisions(tuner) {
+		got = append(got, fmt.Sprintf("%d->%d", d.From.NParcels, d.To.NParcels))
+	}
+	if want := []string{"1->2", "2->4", "4->8"}; !slices.Equal(got, want) {
+		t.Errorf("action-wide moves = %v, want %v", got, want)
 	}
 }
 

@@ -61,13 +61,6 @@ type Counter interface {
 	Reset()
 }
 
-// ArrayCounter is implemented by counters whose reading is a value array
-// (histograms, in HPX's [low, high, width, buckets...] encoding).
-type ArrayCounter interface {
-	Counter
-	Values() []int64
-}
-
 // Raw is a cumulative/gauge counter backed by an atomic int64.
 type Raw struct {
 	path Path
@@ -213,7 +206,7 @@ func (c *HistogramCounter) Kind() Kind { return KindHistogram }
 // Value implements Counter, returning the total observation count.
 func (c *HistogramCounter) Value() float64 { return float64(c.h.Count()) }
 
-// Values implements ArrayCounter with the [low, high, width, buckets...]
+// Values returns the histogram in HPX's [low, high, width, buckets...]
 // encoding.
 func (c *HistogramCounter) Values() []int64 { return c.h.Values() }
 

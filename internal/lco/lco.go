@@ -79,8 +79,14 @@ func (f *Future[T]) Get() (T, error) {
 	return f.p.val, f.p.err
 }
 
-// GetWithTimeout waits at most d; on expiry it returns ErrTimeout.
+// GetWithTimeout waits at most d; on expiry it returns ErrTimeout. A
+// ready future returns its value however late the caller runs.
 func (f *Future[T]) GetWithTimeout(d time.Duration) (T, error) {
+	select {
+	case <-f.p.done:
+		return f.p.val, f.p.err
+	default:
+	}
 	select {
 	case <-f.p.done:
 		return f.p.val, f.p.err
@@ -128,31 +134,6 @@ func WaitAll[T any](fs []*Future[T]) error {
 	for _, f := range fs {
 		if _, err := f.Get(); err != nil && firstErr == nil {
 			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// WaitAllTimeout waits for every future in fs under one overall deadline.
-// It returns the first error encountered (in slice order) or ErrTimeout
-// if the deadline expires first. Fault-tolerant applications use it in
-// place of WaitAll so a future whose remote locality died without being
-// poisoned can never hang the caller.
-func WaitAllTimeout[T any](fs []*Future[T], d time.Duration) error {
-	deadline := time.Now().Add(d)
-	var firstErr error
-	for _, f := range fs {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return ErrTimeout
-		}
-		if _, err := f.GetWithTimeout(remaining); err != nil {
-			if errors.Is(err, ErrTimeout) {
-				return ErrTimeout
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
 		}
 	}
 	return firstErr
@@ -215,8 +196,14 @@ func (l *Latch) Wait() { <-l.done }
 // statements alongside cancellation or failure signals.
 func (l *Latch) Done() <-chan struct{} { return l.done }
 
-// WaitTimeout waits at most d, returning ErrTimeout on expiry.
+// WaitTimeout waits at most d, returning ErrTimeout on expiry. An open
+// latch returns nil however late the caller runs.
 func (l *Latch) WaitTimeout(d time.Duration) error {
+	select {
+	case <-l.done:
+		return nil
+	default:
+	}
 	select {
 	case <-l.done:
 		return nil

@@ -209,6 +209,26 @@ func TestLatchWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestOpenNeverTimesOut: an open latch and a ready future answer at once,
+// even when the timeout is shorter than any scheduling delay: a caller
+// descheduled past d must not find the timer ready beside done and let
+// select pick ErrTimeout.
+func TestOpenNeverTimesOut(t *testing.T) {
+	l := NewLatch(1)
+	l.CountDown(1)
+	p := NewPromise[int]()
+	_ = p.SetValue(7)
+	f := p.Future()
+	for i := 0; i < 100_000; i++ {
+		if err := l.WaitTimeout(time.Microsecond); err != nil {
+			t.Fatalf("call %d: open latch: %v", i, err)
+		}
+		if v, err := f.GetWithTimeout(time.Microsecond); err != nil || v != 7 {
+			t.Fatalf("call %d: ready future: %v, %v", i, v, err)
+		}
+	}
+}
+
 func TestBarrierReusable(t *testing.T) {
 	const n = 4
 	const rounds = 3

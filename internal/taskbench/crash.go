@@ -239,16 +239,18 @@ func (b *Bench) redrive(ru *run, lost, sent []bool) {
 	}
 }
 
-// allRun reports whether every task of a hosted-owned point has run
-// here. next holds each point's first step not yet seen done; done flags
-// never clear, so repeated calls advance it instead of rescanning.
+// allRun reports whether every task of a hosted-owned point has
+// finished here: claimed is not enough, as Run would return while the
+// last bodies still run. next holds each point's first step not yet seen
+// finished; the flags never clear, so repeated calls advance it instead
+// of rescanning.
 func (b *Bench) allRun(ru *run, next []int) bool {
 	w := ru.g.Width
 	for p := range next {
 		if !b.rt.Hosted(int(ru.owners[p].Load())) {
 			continue
 		}
-		for next[p] < ru.g.Steps && ru.done[next[p]*w+p].Load() {
+		for next[p] < ru.g.Steps && ru.finished[next[p]*w+p].Load() {
 			next[p]++
 		}
 		if next[p] < ru.g.Steps {

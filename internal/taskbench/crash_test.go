@@ -154,3 +154,38 @@ func TestRunFailsFastOnADownLocality(t *testing.T) {
 		t.Fatalf("Run returned %v after %v (timeout %v), want ErrLocalityDown well inside the timeout", err, took, timeout)
 	}
 }
+
+// TestScanLatchWaitsForFinishedTasks: once a re-home moves points into
+// this process, the recovery watchdog's scan decides when the run is
+// over, and it must wait for tasks that have finished, not only been
+// claimed. Locality 2 lives in another process and is down before the
+// run, so its points re-home here; a grain of about 2 ms holds every
+// task between its claim and its count, longer than the watchdog's tick.
+func TestScanLatchWaitsForFinishedTasks(t *testing.T) {
+	fab := network.NewSimFabric(3, network.CostModel{SendOverhead: time.Microsecond, Latency: 2 * time.Microsecond})
+	rt := runtime.New(runtime.Config{Localities: 3, WorkersPerLocality: 2, Fabric: fab, Hosted: []int{0, 1}})
+	t.Cleanup(func() {
+		rt.Shutdown()
+		fab.Close()
+	})
+	b, err := New(rt, Options{Timeout: runBudget(t, 30*time.Second), Recover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.DeclareDown(2)
+
+	const probe = 1 << 16
+	start := time.Now()
+	grind(probe)
+	iters := int(int64(2*time.Millisecond) * probe / max(int64(time.Since(start)), 1))
+	g := Graph{Pattern: Stencil1D, Width: 6, Steps: 4, Iterations: iters, OutputBytes: 8}
+	for i := 0; i < 3; i++ {
+		res, err := b.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(res.Graph.TotalTasks()); res.Tasks != want {
+			t.Fatalf("run %d: Run returned with %d of %d tasks finished", i, res.Tasks, want)
+		}
+	}
+}

@@ -93,10 +93,12 @@ type run struct {
 	deps       [][]int
 	dependents [][]int
 	remaining  []atomic.Int32
-	// done marks task bodies that have executed here; the CAS makes
-	// execution exactly-once even when the recovery heal re-spawns a task
-	// racing its regular dataflow trigger.
+	// done marks task bodies claimed here; the CAS makes execution
+	// exactly-once even when the recovery heal re-spawns a task racing
+	// its regular dataflow trigger. finished marks the ones whose body,
+	// sends included, has completed.
 	done     []atomic.Bool
+	finished []atomic.Bool
 	executed atomic.Int64
 	payload  []byte
 
@@ -104,7 +106,7 @@ type run struct {
 	// the last one has run. Once a re-home moves a point into or out of
 	// this process (scan), the count no longer describes this process's
 	// share: it stops, and the recovery watchdog opens the latch when its
-	// scan of the done set finds every hosted-owned task run.
+	// scan finds every hosted-owned task finished.
 	complete *lco.Latch
 	scan     atomic.Bool
 
@@ -335,6 +337,7 @@ func (b *Bench) prepare(g Graph) *run {
 		dependents: b.dependents,
 		remaining:  make([]atomic.Int32, w*g.Steps),
 		done:       make([]atomic.Bool, w*g.Steps),
+		finished:   make([]atomic.Bool, w*g.Steps),
 		payload:    make([]byte, g.OutputBytes),
 		failed:     make(chan struct{}),
 		ended:      make(chan struct{}),
@@ -457,7 +460,8 @@ func (b *Bench) runTask(ru *run, step, point, loc int) {
 	if b.rt.LocalityCrashed(loc) {
 		return
 	}
-	if !ru.done[step*ru.g.Width+point].CompareAndSwap(false, true) {
+	idx := step*ru.g.Width + point
+	if !ru.done[idx].CompareAndSwap(false, true) {
 		return // already executed (a heal re-spawn raced the dataflow path)
 	}
 	if grind(ru.g.Iterations) < 0 {
@@ -465,6 +469,7 @@ func (b *Bench) runTask(ru *run, step, point, loc int) {
 	}
 	b.send(ru, b.rt.Locality(loc), step, point, nil)
 	ru.executed.Add(1)
+	ru.finished[idx].Store(true)
 	if b.rt.Hosted(int(ru.owners[point].Load())) && !ru.scan.Load() {
 		ru.complete.CountDown(1)
 	}

@@ -7,10 +7,12 @@
 //	Message Coalescing in Task Based Runtime Systems" (IPDPS Workshops
 //	2018).
 //
-// The facade re-exports the pieces an application touches — runtime
-// construction, action registration, asynchronous invocation, coalescing
-// control, performance counters, metrics, and tuners — while the
-// subsystems live in internal/ packages. A minimal program:
+// The facade re-exports what the examples use — runtime construction,
+// action registration, asynchronous invocation, coalescing control,
+// component objects, the Section III metrics and the adaptive tuner;
+// performance counters are read through Runtime.Counters. The subsystems,
+// collectives and the experiment harness among them, live in internal/
+// packages. A minimal program:
 //
 //	rt := amc.NewRuntime(amc.RuntimeConfig{Localities: 2})
 //	defer rt.Shutdown()
@@ -28,14 +30,9 @@
 package amc
 
 import (
-	"time"
-
 	"repro/internal/adaptive"
 	"repro/internal/agas"
 	"repro/internal/coalescing"
-	"repro/internal/collectives"
-	"repro/internal/counters"
-	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/runtime"
@@ -102,44 +99,10 @@ type (
 	MultiTuner = adaptive.MultiTuner
 	// MultiTunerConfig configures a MultiTuner.
 	MultiTunerConfig = adaptive.MultiTunerConfig
-	// PICSTuner is the iteration-driven baseline controller.
-	PICSTuner = adaptive.PICSTuner
 )
-
-// Collectives.
-type (
-	// Comm is a collective communicator (broadcast, reduce, all-reduce,
-	// gather, barrier) over the runtime's active messages.
-	Comm = collectives.Comm
-	// ReduceFunc combines two serialized values during a reduction.
-	ReduceFunc = collectives.ReduceFunc
-)
-
-// NewComm creates a named collective communicator on a runtime.
-func NewComm(rt *Runtime, name string) (*Comm, error) { return collectives.NewComm(rt, name) }
-
-// Counter time series.
-type (
-	// CounterSampler periodically reads counter queries into a time
-	// series (the --hpx:print-counter-interval analog).
-	CounterSampler = counters.Sampler
-)
-
-// NewCounterSampler creates a sampler over the runtime's registry.
-func NewCounterSampler(rt *Runtime, queries []string, interval time.Duration) *CounterSampler {
-	return counters.NewSampler(rt.Counters(), queries, interval)
-}
 
 // NewRuntime creates and starts a runtime.
 func NewRuntime(cfg RuntimeConfig) *Runtime { return runtime.New(cfg) }
-
-// DefaultCostModel returns the calibrated interconnect model used by the
-// experiment harness.
-func DefaultCostModel() CostModel { return network.DefaultCostModel() }
-
-// ResponseAction returns the internal action name carrying responses of
-// the given action (responses are coalesced alongside requests).
-func ResponseAction(action string) string { return runtime.ResponseAction(action) }
 
 // Snapshot reads the Section III metrics of a runtime.
 func Snapshot(rt *Runtime) MetricsSample { return metrics.Snapshot(rt) }
@@ -151,27 +114,3 @@ func NewPhaseRecorder(rt *Runtime) *PhaseRecorder { return metrics.NewPhaseRecor
 func NewMultiTuner(rt *Runtime, action string, cfg MultiTunerConfig) *MultiTuner {
 	return adaptive.NewMultiTuner(rt, action, cfg)
 }
-
-// NewPICSTuner creates the iteration-driven baseline tuner over a
-// candidate ladder.
-func NewPICSTuner(rt *Runtime, action string, candidates []CoalescingParams) (*PICSTuner, error) {
-	return adaptive.NewPICSTuner(rt, action, candidates)
-}
-
-// TunerLadder builds a powers-of-two candidate ladder for PICS-style
-// search.
-func TunerLadder(maxNParcels int, wait time.Duration) []CoalescingParams {
-	return adaptive.DefaultLadder(maxNParcels, wait)
-}
-
-// Experiment scales for the reproduction harness.
-type ExperimentScale = experiment.Scale
-
-// QuickScale finishes in seconds (smoke tests).
-func QuickScale() ExperimentScale { return experiment.QuickScale() }
-
-// DefaultScale reproduces every trend in minutes.
-func DefaultScale() ExperimentScale { return experiment.DefaultScale() }
-
-// FullScale approaches the paper's workload sizes.
-func FullScale() ExperimentScale { return experiment.FullScale() }

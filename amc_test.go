@@ -66,89 +66,3 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("Eq.4 counter = %v, %v", v, err)
 	}
 }
-
-func TestFacadeHelpers(t *testing.T) {
-	if amc.DefaultCostModel().SendOverhead <= 0 {
-		t.Error("default cost model empty")
-	}
-	if amc.ResponseAction("x") == "x" {
-		t.Error("response action not namespaced")
-	}
-	ladder := amc.TunerLadder(8, time.Millisecond)
-	if len(ladder) != 4 || ladder[3].NParcels != 8 {
-		t.Errorf("ladder = %+v", ladder)
-	}
-	for _, s := range []amc.ExperimentScale{amc.QuickScale(), amc.DefaultScale(), amc.FullScale()} {
-		if s.Name == "" {
-			t.Error("unnamed scale")
-		}
-	}
-}
-
-func TestFacadePICSTuner(t *testing.T) {
-	rt := amc.NewRuntime(amc.RuntimeConfig{Localities: 2, WorkersPerLocality: 1,
-		CostModel: amc.CostModel{Latency: time.Microsecond}})
-	defer rt.Shutdown()
-	rt.MustRegisterAction("a", func(*amc.Context, []byte) ([]byte, error) { return nil, nil })
-	if err := rt.EnableCoalescing("a", amc.CoalescingParams{NParcels: 1, Interval: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	tuner, err := amc.NewPICSTuner(rt, "a", amc.TunerLadder(4, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed synthetic monotone-improving times until convergence.
-	times := map[int]time.Duration{1: 30 * time.Millisecond, 2: 20 * time.Millisecond, 4: 10 * time.Millisecond}
-	for i := 0; i < 10 && !tuner.Converged(); i++ {
-		p, _ := rt.CoalescingParams("a")
-		tuner.OnIteration(times[p.NParcels])
-	}
-	if !tuner.Converged() || tuner.Best().NParcels != 4 {
-		t.Errorf("best = %+v converged=%v", tuner.Best(), tuner.Converged())
-	}
-}
-
-func TestFacadeCollectives(t *testing.T) {
-	rt := amc.NewRuntime(amc.RuntimeConfig{Localities: 3, WorkersPerLocality: 2,
-		CostModel: amc.CostModel{Latency: 5 * time.Microsecond}})
-	defer rt.Shutdown()
-	comm, err := amc.NewComm(rt, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([][]byte, 3)
-	errs := make([]error, 3)
-	doneCh := make(chan int, 3)
-	for l := 0; l < 3; l++ {
-		go func(l int) {
-			results[l], errs[l] = comm.AllReduce(l, "x", []byte{byte(l + 1)}, func(a, b []byte) ([]byte, error) {
-				return []byte{a[0] + b[0]}, nil
-			})
-			doneCh <- l
-		}(l)
-	}
-	for i := 0; i < 3; i++ {
-		<-doneCh
-	}
-	for l := 0; l < 3; l++ {
-		if errs[l] != nil {
-			t.Fatalf("locality %d: %v", l, errs[l])
-		}
-		if results[l][0] != 6 {
-			t.Errorf("locality %d allreduce = %d", l, results[l][0])
-		}
-	}
-}
-
-func TestFacadeCounterSampler(t *testing.T) {
-	rt := amc.NewRuntime(amc.RuntimeConfig{Localities: 2, WorkersPerLocality: 1,
-		CostModel: amc.CostModel{Latency: time.Microsecond}})
-	defer rt.Shutdown()
-	s := amc.NewCounterSampler(rt, []string{"/threads{*}/count/cumulative@*"}, 2*time.Millisecond)
-	s.Start()
-	time.Sleep(10 * time.Millisecond)
-	s.Stop()
-	if len(s.Samples()) < 2 {
-		t.Errorf("samples = %d", len(s.Samples()))
-	}
-}

@@ -208,8 +208,8 @@ func BenchmarkCoalescerPut(b *testing.B) {
 }
 
 func BenchmarkCounterUpdates(b *testing.B) {
-	raw := counters.NewRaw(counters.MustParse("/bench/raw"))
-	avg := counters.NewAverage(counters.MustParse("/bench/avg"))
+	raw := counters.NewRaw(counters.Path{Object: "bench", Name: "raw"})
+	avg := counters.NewAverage(counters.Path{Object: "bench", Name: "avg"})
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			raw.Inc()

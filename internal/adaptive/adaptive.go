@@ -126,11 +126,6 @@ func (t *PICSTuner) Decisions() int {
 	return int(t.log.count())
 }
 
-// DecisionLog returns the retained decision history (oldest first).
-func (t *PICSTuner) DecisionLog() []Decision {
-	return t.log.all()
-}
-
 // OnIteration records the elapsed time of the iteration that ran under
 // the current candidate and, if the search has not converged, moves to
 // the next candidate. It returns the parameters for the next iteration.

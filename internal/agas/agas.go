@@ -1,14 +1,13 @@
 // Package agas implements the Active Global Address Space: allocation of
 // Global Identifiers (GIDs), resolution of a GID to the locality that
-// currently hosts the object, symbolic names, and object migration.
+// currently hosts the object, and object migration.
 //
 // In HPX, every globally addressable object carries a GID that remains
 // valid for the object's lifetime even if the object moves between nodes;
 // the parcel subsystem consults AGAS to route each parcel, and that
 // resolution step is part of the per-message background work the paper's
 // metrics capture. This reproduction keeps the same structure: an
-// authoritative service plus per-locality caches whose hit/miss behaviour
-// is observable through performance counters.
+// authoritative service plus per-locality caches.
 package agas
 
 import (
@@ -59,8 +58,6 @@ func (g GID) String() string {
 // Errors returned by the service.
 var (
 	ErrUnknownGID  = errors.New("agas: unknown GID")
-	ErrUnknownName = errors.New("agas: unknown symbolic name")
-	ErrDupName     = errors.New("agas: symbolic name already registered")
 	ErrBadLocality = errors.New("agas: locality out of range")
 )
 
@@ -72,7 +69,6 @@ type Service struct {
 	localities int
 	nextSeq    []uint64
 	home       map[GID]int
-	names      map[string]GID
 	invalidate []func(GID) // per-locality cache invalidation hooks
 
 	// down marks crash-stopped localities: resolutions to them fail with
@@ -99,14 +95,10 @@ func NewService(n int) *Service {
 		localities: n,
 		nextSeq:    make([]uint64, n),
 		home:       make(map[GID]int),
-		names:      make(map[string]GID),
 		invalidate: make([]func(GID), n),
 		down:       make([]atomic.Bool, n),
 	}
 }
-
-// Localities returns the number of localities in the address space.
-func (s *Service) Localities() int { return s.localities }
 
 // MarkDown declares a locality crash-stopped: subsequent allocations at
 // it fail, and resolutions of GIDs it hosts return
@@ -193,9 +185,6 @@ func (s *Service) Resolve(g GID) (int, error) {
 // resolvable without a directory exchange. Irreversible.
 func (s *Service) EnableStaticRouting() { s.staticRoute.Store(true) }
 
-// StaticRouting reports whether cluster-mode resolution is enabled.
-func (s *Service) StaticRouting() bool { return s.staticRoute.Load() }
-
 // Free removes g from the directory.
 func (s *Service) Free(g GID) {
 	s.mu.Lock()
@@ -233,40 +222,6 @@ func (s *Service) Move(g GID, newLocality int) error {
 		}
 	}
 	return nil
-}
-
-// RegisterName binds a symbolic name to a GID.
-func (s *Service) RegisterName(name string, g GID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.names[name]; dup {
-		return fmt.Errorf("%w: %q", ErrDupName, name)
-	}
-	if _, ok := s.home[g]; !ok {
-		return fmt.Errorf("%w: %v", ErrUnknownGID, g)
-	}
-	s.names[name] = g
-	return nil
-}
-
-// ResolveName returns the GID bound to a symbolic name.
-func (s *Service) ResolveName(name string) (GID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	g, ok := s.names[name]
-	if !ok {
-		return Invalid, fmt.Errorf("%w: %q", ErrUnknownName, name)
-	}
-	return g, nil
-}
-
-// UnregisterName removes a symbolic binding, reporting whether it existed.
-func (s *Service) UnregisterName(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.names[name]
-	delete(s.names, name)
-	return ok
 }
 
 // setInvalidateHook installs locality-cache invalidation (used by Cache).
@@ -329,18 +284,4 @@ func (c *Cache) Resolve(g GID) (int, error) {
 	c.entries[g] = loc
 	c.mu.Unlock()
 	return loc, nil
-}
-
-// HitsMisses returns the cache's cumulative hit and miss counts.
-func (c *Cache) HitsMisses() (hits, misses uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
-}
-
-// Flush drops every cached entry.
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	c.entries = make(map[GID]int)
-	c.mu.Unlock()
 }

@@ -111,33 +111,6 @@ func TestFree(t *testing.T) {
 	}
 }
 
-func TestSymbolicNames(t *testing.T) {
-	s := NewService(2)
-	g := s.MustAllocate(1)
-	if err := s.RegisterName("parquet/root", g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ResolveName("parquet/root")
-	if err != nil || got != g {
-		t.Errorf("ResolveName = %v, %v", got, err)
-	}
-	if err := s.RegisterName("parquet/root", g); !errors.Is(err, ErrDupName) {
-		t.Errorf("dup name = %v", err)
-	}
-	if err := s.RegisterName("x", MakeGID(0, 777)); !errors.Is(err, ErrUnknownGID) {
-		t.Errorf("name for unknown gid = %v", err)
-	}
-	if _, err := s.ResolveName("missing"); !errors.Is(err, ErrUnknownName) {
-		t.Errorf("missing name = %v", err)
-	}
-	if !s.UnregisterName("parquet/root") {
-		t.Error("unregister should report present")
-	}
-	if s.UnregisterName("parquet/root") {
-		t.Error("second unregister should report absent")
-	}
-}
-
 func TestCacheHitsAndMisses(t *testing.T) {
 	s := NewService(2)
 	c := NewCache(s, 0)
@@ -188,20 +161,6 @@ func TestCacheInvalidatedOnFree(t *testing.T) {
 	s.Free(g)
 	if _, err := c.Resolve(g); !errors.Is(err, ErrUnknownGID) {
 		t.Errorf("cached resolve after free = %v", err)
-	}
-}
-
-func TestCacheFlush(t *testing.T) {
-	s := NewService(1)
-	c := NewCache(s, 0)
-	g := s.MustAllocate(0)
-	_, _ = c.Resolve(g)
-	_, _ = c.Resolve(g)
-	c.Flush()
-	_, _ = c.Resolve(g)
-	hits, misses := c.HitsMisses()
-	if hits != 1 || misses != 2 {
-		t.Errorf("hits=%d misses=%d, want 1/2", hits, misses)
 	}
 }
 

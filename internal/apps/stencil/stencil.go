@@ -344,13 +344,6 @@ func (a *App) Checksum() float64 {
 	return sum
 }
 
-// Cell returns the current value of a cell (for verification).
-func (a *App) Cell(l, row, col int) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.grid[l][row*a.cfg.Cols+col]
-}
-
 // Run executes a stencil run on a fresh runtime.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()

@@ -11,8 +11,6 @@
 //   - PeriodicCheck: Charm++ (TRAM) style. Buffered parcels are sent when
 //     the buffer fills, and a periodic check performs an immediate send
 //     if no message was sent between subsequent checks.
-//   - PassThrough: no aggregation; every parcel is its own message — the
-//     no-coalescing control.
 //
 // The paper's own design (internal/coalescing) differs by controlling the
 // *number of parcels* per message and by flushing on a per-queue timeout
@@ -30,25 +28,6 @@ import (
 type Enqueuer interface {
 	EnqueueMessage(dst int, parcels []*parcel.Parcel)
 }
-
-// PassThrough sends every parcel as its own message.
-type PassThrough struct {
-	enq Enqueuer
-}
-
-// NewPassThrough creates the no-coalescing control handler.
-func NewPassThrough(enq Enqueuer) *PassThrough { return &PassThrough{enq: enq} }
-
-// Put implements parcel.MessageHandler.
-func (h *PassThrough) Put(p *parcel.Parcel) {
-	h.enq.EnqueueMessage(p.DestLocality, []*parcel.Parcel{p})
-}
-
-// Flush implements parcel.MessageHandler; nothing is ever queued.
-func (h *PassThrough) Flush() {}
-
-// Close implements parcel.MessageHandler.
-func (h *PassThrough) Close() {}
 
 // BufferSize aggregates parcels per destination until the estimated wire
 // size reaches BufferBytes, then sends (Active Pebbles / AM++).
@@ -131,17 +110,6 @@ func (h *BufferSize) Close() {
 	h.closed = true
 	h.mu.Unlock()
 	h.Flush()
-}
-
-// QueuedParcels returns the number of buffered parcels (for tests).
-func (h *BufferSize) QueuedParcels() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for _, q := range h.queues {
-		n += len(q.parcels)
-	}
-	return n
 }
 
 // PeriodicCheck aggregates like BufferSize but a background ticker
@@ -264,15 +232,4 @@ func (h *PeriodicCheck) Close() {
 	close(h.stop)
 	<-h.done
 	h.Flush()
-}
-
-// QueuedParcels returns the number of buffered parcels (for tests).
-func (h *PeriodicCheck) QueuedParcels() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for _, q := range h.queues {
-		n += len(q.parcels)
-	}
-	return n
 }

@@ -38,20 +38,6 @@ func mkParcel(dst, i, argBytes int) *parcel.Parcel {
 	}
 }
 
-func TestPassThrough(t *testing.T) {
-	s := &sink{}
-	h := NewPassThrough(s)
-	for i := 0; i < 5; i++ {
-		h.Put(mkParcel(1, i, 8))
-	}
-	h.Flush()
-	h.Close()
-	msgs, ps := s.counts()
-	if msgs != 5 || ps != 5 {
-		t.Errorf("messages=%d parcels=%d", msgs, ps)
-	}
-}
-
 func TestBufferSizeFlushesWhenFull(t *testing.T) {
 	s := &sink{}
 	// WireSize of a parcel with 8-byte args and 3-byte action ≈ 39 bytes;
@@ -174,17 +160,13 @@ func TestPeriodicCheckCloseIdempotent(t *testing.T) {
 
 func TestConservationAcrossStrategies(t *testing.T) {
 	const n = 500
+	// Each strategy has its own sink.
+	sbuf, sper := &sink{}, &sink{}
 	strategies := map[string]parcel.MessageHandler{
-		"passthrough": NewPassThrough(&sink{}),
+		"buffersize": NewBufferSize(sbuf, 200),
+		"periodic":   NewPeriodicCheck(sper, 200, time.Millisecond),
 	}
-	// Build each strategy with its own sink.
-	sinks := map[string]*sink{"passthrough": strategies["passthrough"].(*PassThrough).enq.(*sink)}
-	sbuf := &sink{}
-	strategies["buffersize"] = NewBufferSize(sbuf, 200)
-	sinks["buffersize"] = sbuf
-	sper := &sink{}
-	strategies["periodic"] = NewPeriodicCheck(sper, 200, time.Millisecond)
-	sinks["periodic"] = sper
+	sinks := map[string]*sink{"buffersize": sbuf, "periodic": sper}
 
 	for name, h := range strategies {
 		var wg sync.WaitGroup

@@ -227,15 +227,6 @@ type DestStats struct {
 	ArrivalSumUS float64
 }
 
-// AvgArrivalUS returns the destination's mean arrival gap in
-// microseconds, or -1 when no gap has been observed.
-func (s DestStats) AvgArrivalUS() float64 {
-	if s.ArrivalCount == 0 {
-		return -1
-	}
-	return s.ArrivalSumUS / float64(s.ArrivalCount)
-}
-
 // destQueue buffers parcels for one destination. Invariant (the fix for
 // the SetParams re-arm race): whenever the queue is non-empty, its flush
 // timer is armed; every mutation below maintains it. The queue also
@@ -322,17 +313,6 @@ func (c *Coalescer) DestParams(dst int) (Params, bool) {
 		}
 	}
 	return *c.params.Load(), false
-}
-
-// DestOverrides returns a copy of the installed per-destination
-// overrides.
-func (c *Coalescer) DestOverrides() map[int]Params {
-	m := *c.destParams.Load()
-	out := make(map[int]Params, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // SetDestParams installs a per-destination parameter override layered
@@ -711,21 +691,6 @@ func (c *Coalescer) Close() {
 	c.emit(ready)
 }
 
-// QueuedParcels returns the total number of parcels currently buffered
-// across destinations (for tests and diagnostics).
-func (c *Coalescer) QueuedParcels() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.queues {
-			n += len(q.parcels)
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Stats is a snapshot of the coalescer's counters.
 type Stats struct {
 	Parcels              int64
@@ -757,18 +722,6 @@ func (c *Coalescer) DestStats(dst int) DestStats {
 	return DestStats{}
 }
 
-// QueuedParcelsDest returns the number of parcels currently buffered
-// for one destination.
-func (c *Coalescer) QueuedParcelsDest(dst int) int {
-	sh := c.shardFor(dst)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if q := sh.queues[dst]; q != nil {
-		return len(q.parcels)
-	}
-	return 0
-}
-
 // AllDestStats snapshots every destination's cumulative record — the
 // bulk read the per-destination controller performs once per sampling
 // window.
@@ -783,11 +736,4 @@ func (c *Coalescer) AllDestStats() map[int]DestStats {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// ArrivalHistogram exposes the arrival-gap histogram counter, first
-// draining any batched samples so the reading is exact.
-func (c *Coalescer) ArrivalHistogram() *counters.HistogramCounter {
-	c.flushArrivals()
-	return c.arrivalHist
 }

@@ -313,9 +313,6 @@ func NewComm(rt *runtime.Runtime, name string, opts ...Options) (*Comm, error) {
 	return c, nil
 }
 
-// Name returns the communicator name.
-func (c *Comm) Name() string { return c.name }
-
 // Algorithm returns the variant family the communicator was created
 // with.
 func (c *Comm) Algorithm() Algorithm { return c.alg }

@@ -88,9 +88,6 @@ func (c *Raw) Inc() { c.v.Add(1) }
 // Add adds delta, which may be negative for gauge semantics.
 func (c *Raw) Add(delta int64) { c.v.Add(delta) }
 
-// Set stores an absolute value.
-func (c *Raw) Set(v int64) { c.v.Store(v) }
-
 // SetMax raises the counter to v if v exceeds the current value — a
 // peak-tracking gauge (the health monitor uses it for the highest
 // suspicion level observed per peer).
@@ -145,12 +142,6 @@ func (c *Average) RecordBatch(count uint64, sum float64) {
 	c.acc.AddN(count, sum)
 }
 
-// Count returns the number of samples recorded.
-func (c *Average) Count() uint64 { return c.acc.Count() }
-
-// Snapshot exposes the full statistical state of the average.
-func (c *Average) Snapshot() stats.Snapshot { return c.acc.Snapshot() }
-
 // Elapsed accumulates durations; Value reports the total in seconds.
 type Elapsed struct {
 	path Path
@@ -171,9 +162,6 @@ func (c *Elapsed) Value() float64 { return float64(c.ns.Load()) / float64(time.S
 
 // Reset implements Counter.
 func (c *Elapsed) Reset() { c.ns.Store(0) }
-
-// Add accumulates a duration.
-func (c *Elapsed) Add(d time.Duration) { c.ns.Add(int64(d)) }
 
 // AddNanos accumulates a pre-summed batch of nanoseconds. Hot paths that
 // aggregate many task durations locally flush them here in one atomic
@@ -206,21 +194,11 @@ func (c *HistogramCounter) Kind() Kind { return KindHistogram }
 // Value implements Counter, returning the total observation count.
 func (c *HistogramCounter) Value() float64 { return float64(c.h.Count()) }
 
-// Values returns the histogram in HPX's [low, high, width, buckets...]
-// encoding.
-func (c *HistogramCounter) Values() []int64 { return c.h.Values() }
-
 // Reset implements Counter.
 func (c *HistogramCounter) Reset() { c.h.Reset() }
 
-// Observe records a sample.
-func (c *HistogramCounter) Observe(x float64) { c.h.Observe(x) }
-
 // ObserveBatch records a batch of samples under one lock acquisition.
 func (c *HistogramCounter) ObserveBatch(xs []float64) { c.h.ObserveBatch(xs) }
-
-// ObserveDuration records a duration sample in microseconds.
-func (c *HistogramCounter) ObserveDuration(d time.Duration) { c.h.ObserveDuration(d) }
 
 // Histogram returns the underlying histogram for rich queries.
 func (c *HistogramCounter) Histogram() *stats.Histogram { return c.h }

@@ -97,16 +97,6 @@ func Parse(s string) (Path, error) {
 	return p, nil
 }
 
-// MustParse parses s, panicking on error. Intended for counter names
-// embedded as literals in instrumentation code.
-func MustParse(s string) Path {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // String renders the canonical textual form of the path.
 func (p Path) String() string {
 	var sb strings.Builder

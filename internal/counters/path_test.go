@@ -66,15 +66,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse on bad input should panic")
-		}
-	}()
-	MustParse("not-a-path")
-}
-
 func TestPathStringRoundTrip(t *testing.T) {
 	for _, s := range []string{
 		"/coalescing{locality#0}/count/parcels@get_cplx",

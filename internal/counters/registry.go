@@ -141,29 +141,6 @@ func (r *Registry) discover(out *[]string) {
 	}
 }
 
-// Snapshot reads every reachable counter's scalar value at once.
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64)
-	r.snapshot(out)
-	return out
-}
-
-func (r *Registry) snapshot(out map[string]float64) {
-	r.mu.RLock()
-	cs := make([]Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		cs = append(cs, c)
-	}
-	children := r.children
-	r.mu.RUnlock()
-	for _, c := range cs {
-		out[c.Path().String()] = c.Value()
-	}
-	for _, ch := range children {
-		ch.snapshot(out)
-	}
-}
-
 // ResetAll resets every reachable counter, the equivalent of HPX's
 // reset-on-read when starting a fresh observation interval.
 func (r *Registry) ResetAll() {

@@ -110,23 +110,6 @@ func (s *Sampler) Samples() []Sample {
 	return out
 }
 
-// Series extracts one counter's time series as (seconds since first
-// sample, value) pairs; missing readings are skipped.
-func (s *Sampler) Series(path string) (ts []float64, vs []float64) {
-	samples := s.Samples()
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	t0 := samples[0].At
-	for _, smp := range samples {
-		if v, ok := smp.Values[path]; ok {
-			ts = append(ts, smp.At.Sub(t0).Seconds())
-			vs = append(vs, v)
-		}
-	}
-	return ts, vs
-}
-
 // WriteCSV renders the series as CSV: a time column followed by one
 // column per counter path (union over all samples, sorted).
 func (s *Sampler) WriteCSV(w io.Writer) error {

@@ -234,16 +234,6 @@ func Adaptive(s Scale) (AdaptiveResult, error) {
 	return res, nil
 }
 
-// SettledNParcels is the largest NParcels the overhead tuner left
-// installed, action-wide or on a destination's override.
-func (r AdaptiveResult) SettledNParcels() int {
-	n := r.FinalNParcels
-	for _, dn := range r.FinalDestNParcels {
-		n = max(n, dn)
-	}
-	return n
-}
-
 // Table renders the comparison.
 func (r AdaptiveResult) Table() Table {
 	final := fmt.Sprintf("final nparcels=%d", r.FinalNParcels)

@@ -245,22 +245,6 @@ func (d *Detector) Phi(peer int, now time.Time) float64 {
 	return phi
 }
 
-// Suspect reports whether peer's suspicion level has crossed the
-// configured threshold.
-func (d *Detector) Suspect(peer int, now time.Time) bool {
-	return d.Phi(peer, now) >= d.cfg.PhiThreshold
-}
-
-// Samples returns the number of inter-arrival samples held for peer.
-func (d *Detector) Samples(peer int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if h := d.peers[peer]; h != nil {
-		return len(h.intervals)
-	}
-	return 0
-}
-
 // Heartbeat wire format (little-endian), carried as the argument pack of
 // the runtime's internal heartbeat action:
 //

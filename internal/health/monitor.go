@@ -154,9 +154,6 @@ func (m *Monitor) Silence() { m.silenced.Store(true) }
 // Unsilence resumes a silenced monitor's sweep.
 func (m *Monitor) Unsilence() { m.silenced.Store(false) }
 
-// Silenced reports whether the sweep is currently paused.
-func (m *Monitor) Silenced() bool { return m.silenced.Load() }
-
 // DeferConviction holds back the terminal OnDown verdict for peer until
 // at least the given time, without suppressing soft suspicion. The
 // membership layer calls this while an indirect-probe round is in
@@ -213,10 +210,6 @@ func (m *Monitor) Credit() {
 		}
 	}
 }
-
-// LocalHealth returns the current Lifeguard score S; effective
-// suspicion thresholds are the configured ones times (1 + S).
-func (m *Monitor) LocalHealth() int64 { return m.localHealth.Load() }
 
 // Heartbeat records a liveness observation of peer: the parcel port
 // calls it for every received wire message (piggybacked heartbeats), and

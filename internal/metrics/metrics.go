@@ -20,7 +20,6 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/runtime"
@@ -39,14 +38,6 @@ type Sample struct {
 	ExecDuration time.Duration
 	// BackgroundWork is Σ t_background-work (Eq. 3).
 	BackgroundWork time.Duration
-}
-
-// TaskOverheadUS returns Eq. 2 in microseconds per task.
-func (s Sample) TaskOverheadUS() float64 {
-	if s.Tasks == 0 {
-		return 0
-	}
-	return float64(s.TaskDuration-s.ExecDuration) / float64(s.Tasks) / float64(time.Microsecond)
 }
 
 // NetworkOverhead returns Eq. 4: the fraction of scheduler busy time
@@ -124,9 +115,8 @@ func delta(label string, from, to Sample) Phase {
 
 // PhaseRecorder captures per-phase metric deltas as an application runs.
 type PhaseRecorder struct {
-	rt     *runtime.Runtime
-	last   Sample
-	phases []Phase
+	rt   *runtime.Runtime
+	last Sample
 }
 
 // NewPhaseRecorder starts recording from the runtime's current counter
@@ -141,24 +131,5 @@ func (r *PhaseRecorder) EndPhase(label string) Phase {
 	now := Snapshot(r.rt)
 	p := delta(label, r.last, now)
 	r.last = now
-	r.phases = append(r.phases, p)
 	return p
-}
-
-// Phases returns all recorded phases.
-func (r *PhaseRecorder) Phases() []Phase {
-	out := make([]Phase, len(r.phases))
-	copy(out, r.phases)
-	return out
-}
-
-// Report renders all recorded phases as an aligned table.
-func (r *PhaseRecorder) Report() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-14s %12s %10s %10s %10s\n", "phase", "wall", "n_oh", "t_o(µs)", "tasks")
-	for _, p := range r.phases {
-		fmt.Fprintf(&sb, "%-14s %12v %10.4f %10.2f %10d\n",
-			p.Label, p.Wall.Round(time.Microsecond), p.NetworkOverhead(), p.TaskOverheadUS(), p.Tasks)
-	}
-	return sb.String()
 }

@@ -48,7 +48,7 @@ func burst(t *testing.T, rt *runtime.Runtime, n int) {
 
 func TestSampleZero(t *testing.T) {
 	var s Sample
-	if s.TaskOverheadUS() != 0 || s.NetworkOverhead() != 0 {
+	if s.NetworkOverhead() != 0 {
 		t.Error("zero sample should report zero metrics")
 	}
 }
@@ -73,9 +73,6 @@ func TestSnapshotAdvances(t *testing.T) {
 	if oh := after.NetworkOverhead(); oh <= 0 || oh >= 1 {
 		t.Errorf("network overhead = %v", oh)
 	}
-	if after.TaskOverheadUS() < 0 {
-		t.Errorf("task overhead = %v", after.TaskOverheadUS())
-	}
 }
 
 func TestPhaseRecorderDeltas(t *testing.T) {
@@ -99,9 +96,8 @@ func TestPhaseRecorderDeltas(t *testing.T) {
 	if p3.Tasks < 10 {
 		t.Errorf("phase 3 tasks = %d", p3.Tasks)
 	}
-	phases := rec.Phases()
-	if len(phases) != 3 || phases[0].Label != "phase 1" || phases[2].Label != "phase 3" {
-		t.Errorf("phases = %v", phases)
+	if p1.Label != "phase 1" || p3.Label != "phase 3" {
+		t.Errorf("labels = %q, %q", p1.Label, p3.Label)
 	}
 }
 
@@ -123,17 +119,6 @@ func TestPhaseMetricsComputation(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "n_oh=0.75") {
 		t.Errorf("String = %q", p.String())
-	}
-}
-
-func TestPhaseRecorderReport(t *testing.T) {
-	rt := newTestRuntime(t)
-	rec := NewPhaseRecorder(rt)
-	burst(t, rt, 5)
-	rec.EndPhase("alpha")
-	rep := rec.Report()
-	if !strings.Contains(rep, "alpha") || !strings.Contains(rep, "n_oh") {
-		t.Errorf("report = %q", rep)
 	}
 }
 

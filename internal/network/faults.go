@@ -59,11 +59,8 @@ type FaultPlan struct {
 
 	// crashed marks localities that have crash-stopped: every message to
 	// or from them is silently dropped on the wire, modeling a process
-	// that died without closing its connections. crashAt arms a deferred
-	// crash triggered by the locality's own send count.
+	// that died without closing its connections.
 	crashed map[int]bool
-	crashAt map[int]uint64
-	sends   map[int]uint64
 
 	// events are time-scheduled link reconfigurations (SetLinkAt /
 	// ClearLinkAt and the partition/heal helpers built on them), sorted
@@ -99,8 +96,6 @@ func NewFaultPlan(seed int64) *FaultPlan {
 		rng:     rand.New(rand.NewSource(seed)),
 		links:   make(map[linkKey]*linkFaultState),
 		crashed: make(map[int]bool),
-		crashAt: make(map[int]uint64),
-		sends:   make(map[int]uint64),
 	}
 }
 
@@ -181,18 +176,6 @@ func (p *FaultPlan) HealPairAt(a, b int, at time.Duration) {
 	p.ClearLinkAt(b, a, at)
 }
 
-// FlapPair schedules cycles alternating partition/heal between a and b:
-// partition at start, heal at start+period/2, partition at start+period,
-// ... — the pathological oscillation that stresses suspicion hysteresis
-// and rejoin convergence.
-func (p *FaultPlan) FlapPair(a, b int, start, period time.Duration, cycles int) {
-	for i := 0; i < cycles; i++ {
-		at := start + time.Duration(i)*period
-		p.PartitionPairAt(a, b, at)
-		p.HealPairAt(a, b, at+period/2)
-	}
-}
-
 func (p *FaultPlan) scheduleEvent(e faultEvent) {
 	p.mu.Lock()
 	// Insertion sort keeps events due-ordered; schedules are small.
@@ -237,26 +220,7 @@ func (p *FaultPlan) applyDueLocked(now time.Time) {
 func (p *FaultPlan) Crash(locality int) {
 	p.mu.Lock()
 	p.crashed[locality] = true
-	delete(p.crashAt, locality)
 	p.mu.Unlock()
-}
-
-// CrashAt arms a deferred crash: the locality crash-stops immediately
-// after transmitting afterSends more messages (0 crashes on its next
-// send attempt, which is itself dropped). The trigger counts only sends
-// originated by the locality, so the crash lands at a deterministic point
-// in its own execution regardless of inbound traffic.
-func (p *FaultPlan) CrashAt(locality int, afterSends uint64) {
-	p.mu.Lock()
-	p.crashAt[locality] = p.sends[locality] + afterSends
-	p.mu.Unlock()
-}
-
-// Crashed reports whether the locality has crash-stopped.
-func (p *FaultPlan) Crashed(locality int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.crashed[locality]
 }
 
 // Injected returns how many messages received a non-deliver fault.
@@ -278,16 +242,7 @@ func (p *FaultPlan) decide(src, dst int, payload []byte) Fault {
 	p.applyDueLocked(time.Now())
 
 	// Crash-stop is evaluated before every other fault class: a dead
-	// locality neither sends nor receives, and the armed-crash trigger
-	// fires on the locality's own send count so chaos runs hit a
-	// deterministic point in its execution.
-	if at, ok := p.crashAt[src]; ok {
-		if p.sends[src] >= at {
-			p.crashed[src] = true
-			delete(p.crashAt, src)
-		}
-	}
-	p.sends[src]++
+	// locality neither sends nor receives.
 	if p.crashed[src] || p.crashed[dst] {
 		p.injected++
 		return Fault{Action: FaultDrop}

@@ -70,25 +70,3 @@ func TestFaultPlanPartitionPairImmediate(t *testing.T) {
 		}
 	}
 }
-
-// TestFaultPlanFlapPair: a flap schedule alternates cut and heal.
-func TestFaultPlanFlapPair(t *testing.T) {
-	p := NewFaultPlan(1)
-	p.FlapPair(0, 1, 0, 20*time.Minute, 3)
-	for i, want := range []struct {
-		elapsed time.Duration
-		action  FaultAction
-	}{
-		{5 * time.Minute, FaultDrop},     // cycle 0 cut
-		{15 * time.Minute, FaultDeliver}, // cycle 0 healed
-		{25 * time.Minute, FaultDrop},    // cycle 1 cut
-		{35 * time.Minute, FaultDeliver}, // cycle 1 healed
-		{45 * time.Minute, FaultDrop},    // cycle 2 cut
-		{55 * time.Minute, FaultDeliver}, // cycle 2 healed
-	} {
-		p.StartClock(time.Now().Add(-want.elapsed))
-		if got := p.decide(0, 1, nil); got.Action != want.action {
-			t.Fatalf("step %d (elapsed %v): %v, want %v", i, want.elapsed, got.Action, want.action)
-		}
-	}
-}

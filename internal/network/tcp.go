@@ -131,9 +131,6 @@ func listen(n, first, count int, bind string) (*TCPFabric, error) {
 // hosts reports whether id, which must be in range, has a listener here.
 func (f *TCPFabric) hosts(id int) bool { return f.listeners[id] != nil }
 
-// Self returns the (lowest) hosted locality id.
-func (f *TCPFabric) Self() int { return f.self }
-
 // Addr returns the address other nodes should dial to reach locality
 // Self (the advertise address, with ephemeral ports resolved).
 func (f *TCPFabric) Addr() string { return f.PeerAddr(f.self) }
@@ -198,11 +195,6 @@ func (f *TCPFabric) SetFaultHook(h FaultHook) {
 	}
 	f.fault.Store(&h)
 }
-
-// BadHandshakes returns how many inbound connections were dropped for an
-// invalid or mismatched hello, a frame claiming another source than the
-// hello's, or a frame longer than maxPeerFrame.
-func (f *TCPFabric) BadHandshakes() uint64 { return f.badHs.Load() }
 
 // Stats implements Fabric.
 func (f *TCPFabric) Stats() Stats {

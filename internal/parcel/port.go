@@ -236,9 +236,6 @@ func NewPort(cfg Config) *Port {
 	return p
 }
 
-// Locality returns the port's locality id.
-func (p *Port) Locality() int { return p.locality }
-
 // SetOnMessage installs (or with nil removes) a per-wire-message receive
 // observer. It runs on the fabric delivery goroutine before the message
 // is queued, so it must be cheap and non-blocking; the health monitor

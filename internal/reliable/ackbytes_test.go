@@ -183,3 +183,38 @@ func TestRecoveryResendsLeaveFromScanner(t *testing.T) {
 	release()
 	waitFor(t, 5*time.Second, func() bool { return data.Load() == 4+3 }, "the scanner's recovery resends")
 }
+
+// TestFastRetransmitLeavesFromScanner: a SACK that shows frame 1 lost
+// behind dupThresh later arrivals decides its fast retransmission. The
+// goroutine that delivered the SACK — the fabric's read loop — returns
+// while the wire is blocked; the scanner writes the resend once it is
+// not.
+func TestFastRetransmitLeavesFromScanner(t *testing.T) {
+	var gate atomic.Pointer[chan struct{}]
+	var data atomic.Int64
+	f := New(heldWire{stubFabric{n: 2}, &gate, &data}, Config{RTO: time.Hour, RTOMax: 4 * time.Hour})
+	t.Cleanup(func() { f.Close() })
+	held := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(held) }) }
+	t.Cleanup(release) // runs first: Close waits for the scanner
+	burst(t, f, 0, 4)
+	ts := f.txFor(0, 1)
+	gate.Store(&held)
+
+	sacked := make(chan struct{})
+	go func() {
+		ackFrom(f, 0, ts.epoch, []byte{0b1110}) // frames 2, 3 and 4 arrived
+		close(sacked)
+	}()
+	select {
+	case <-sacked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the SACK's handler is blocked writing a fast retransmission to the wire")
+	}
+	if st := f.ReliabilityStats(); st.Retransmits != 1 || st.FastRetransmits != 1 {
+		t.Fatalf("retransmits=%d fast=%d, want frame 1's one fast retransmission", st.Retransmits, st.FastRetransmits)
+	}
+	release()
+	waitFor(t, 5*time.Second, func() bool { return data.Load() == 4+1 }, "the scanner's fast retransmission")
+}

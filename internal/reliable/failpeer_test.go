@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/network"
 	"repro/internal/reliable"
 	"repro/internal/trace"
@@ -85,9 +86,9 @@ func TestLinkDownSurfacesOnReceiver(t *testing.T) {
 		RTOMax:     2 * time.Millisecond,
 		MaxRetries: 3,
 		Tick:       100 * time.Microsecond,
-		Trace:      tb,
 	})
 	defer rel.Close()
+	rel.Attach(counters.NewRegistry(), tb)
 	rel.SetHandler(0, func(_ int, p []byte) { network.PutPayload(p) })
 	rel.SetHandler(1, func(_ int, p []byte) { network.PutPayload(p) })
 

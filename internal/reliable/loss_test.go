@@ -148,9 +148,9 @@ func firstOf(seqs ...uint64) func(uint64, int) bool {
 func TestLossOneHoleOneResend(t *testing.T) {
 	const rto = 500 * time.Millisecond
 	w := &wireScript{dropData: firstOf(20)}
-	cfg := lossCfg(rto)
-	cfg.Registry = counters.NewRegistry()
-	f, c := scripted(t, w, cfg)
+	f, c := scripted(t, w, lossCfg(rto))
+	reg := counters.NewRegistry()
+	f.Attach(reg, nil)
 	start := time.Now()
 	burst(t, f, 0, 64)
 	w.open()
@@ -165,7 +165,7 @@ func TestLossOneHoleOneResend(t *testing.T) {
 		"/network{locality#0/to#1}/reliability/srtt-us": func(v float64) bool { return v > 0 && v < 500e3 },
 		"/network{locality#0/to#1}/reliability/rto-us":  func(v float64) bool { return v == 500e3 },
 	} {
-		if v, err := cfg.Registry.Value(path); err != nil || !ok(v) {
+		if v, err := reg.Value(path); err != nil || !ok(v) {
 			t.Errorf("counter %s = %v (err %v)", path, v, err)
 		}
 	}

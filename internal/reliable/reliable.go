@@ -157,17 +157,6 @@ type Config struct {
 	Window int
 	// Seed seeds the jitter PRNG for reproducible chaos runs (default 1).
 	Seed int64
-	// Registry optionally receives the reliability counters
-	// (/network/reliability/{retransmits,fast-retransmits,timeouts,
-	// duplicates-suppressed,acks,sacks,link-down,link-down-remote,
-	// stale-epoch} and, per link,
-	// /network{locality#S/to#D}/reliability/{srtt-us,rto-us}); nil
-	// disables registration (counters still function).
-	Registry *counters.Registry
-	// Trace optionally records KindRetransmit events for retransmissions
-	// and KindLinkDown events for link-down declarations (at both the
-	// sending and the receiving locality); nil disables.
-	Trace *trace.Buffer
 }
 
 func (c Config) withDefaults() Config {
@@ -285,9 +274,9 @@ type txState struct {
 	// recover == 0 outside recovery.
 	recover   uint64
 	recoverAt int64
-	// owed holds the timeout-recovery resends an ACK released, busy, for
-	// the scanner to write: the ACK arrived on the fabric's read loop,
-	// which writes no frame of a lossless link.
+	// owed holds the resends an ACK decided on, busy, for the scanner to
+	// write: fast retransmissions and timeout-recovery resends. The ACK
+	// arrived on the fabric's read loop, which writes no data frame.
 	owed [][]byte
 }
 
@@ -428,6 +417,13 @@ type Fabric struct {
 	txLinks []*txState
 	rxLinks []*rxState
 
+	// reg and trace are what Attach gave: reg receives each new link's
+	// gauges (under mu), and trace records retransmissions and link-down
+	// declarations. Both are nil until Attach, which runs before the
+	// first Send, so every reader comes after it through mu.
+	reg   *counters.Registry
+	trace *trace.Buffer
+
 	handlers      []atomic.Pointer[network.Handler]
 	probeHandlers []atomic.Pointer[func(src int, payload []byte)]
 
@@ -468,11 +464,7 @@ type borrowSender interface {
 func New(inner network.Fabric, cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
 	mk := func(name string) *counters.Raw {
-		c := counters.NewRaw(counters.Path{Object: "network", Name: "reliability/" + name})
-		if cfg.Registry != nil {
-			cfg.Registry.MustRegister(c)
-		}
-		return c
+		return counters.NewRaw(counters.Path{Object: "network", Name: "reliability/" + name})
 	}
 	n := inner.Localities()
 	borrow, _ := inner.(borrowSender)
@@ -632,7 +624,7 @@ func (f *Fabric) FailPeer(peer int) {
 		return
 	}
 	f.resetPeer(peer, func(ts *txState) { ts.down = true })
-	f.cfg.Trace.Record(trace.Event{
+	f.trace.Record(trace.Event{
 		Kind: trace.KindLinkDown, Name: "peer-down",
 		Locality: peer, Start: time.Now(),
 	})
@@ -659,15 +651,10 @@ func (f *Fabric) ReopenPeer(peer int) {
 		ts.epoch = max(now32, ts.epoch+1)
 		ts.rto = ts.est.rto(f.cfg.RTO, f.cfg.RTOMax)
 	})
-	f.cfg.Trace.Record(trace.Event{
+	f.trace.Record(trace.Event{
 		Kind: trace.KindLinkDown, Name: "peer-up",
 		Locality: peer, Start: time.Now(),
 	})
-}
-
-// PeerDown reports whether FailPeer has been called for the locality.
-func (f *Fabric) PeerDown(peer int) bool {
-	return peer >= 0 && peer < len(f.downPeers) && f.downPeers[peer].Load()
 }
 
 // LinkDown reports whether the src->dst link has been declared down.
@@ -752,24 +739,51 @@ func (f *Fabric) txFor(src, dst int) *txState {
 		return ts
 	}
 	ts := &txState{src: src, dst: dst, next: 1, una: 1, epoch: f.baseEpoch, rto: f.cfg.RTO}
-	if reg := f.cfg.Registry; reg != nil {
-		gauge := func(name string, read func() time.Duration) {
-			reg.MustRegister(counters.NewDerived(counters.Path{
-				Object:   "network",
-				Instance: fmt.Sprintf("locality#%d/to#%d", src, dst),
-				Name:     "reliability/" + name,
-			}, func() float64 {
-				ts.mu.Lock()
-				defer ts.mu.Unlock()
-				return float64(read() / time.Microsecond)
-			}))
-		}
-		gauge("srtt-us", func() time.Duration { return ts.est.srtt })
-		gauge("rto-us", func() time.Duration { return ts.rto })
+	if f.reg != nil {
+		f.registerLinkLocked(ts)
 	}
 	p.Store(ts)
 	f.txLinks = append(f.txLinks, ts)
 	return ts
+}
+
+// Attach reports the fabric's protocol state to a runtime: reg receives
+// the reliability counters (/network/reliability/{retransmits,
+// fast-retransmits,timeouts,duplicates-suppressed,acks,sacks,link-down,
+// link-down-remote,stale-epoch} and, per link,
+// /network{locality#S/to#D}/reliability/{srtt-us,rto-us}), and tr, which
+// may be nil, records KindRetransmit events for retransmissions and
+// KindLinkDown events for link-down declarations (at both the sending
+// and the receiving locality). The runtime calls it once for a fabric it
+// is given, before the first Send.
+func (f *Fabric) Attach(reg *counters.Registry, tr *trace.Buffer) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reg, f.trace = reg, tr
+	for _, c := range []*counters.Raw{f.retransmits, f.fastRetrans, f.timeouts, f.dupSuppressed,
+		f.acks, f.sacks, f.linkDowns, f.linkDownsRem, f.staleEpochs} {
+		reg.MustRegister(c)
+	}
+	for _, ts := range f.txLinks {
+		f.registerLinkLocked(ts)
+	}
+}
+
+// registerLinkLocked registers ts's timer gauges in f.reg. f.mu is held.
+func (f *Fabric) registerLinkLocked(ts *txState) {
+	gauge := func(name string, read func() time.Duration) {
+		f.reg.MustRegister(counters.NewDerived(counters.Path{
+			Object:   "network",
+			Instance: fmt.Sprintf("locality#%d/to#%d", ts.src, ts.dst),
+			Name:     "reliability/" + name,
+		}, func() float64 {
+			ts.mu.Lock()
+			defer ts.mu.Unlock()
+			return float64(read() / time.Microsecond)
+		}))
+	}
+	gauge("srtt-us", func() time.Duration { return ts.est.srtt })
+	gauge("rto-us", func() time.Duration { return ts.rto })
 }
 
 func (f *Fabric) rxFor(src, dst int) *rxState {
@@ -1139,7 +1153,6 @@ func (f *Fabric) handleAck(local, remote int, ack uint64, ackEpoch uint32, sack 
 	if ts == nil {
 		return
 	}
-	var resend [][]byte
 	ts.mu.Lock()
 	switch {
 	case ackEpoch != ts.epoch:
@@ -1149,18 +1162,17 @@ func (f *Fabric) handleAck(local, remote int, ack uint64, ackEpoch uint32, sack 
 	case ack < ts.una && len(sack) == 0:
 		// Nothing new: most piggybacked ACKs on a busy reverse link.
 	default:
-		resend = f.ackLocked(ts, f.now(), ack, sack)
+		f.ackLocked(ts, f.now(), ack, sack)
 	}
 	ts.mu.Unlock()
-	f.transmit(ts, resend)
 }
 
 // ackLocked releases what ack covers, marks what sack reports, feeds the
-// round-trip estimator, restarts or stops the timer, and returns the
-// frames that the selective acknowledgement shows to be lost, marked busy
-// for transmit. The timeout-recovery resends it releases, busy too, go to
-// ts.owed for the scanner. Called with ts.mu held.
-func (f *Fabric) ackLocked(ts *txState, now int64, ack uint64, sack []byte) (resend [][]byte) {
+// round-trip estimator, and restarts or stops the timer. The resends it
+// decides on, the frames the selective acknowledgement shows to be lost
+// and the timeout-recovery resends it releases, go busy to ts.owed for
+// the scanner. Called with ts.mu held.
+func (f *Fabric) ackLocked(ts *txState, now int64, ack uint64, sack []byte) {
 	sample := int64(-1)
 	first := ts.una
 	originals := false // a frame sent only once is among those released
@@ -1223,10 +1235,6 @@ marks:
 				n--
 			}
 		}
-		if len(ts.owed) > 0 {
-			ts.owing.Store(true)
-			f.kickScanner()
-		}
 	}
 
 	// Loss detection: an unmarked frame with dupThresh marked frames
@@ -1250,11 +1258,14 @@ marks:
 			}
 			if frame := f.resendLocked(ts, s, now, "fast-retransmit"); frame != nil {
 				f.fastRetrans.Inc()
-				resend = append(resend, frame)
+				ts.owed = append(ts.owed, frame)
 			}
 		}
 	}
-	return resend
+	if len(ts.owed) > 0 {
+		ts.owing.Store(true)
+		f.kickScanner()
+	}
 }
 
 // resendLocked stamps entry seq as retransmitted now and returns its
@@ -1270,7 +1281,7 @@ func (f *Fabric) resendLocked(ts *txState, seq uint64, now int64, why string) []
 	e.rexmit = true
 	e.sentAt = now
 	f.retransmits.Inc()
-	f.cfg.Trace.Record(trace.Event{
+	f.trace.Record(trace.Event{
 		Kind: trace.KindRetransmit, Name: why,
 		Locality: ts.src, Start: f.t0.Add(time.Duration(now)), Arg: int64(seq),
 	})
@@ -1302,7 +1313,8 @@ func (f *Fabric) kickScanner() {
 // run is the scanner goroutine: every Tick it serves the retransmission
 // timers that expired (declaring links down when the retry budget runs
 // out) and sends the delayed ACKs that came due; a kick sends the ACKs
-// that ackBytes made due and the owed recovery resends, and nothing else.
+// that ackBytes made due and the resends that ACKs left owed, and
+// nothing else.
 func (f *Fabric) run() {
 	defer f.wg.Done()
 	ticker := time.NewTicker(f.cfg.Tick)
@@ -1336,7 +1348,7 @@ func (f *Fabric) sweep(tick int64) {
 	f.sendDueAcks(tick)
 }
 
-// sendOwed writes the recovery resends that ACKs left owed.
+// sendOwed writes the resends that ACKs left owed.
 func (f *Fabric) sendOwed() {
 	txs, _ := f.links()
 	for _, ts := range txs {
@@ -1389,12 +1401,13 @@ func (f *Fabric) expire(ts *txState, tick int64) {
 	if ts.timeouts >= f.cfg.MaxRetries {
 		// Retry budget exhausted: declare the link down and discard
 		// the window — senders see ErrLinkDown instead of hanging.
+		// Counted and traced before the unlock, so whoever sees the link
+		// down through LinkDown sees both ends' records of it.
 		ts.down = true
 		ts.discard()
-		ts.mu.Unlock()
 		at := f.t0.Add(time.Duration(now))
 		f.linkDowns.Inc()
-		f.cfg.Trace.Record(trace.Event{
+		f.trace.Record(trace.Event{
 			Kind: trace.KindLinkDown, Name: "link-down",
 			Locality: ts.src, Start: at, Arg: int64(ts.dst),
 		})
@@ -1404,10 +1417,11 @@ func (f *Fabric) expire(ts *txState, tick int64) {
 		// records both ends so asymmetric partitions are observable
 		// from either side.
 		f.linkDownsRem.Inc()
-		f.cfg.Trace.Record(trace.Event{
+		f.trace.Record(trace.Event{
 			Kind: trace.KindLinkDown, Name: "link-down-remote",
 			Locality: ts.dst, Start: at, Arg: int64(ts.src),
 		})
+		ts.mu.Unlock()
 		return
 	}
 	ts.timeouts++

@@ -48,9 +48,6 @@ func ceilPow2(n int) int {
 // Len returns the number of queued elements.
 func (b *Buffer[T]) Len() int { return b.n }
 
-// Cap returns the current capacity.
-func (b *Buffer[T]) Cap() int { return len(b.buf) }
-
 // Push appends v to the tail, growing the buffer if full.
 func (b *Buffer[T]) Push(v T) {
 	if b.n == len(b.buf) {
@@ -72,15 +69,6 @@ func (b *Buffer[T]) Pop() (T, bool) {
 	b.head = (b.head + 1) & (len(b.buf) - 1)
 	b.n--
 	return v, true
-}
-
-// Peek returns the head element without removing it.
-func (b *Buffer[T]) Peek() (T, bool) {
-	var zero T
-	if b.n == 0 {
-		return zero, false
-	}
-	return b.buf[b.head], true
 }
 
 // MoveTo pops up to n elements from the head of b and pushes them onto
@@ -105,16 +93,6 @@ func (b *Buffer[T]) MoveTo(dst *Buffer[T], n int) int {
 	b.head = (b.head + n) & (len(b.buf) - 1)
 	b.n -= n
 	return n
-}
-
-// Reset discards all elements, zeroing occupied slots but keeping the
-// backing array.
-func (b *Buffer[T]) Reset() {
-	var zero T
-	for i := 0; i < b.n; i++ {
-		b.buf[(b.head+i)&(len(b.buf)-1)] = zero
-	}
-	b.head, b.n = 0, 0
 }
 
 // grow doubles the backing array, linearizing the queue at offset 0.

@@ -156,12 +156,6 @@ func (l *Locality) NewComponent(obj Component) (agas.GID, error) {
 	return g, nil
 }
 
-// Component returns the local object with the given GID, if this locality
-// hosts it.
-func (l *Locality) Component(g agas.GID) (Component, bool) {
-	return l.components.get(g)
-}
-
 // FreeComponent removes a locally hosted object and its AGAS entry.
 func (l *Locality) FreeComponent(g agas.GID) bool {
 	if _, ok := l.components.remove(g); !ok {
@@ -352,9 +346,6 @@ func handleMigrate(ctx *Context, args []byte) ([]byte, error) {
 	}
 	return nil, nil
 }
-
-// ComponentCount returns the number of objects hosted at this locality.
-func (l *Locality) ComponentCount() int { return l.components.size() }
 
 // ForwardedParcels returns how many stale-routed parcels this locality
 // forwarded after migrations.

@@ -70,9 +70,6 @@ func newLocality(rt *Runtime, id int, hosted bool) *Locality {
 	// computes the same deterministic MakeGID(id, 1) for every peer —
 	// the address parcels travel to without a shared directory.
 	l.rootGID = rt.agas.MustAllocate(id)
-	if err := rt.agas.RegisterName(fmt.Sprintf("runtime/locality#%d", id), l.rootGID); err != nil {
-		panic(err)
-	}
 	if !hosted {
 		// A stub locality routes (rootGID above) but runs nothing: no
 		// port (its process owns the fabric handler), no scheduler, no
@@ -141,21 +138,11 @@ func (l *Locality) stop() {
 // ID returns the locality id.
 func (l *Locality) ID() int { return l.id }
 
-// Hosted reports whether this locality runs in this process (always true
-// outside cluster mode). Stub localities have no port or scheduler.
-func (l *Locality) Hosted() bool { return l.hosted }
-
-// GID returns the locality's root object GID.
-func (l *Locality) GID() agas.GID { return l.rootGID }
-
 // Registry returns the locality's counter registry.
 func (l *Locality) Registry() *counters.Registry { return l.registry }
 
 // Port returns the locality's parcel port.
 func (l *Locality) Port() *parcel.Port { return l.port }
-
-// AGASCache returns the locality's resolution cache.
-func (l *Locality) AGASCache() *agas.Cache { return l.cache }
 
 // SchedStats returns the locality's scheduler instrumentation snapshot
 // (zero for a non-hosted stub).

@@ -6,11 +6,19 @@ import (
 	"repro/internal/counters"
 	"repro/internal/network"
 	"repro/internal/timer"
+	"repro/internal/trace"
 )
 
+// observedTransport is implemented by transports (the reliable fabric)
+// that keep protocol counters and trace events of their own.
+type observedTransport interface {
+	Attach(reg *counters.Registry, tr *trace.Buffer)
+}
+
 // registerFabricCounters exposes the transport's cumulative Stats through
-// the runtime's root registry under the /network{*} tree, next to the
-// reliability layer's /network/reliability counters. They are derived
+// the runtime's root registry under the /network{*} tree, and attaches a
+// reliable fabric, which registers its /network/reliability counters
+// beside them and records into the runtime's trace. They are derived
 // counters reading the fabric on demand, so the fabric's own atomics stay
 // the single source of truth; both directions of the wire are visible
 // (sent at the fabric's Send, received when a frame is handed to the
@@ -19,6 +27,9 @@ import (
 // pool is process-wide, so they count every runtime in the process.
 func (rt *Runtime) registerFabricCounters() {
 	f := rt.fabric
+	if t, ok := f.(observedTransport); ok {
+		t.Attach(rt.root, rt.cfg.Trace)
+	}
 	mk := func(name string, read func(network.Stats) uint64) {
 		rt.root.MustRegister(counters.NewDerived(
 			counters.Path{Object: "network", Name: "count/" + name},

@@ -19,7 +19,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -296,22 +295,6 @@ func (rt *Runtime) lookupAction(name string) ActionFunc {
 	rt.actionsMu.RLock()
 	defer rt.actionsMu.RUnlock()
 	return rt.actions[name]
-}
-
-// Actions returns the sorted names of all registered user actions;
-// runtime-internal actions (the "runtime/" namespace) are omitted.
-func (rt *Runtime) Actions() []string {
-	rt.actionsMu.RLock()
-	defer rt.actionsMu.RUnlock()
-	out := make([]string, 0, len(rt.actions))
-	for name := range rt.actions {
-		if strings.HasPrefix(name, "runtime/") {
-			continue
-		}
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EnableCoalescing installs parcel coalescing for an action on every

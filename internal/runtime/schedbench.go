@@ -1,7 +1,5 @@
 package runtime
 
-import "time"
-
 // This file exports just enough of the scheduler to the bench/ and
 // benchmark/ packages: a thin handle over the work-stealing scheduler.
 
@@ -31,9 +29,6 @@ func (f BackgroundFunc) FlushIdle() {}
 type SchedBenchConfig struct {
 	// Workers sizes the pool.
 	Workers int
-	// TaskOverhead is the modeled per-task thread-management cost
-	// (0 disables, matching fine-grained empty-task benchmarks).
-	TaskOverhead time.Duration
 	// Background supplies background network work; nil means none. The
 	// function must have work on every call (return > 0 always), as the
 	// starvation benchmark's does: the scheduler no longer polls its
@@ -53,9 +48,8 @@ type SchedBench struct {
 // NewSchedBench builds and starts a work-stealing scheduler.
 func NewSchedBench(cfg SchedBenchConfig) *SchedBench {
 	s := newScheduler(schedConfig{
-		locality:     0,
-		workers:      cfg.Workers,
-		taskOverhead: cfg.TaskOverhead,
+		locality: 0,
+		workers:  cfg.Workers,
 	}, cfg.Background)
 	s.start()
 	return &SchedBench{s: s}

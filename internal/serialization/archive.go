@@ -85,15 +85,6 @@ func (w *Writer) Varint(v int64) {
 	w.buf = append(w.buf, w.tmp[:n]...)
 }
 
-// Bool appends a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
 // F64 appends a float64 as its IEEE-754 bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
@@ -154,9 +145,6 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-// Offset returns the current read position.
-func (r *Reader) Offset() int { return r.off }
 
 func (r *Reader) fail(err error, what string) {
 	if r.err == nil {
@@ -248,9 +236,6 @@ func (r *Reader) Varint() int64 {
 	r.off += n
 	return v
 }
-
-// Bool reads a boolean. Any nonzero byte decodes as true.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }

@@ -15,8 +15,6 @@ func TestRoundTripScalars(t *testing.T) {
 	w.U64(0x0123456789ABCDEF)
 	w.Uvarint(300)
 	w.Varint(-12345)
-	w.Bool(true)
-	w.Bool(false)
 	w.F64(math.Pi)
 	w.C128(complex(13.3, -23.8))
 
@@ -38,9 +36,6 @@ func TestRoundTripScalars(t *testing.T) {
 	}
 	if got := r.Varint(); got != -12345 {
 		t.Errorf("Varint = %d", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
 	}
 	if got := r.F64(); got != math.Pi {
 		t.Errorf("F64 = %v", got)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Histogram is a fixed-bucket histogram over a half-open interval
@@ -13,9 +12,9 @@ import (
 //
 // It backs the /coalescing/time/parcel-arrival-histogram performance
 // counter from the paper, which records the gap between parcel arrivals
-// for a particular action. HPX encodes that counter's data as a flat
-// int64 array: [low, high, bucket-width, b0, b1, ...]; Values reproduces
-// that encoding.
+// for a particular action, with HPX's bucket layout (HPX encodes the
+// counter as a flat int64 array [low, high, bucket-width, b0, b1, ...]).
+// The command-line tools print it with String.
 //
 // Histogram is safe for concurrent use.
 type Histogram struct {
@@ -27,7 +26,6 @@ type Histogram struct {
 	under   uint64
 	over    uint64
 	count   uint64
-	sum     float64
 }
 
 // NewHistogram creates a histogram covering [low, high) with n buckets.
@@ -48,37 +46,10 @@ func NewHistogram(low, high float64, n int) *Histogram {
 	}
 }
 
-// Observe records one sample.
-func (h *Histogram) Observe(x float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += x
-	switch {
-	case x < h.low:
-		h.under++
-	case x >= h.high:
-		h.over++
-	default:
-		i := int((x - h.low) / h.width)
-		if i >= len(h.buckets) { // guard against floating point edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// ObserveDuration records a duration sample in microseconds, the unit the
-// paper's arrival-gap histogram uses.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(float64(d) / float64(time.Microsecond))
-}
-
 // ObserveBatch records a batch of samples under a single lock
 // acquisition. Hot paths that would otherwise contend on the histogram
 // mutex (the coalescer's striped Put) buffer samples locally and fold
-// them in here; the result is identical to observing each sample
-// individually.
+// them in here.
 func (h *Histogram) ObserveBatch(xs []float64) {
 	if len(xs) == 0 {
 		return
@@ -87,7 +58,6 @@ func (h *Histogram) ObserveBatch(xs []float64) {
 	defer h.mu.Unlock()
 	for _, x := range xs {
 		h.count++
-		h.sum += x
 		switch {
 		case x < h.low:
 			h.under++
@@ -110,46 +80,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Mean returns the mean of all observations, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Buckets returns a copy of the in-range bucket counts.
-func (h *Histogram) Buckets() []uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]uint64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
-// UnderOver returns the underflow and overflow counts.
-func (h *Histogram) UnderOver() (under, over uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.under, h.over
-}
-
-// Values returns the histogram in HPX's flat int64 encoding:
-// [low, high, bucket-width, bucket0, bucket1, ...]. Boundary values are
-// truncated toward zero exactly as HPX does.
-func (h *Histogram) Values() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int64, 0, 3+len(h.buckets))
-	out = append(out, int64(h.low), int64(h.high), int64(h.width))
-	for _, b := range h.buckets {
-		out = append(out, int64(b))
-	}
-	return out
-}
-
 // Reset clears all buckets and totals, keeping the configured range.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
@@ -157,30 +87,7 @@ func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i] = 0
 	}
-	h.under, h.over, h.count, h.sum = 0, 0, 0, 0
-}
-
-// Quantile returns an approximate q-quantile (0<=q<=1) computed from the
-// bucket midpoints. Underflow samples are treated as h.low and overflow
-// samples as h.high.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || q < 0 || q > 1 {
-		return 0
-	}
-	target := q * float64(h.count)
-	cum := float64(h.under)
-	if cum >= target && h.under > 0 {
-		return h.low
-	}
-	for i, b := range h.buckets {
-		cum += float64(b)
-		if cum >= target {
-			return h.low + (float64(i)+0.5)*h.width
-		}
-	}
-	return h.high
+	h.under, h.over, h.count = 0, 0, 0
 }
 
 // String renders a compact ASCII view of the histogram, useful in the

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // Online accumulates samples one at a time using Welford's algorithm,
 // providing numerically stable running mean and variance without storing
@@ -78,61 +75,11 @@ func (o *Online) AddN(count uint64, sum float64) {
 	o.m2 += delta * delta * na * nb / (na + nb)
 }
 
-// Count returns the number of samples accumulated so far.
-func (o *Online) Count() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.n
-}
-
 // Mean returns the running mean, or 0 when no samples were added.
 func (o *Online) Mean() float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.mean
-}
-
-// Sum returns the running total of all samples.
-func (o *Online) Sum() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.total
-}
-
-// Variance returns the running unbiased sample variance, or 0 when fewer
-// than two samples were added.
-func (o *Online) Variance() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the running unbiased sample standard deviation.
-func (o *Online) StdDev() float64 {
-	return math.Sqrt(o.Variance())
-}
-
-// Min returns the smallest sample seen, or 0 when empty.
-func (o *Online) Min() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the largest sample seen, or 0 when empty.
-func (o *Online) Max() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
 }
 
 // Reset discards all accumulated state, returning the accumulator to its
@@ -142,28 +89,4 @@ func (o *Online) Reset() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.n, o.mean, o.m2, o.min, o.max, o.total = 0, 0, 0, 0, 0, 0
-}
-
-// Snapshot captures the accumulator's current state without resetting it.
-type Snapshot struct {
-	Count  uint64
-	Mean   float64
-	Sum    float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Snapshot returns a consistent snapshot of the accumulator.
-func (o *Online) Snapshot() Snapshot {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := Snapshot{Count: o.n, Mean: o.mean, Sum: o.total, Min: o.min, Max: o.max}
-	if o.n >= 2 {
-		s.StdDev = math.Sqrt(o.m2 / float64(o.n-1))
-	}
-	if o.n == 0 {
-		s.Min, s.Max = 0, 0
-	}
-	return s
 }

@@ -25,7 +25,7 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if o.Min() != 4 || o.Max() != 42 {
 		t.Errorf("Min/Max = %v/%v", o.Min(), o.Max())
 	}
-	if got, want := o.Sum(), Sum(xs); !almostEqual(got, want, 1e-9) {
+	if got, want := o.Sum(), Mean(xs)*float64(len(xs)); !almostEqual(got, want, 1e-9) {
 		t.Errorf("Sum = %v, want %v", got, want)
 	}
 }

@@ -99,39 +99,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// LinearRegression fits y = slope*x + intercept by ordinary least squares
-// and returns the coefficients together with the coefficient of
-// determination r².
-func LinearRegression(xs, ys []float64) (slope, intercept, r2 float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, 0, ErrMismatchedLengths
-	}
-	n := len(xs)
-	if n < 2 {
-		return 0, 0, 0, ErrInsufficientData
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx := xs[i] - mx
-		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return 0, 0, 0, errors.New("stats: zero variance in x")
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	if syy == 0 {
-		r2 = 1
-	} else {
-		r2 = (sxy * sxy) / (sxx * syy)
-	}
-	return slope, intercept, r2, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. The input need not be
 // sorted; it is not modified.
@@ -184,13 +151,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

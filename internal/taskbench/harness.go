@@ -36,8 +36,6 @@ type SweepConfig struct {
 	// network.DefaultCostModel, whose per-message send overhead is what
 	// coalescing amortizes.
 	CostModel network.CostModel
-	// Timeout bounds each individual run (default 60s).
-	Timeout time.Duration
 }
 
 // WithDefaults resolves unset fields.
@@ -118,7 +116,7 @@ func sweepPattern(cfg SweepConfig, pat Pattern) (PatternReport, error) {
 	})
 	defer rt.Shutdown()
 
-	bench, err := New(rt, Options{Timeout: cfg.Timeout})
+	bench, err := New(rt, Options{})
 	if err != nil {
 		return PatternReport{}, err
 	}

@@ -34,8 +34,6 @@ type PhaseDemoConfig struct {
 	InitialParams coalescing.Params
 	// CostModel shapes the fabric; zero selects the default model.
 	CostModel network.CostModel
-	// Timeout bounds each run (default 60s).
-	Timeout time.Duration
 }
 
 // WithDefaults resolves unset fields.
@@ -100,7 +98,7 @@ func RunPhaseDemo(cfg PhaseDemoConfig) (PhaseDemoResult, error) {
 	})
 	defer rt.Shutdown()
 
-	bench, err := New(rt, Options{Timeout: cfg.Timeout})
+	bench, err := New(rt, Options{})
 	if err != nil {
 		return PhaseDemoResult{}, err
 	}

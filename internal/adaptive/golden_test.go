@@ -260,12 +260,12 @@ func TestGoldenDestClimb(t *testing.T) {
 	cfg := MultiTunerConfig{}.withDefaults()
 	for _, tc := range destSeries {
 		t.Run(tc.name, func(t *testing.T) {
-			cl := &destClimb{params: tc.start, ivCap: tc.ivCap, prevOH: -1, dir: tc.dir, knob: tc.knob}
+			cl := newDestClimb(tc.start, tc.ivCap, cfg.MaxNParcels, tc.knob, tc.dir)
 			for i, oh := range tc.windows {
 				got := "-"
 				if oh == quiet {
-					cl.prevOH = -1 // what tick does with a quiet or cold window
-				} else if next, reason, moved := cl.step(oh, cfg.MaxNParcels); moved {
+					cl.c.reset() // what tick does with a quiet or cold window
+				} else if next, reason, moved := cl.step(oh); moved {
 					got = fmt.Sprintf("n=%d iv=%v %s", next.NParcels, next.Interval, reason)
 					cl.params = next
 				}

@@ -76,21 +76,30 @@ const (
 	knobPeriod = 3
 )
 
-// destClimb is the per-destination hill-climb state.
+// destClimb is the per-destination hill-climb state: one climb, whose
+// knob rotates between NParcels and Interval.
 type destClimb struct {
 	params coalescing.Params // override currently installed
+	c      climb
 	// ivCap bounds the Interval knob at the global Interval the climb
 	// started from: a hot destination's flushes should be full-driven,
 	// and the Eq. 4 signal cannot see the latency cost of a longer
-	// timer, so the climb only ever shortens it.
+	// timer, so the climb only ever shortens it. maxN bounds NParcels.
 	ivCap   time.Duration
-	prevOH  float64 // destination overhead last window (-1: none)
-	dir     int     // +1 raise the knob, -1 lower it
-	knob    int     // knobNParcels or knobInterval
-	moves   int     // moves on the current knob since rotation
-	holds   int     // consecutive within-noise windows
-	lastHot int64   // window sequence when last above threshold
-	coldFor int     // consecutive windows below threshold
+	maxN    int64
+	moves   int   // moves on the current knob since rotation
+	holds   int   // consecutive within-noise windows
+	lastHot int64 // window sequence when last above threshold
+	coldFor int   // consecutive windows below threshold
+}
+
+// newDestClimb starts a destination's climb from params on knob, in
+// direction dir, judging its first window fresh.
+func newDestClimb(params coalescing.Params, ivCap time.Duration, maxN, knob, dir int) *destClimb {
+	cl := &destClimb{params: params, ivCap: ivCap, maxN: int64(maxN)}
+	cl.c.prev = -1
+	cl.setKnob(knob, dir)
+	return cl
 }
 
 // MultiTuner hill-climbs the coalescing parameters of one action against
@@ -131,7 +140,7 @@ func NewMultiTuner(rt *runtime.Runtime, action string, cfg MultiTunerConfig) *Mu
 		action:  action,
 		cfg:     cfg,
 		log:     newDecisionLog(DefaultMaxDecisions),
-		rest:    climb{prev: -1, dir: +1, lo: minNParcels, hi: int64(cfg.MaxNParcels)},
+		rest:    climb{prev: -1, dir: +1, knob: knobNParcels, lo: minNParcels, hi: int64(cfg.MaxNParcels)},
 		tracked: make(map[int]*destClimb),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -295,7 +304,7 @@ func (t *MultiTuner) quiet() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, cl := range t.tracked {
-		cl.prevOH = -1
+		cl.c.reset()
 	}
 	t.rest.reset()
 }
@@ -346,15 +355,15 @@ func (t *MultiTuner) tick(seq int64, overhead float64, deltas map[int]int64, glo
 		if !ok {
 			joined = true
 			ivCap := min(max(global.Interval, minInterval), maxInterval)
-			cl = &destClimb{params: global, ivCap: ivCap, prevOH: -1, dir: +1, knob: knobNParcels}
+			cl = newDestClimb(global, ivCap, t.cfg.MaxNParcels, knobNParcels, +1)
 			t.tracked[d] = cl
 		}
 		cl.lastHot = seq
 		cl.coldFor = 0
 
 		destOH := overhead * share
-		next, reason, moved := cl.step(destOH, t.cfg.MaxNParcels)
-		if !moved {
+		next, reason, decided := cl.step(destOH)
+		if !decided {
 			continue
 		}
 		if err := t.rt.SetCoalescingParamsDest(t.action, d, next); err != nil {
@@ -379,12 +388,21 @@ func (t *MultiTuner) tick(seq int64, overhead float64, deltas map[int]int64, glo
 	// different traffic.
 	if rest >= minDestParcels {
 		restOH := overhead * (float64(rest) / float64(total))
-		if n, out := t.rest.step(restOH, int64(global.NParcels)); out == moved {
+		if stepped, out := t.rest.step(restOH, global); out >= moved {
+			// The rest owns the action-wide NParcels and nothing else: a
+			// settle on parameters seen before a caller changed the
+			// Interval installs their NParcels only.
 			next := global
-			next.NParcels = int(n)
-			if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
-				t.fail(GlobalDest, restOH, global, err)
-				return hot, true
+			next.NParcels = stepped.NParcels
+			if next != global {
+				if err := t.rt.SetCoalescingParams(t.action, next); err != nil {
+					t.fail(GlobalDest, restOH, global, err)
+					return hot, true
+				}
+			}
+			reason := fmt.Sprintf("n_oh=%.4f dir=%+d", restOH, t.rest.dir)
+			if out != moved {
+				reason = t.rest.why(out, restOH)
 			}
 			t.log.add(Decision{
 				When:     time.Now(),
@@ -392,7 +410,7 @@ func (t *MultiTuner) tick(seq int64, overhead float64, deltas map[int]int64, glo
 				Overhead: restOH,
 				From:     global,
 				To:       next,
-				Reason:   fmt.Sprintf("n_oh=%.4f dir=%+d", restOH, t.rest.dir),
+				Reason:   reason,
 			})
 		}
 	}
@@ -407,7 +425,7 @@ func (t *MultiTuner) tick(seq int64, overhead float64, deltas map[int]int64, glo
 	shareOH := func(d int) float64 { return overhead * float64(deltas[d]) / float64(total) }
 	for d, cl := range t.tracked {
 		if cl.lastHot != seq {
-			cl.prevOH = -1 // signal composition changed; judge fresh
+			cl.c.reset() // signal composition changed; judge fresh
 			cl.coldFor++
 			if cl.coldFor >= idleWindows {
 				t.evict(d, shareOH(d), "cold")
@@ -447,22 +465,20 @@ func (t *MultiTuner) evict(d int, overhead float64, why string) {
 	})
 }
 
-// step advances one destination's coordinate descent, with NParcels
-// bounded by [minNParcels, maxN], and returns the next parameters, a
-// reason string, and whether a move was made. The climb itself is
-// climb.step on whichever knob the descent is on; what a destination adds
-// is the rotation between knobs.
-func (cl *destClimb) step(destOH float64, maxN int) (coalescing.Params, string, bool) {
-	c := climb{prev: cl.prevOH, dir: cl.dir, lo: minNParcels, hi: int64(maxN)}
-	cur := int64(cl.params.NParcels)
-	if cl.knob == knobInterval {
-		cur, c.lo, c.hi = int64(cl.params.Interval), int64(minInterval), int64(cl.ivCap)
-	}
-	judged := cl.prevOH >= 0
-	n, out := c.step(destOH, cur)
-	cl.prevOH, cl.dir = c.prev, c.dir
-
-	if out == held {
+// step advances one destination's coordinate descent and returns the
+// next parameters, a reason string, and whether a decision was made. The
+// climb itself, settle included, is climb.step on whichever knob the
+// descent is on; what a destination adds is the rotation between knobs,
+// which a settled climb does not make.
+func (cl *destClimb) step(destOH float64) (coalescing.Params, string, bool) {
+	judged := cl.c.prev >= 0
+	next, out := cl.c.step(destOH, cl.params)
+	switch {
+	case out == settled || out == unsettled:
+		return next, cl.c.why(out, destOH), true
+	case cl.c.isSettled:
+		return coalescing.Params{}, "", false
+	case out == held:
 		// After two windows within noise rotate to the other knob — this
 		// one has plateaued.
 		cl.holds++
@@ -479,33 +495,36 @@ func (cl *destClimb) step(destOH float64, maxN int) (coalescing.Params, string, 
 		cl.rotate()
 		return coalescing.Params{}, "", false
 	}
-	next := cl.params
-	if cl.knob == knobInterval {
-		next.Interval = time.Duration(n)
-	} else {
-		next.NParcels = int(n)
-	}
 	cl.moves++
 	if cl.moves >= knobPeriod {
 		cl.rotate()
 	}
 	knobName := "n"
-	if cl.knob == knobInterval {
+	if cl.c.knob == knobInterval {
 		knobName = "interval"
 	}
-	return next, fmt.Sprintf("d_oh=%.4f knob=%s dir=%+d", destOH, knobName, cl.dir), true
+	return next, fmt.Sprintf("d_oh=%.4f knob=%s dir=%+d", destOH, knobName, cl.c.dir), true
 }
 
 // rotate moves the coordinate descent to the next knob. The Interval
 // knob starts downward (shorten the timer; its cap forbids going above
 // the inherited global value), NParcels upward.
 func (cl *destClimb) rotate() {
-	cl.knob = (cl.knob + 1) % knobCount
-	cl.moves = 0
-	cl.holds = 0
-	if cl.knob == knobInterval {
-		cl.dir = -1
+	knob, dir := (cl.c.knob+1)%knobCount, +1
+	if knob == knobInterval {
+		dir = -1
+	}
+	cl.setKnob(knob, dir)
+}
+
+// setKnob points the climb at knob, in direction dir, within the knob's
+// bounds.
+func (cl *destClimb) setKnob(knob, dir int) {
+	cl.c.knob, cl.c.dir = knob, dir
+	cl.moves, cl.holds = 0, 0
+	if knob == knobInterval {
+		cl.c.lo, cl.c.hi = int64(minInterval), int64(cl.ivCap)
 	} else {
-		cl.dir = +1
+		cl.c.lo, cl.c.hi = minNParcels, cl.maxN
 	}
 }

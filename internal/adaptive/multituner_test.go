@@ -435,7 +435,7 @@ func TestMultiTunerRestJudgedFreshWhenItsMembershipChanges(t *testing.T) {
 func TestDestClimbIntervalNeverExceedsInheritedCap(t *testing.T) {
 	cfg := MultiTunerConfig{}.withDefaults()
 	start := coalescing.Params{NParcels: 8, Interval: 200 * time.Microsecond, MaxBufferBytes: 1}
-	cl := &destClimb{params: start, ivCap: start.Interval, prevOH: -1, dir: +1, knob: knobInterval}
+	cl := newDestClimb(start, start.Interval, cfg.MaxNParcels, knobInterval, +1)
 	oh := 0.5
 	for i := 0; i < 40; i++ {
 		// Alternate improving and worsening signals so both directions and
@@ -445,7 +445,7 @@ func TestDestClimbIntervalNeverExceedsInheritedCap(t *testing.T) {
 		} else {
 			oh *= 1.1
 		}
-		next, _, moved := cl.step(oh, cfg.MaxNParcels)
+		next, _, moved := cl.step(oh)
 		if moved {
 			if next.Interval > start.Interval {
 				t.Fatalf("step %d raised interval to %v above cap %v", i, next.Interval, start.Interval)

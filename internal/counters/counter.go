@@ -135,9 +135,8 @@ func (c *Average) RecordDuration(d time.Duration) {
 
 // RecordBatch folds a pre-aggregated batch of count samples with the
 // given sum, under a single lock acquisition. The running mean is exactly
-// as if each sample had been recorded individually; within-batch variance
-// is lost (see stats.Online.AddN). Hot paths use this to amortize
-// counter-mutex contention.
+// as if each sample had been recorded individually. Hot paths use this to
+// amortize counter-mutex contention.
 func (c *Average) RecordBatch(count uint64, sum float64) {
 	c.acc.AddN(count, sum)
 }

@@ -22,10 +22,9 @@ func (l *Locality) ComponentCount() int { return l.components.size() }
 // Actions returns the sorted names of all registered user actions;
 // runtime-internal actions (the "runtime/" namespace) are omitted.
 func (rt *Runtime) Actions() []string {
-	rt.actionsMu.RLock()
-	defer rt.actionsMu.RUnlock()
-	out := make([]string, 0, len(rt.actions))
-	for name := range rt.actions {
+	actions := *rt.actions.Load()
+	out := make([]string, 0, len(actions))
+	for name := range actions {
 		if strings.HasPrefix(name, "runtime/") {
 			continue
 		}

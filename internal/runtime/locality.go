@@ -217,7 +217,7 @@ func (l *Locality) Async(dest int, action string, args []byte) (*lco.Future[[]by
 		return nil, fmt.Errorf("runtime: %w: locality %d", network.ErrLocalityDown, dest)
 	}
 	if dest == l.id {
-		fn := l.rt.lookupAction(action)
+		fn := l.rt.lookupAction(action).fn
 		if fn == nil {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownAction, action)
 		}
@@ -265,7 +265,7 @@ func (l *Locality) Apply(dest int, action string, args []byte) error {
 		return fmt.Errorf("runtime: %w: locality %d", network.ErrLocalityDown, dest)
 	}
 	if dest == l.id {
-		fn := l.rt.lookupAction(action)
+		fn := l.rt.lookupAction(action).fn
 		if fn == nil {
 			return fmt.Errorf("%w: %q", ErrUnknownAction, action)
 		}
@@ -291,37 +291,58 @@ func (l *Locality) dropContinuation(g agas.GID) {
 // deliverParcel converts a received parcel into a task (the parcel
 // subsystem's receive side: "the parcel is then converted into a HPX
 // thread and placed in the scheduler queue for execution"). The task is
-// the parcel itself, run by runParcel; a parcel whose task cannot be
-// spawned is released on the spot.
+// the parcel itself with its resolved action, run by runParcel; a parcel
+// whose task cannot be spawned is released on the spot. A direct action
+// is the exception: it runs here, inline in the port's delivery loop, on
+// the worker doing background work (see RegisterDirectAction).
 func (l *Locality) deliverParcel(p *parcel.Parcel) {
-	if !l.sched.spawnParcel(p) {
+	var fn ActionFunc
+	if !hasPrefix(p.Action, setValuePrefix) && !hasPrefix(p.Action, componentActionPrefix) {
+		a := l.rt.lookupAction(p.Action)
+		if a.direct {
+			l.runParcel(p, a.fn)
+			return
+		}
+		fn = a.fn
+	}
+	if !l.sched.spawnParcel(p, fn) {
 		p.Release()
 	}
 }
 
-// runParcel is the body of a received parcel's task: it dispatches the
-// parcel by kind, then Releases it. Received parcels are borrowed: their
-// Action/Args alias the pooled wire payload (see parcel/borrow.go), so
-// action bodies must not retain args past their own return, and the paths
-// that do retain the parcel (forwardParcel's migration machinery) Detach
-// it first, turning the Release into a no-op.
-func (l *Locality) runParcel(p *parcel.Parcel) {
+// hasPrefix reports whether an action name carries a system prefix and
+// something after it.
+func hasPrefix(action, prefix string) bool {
+	return len(action) > len(prefix) && action[:len(prefix)] == prefix
+}
+
+// runParcel is the body of a received parcel's task, or of a direct
+// action in the delivery loop: it dispatches the parcel by kind, then
+// Releases it. fn is the parcel's action as deliverParcel resolved it,
+// nil for a system parcel or an unknown action. Received parcels are
+// borrowed: their Action/Args alias the pooled wire payload (see
+// parcel/borrow.go), so action bodies must not retain args past their own
+// return, and the paths that do retain the parcel (forwardParcel's
+// migration machinery) Detach it first, turning the Release into a no-op.
+func (l *Locality) runParcel(p *parcel.Parcel, fn ActionFunc) {
 	switch {
-	case len(p.Action) > len(setValuePrefix) && p.Action[:len(setValuePrefix)] == setValuePrefix:
+	case fn != nil:
+		l.executeAction(p, fn)
+	case hasPrefix(p.Action, setValuePrefix):
 		l.completeContinuation(p)
-	case len(p.Action) > len(componentActionPrefix) && p.Action[:len(componentActionPrefix)] == componentActionPrefix:
+	case hasPrefix(p.Action, componentActionPrefix):
 		l.executeComponentAction(p)
 	default:
-		l.executeAction(p)
+		l.executeAction(p, nil)
 	}
 	p.Release()
 }
 
-// executeAction runs a request parcel's action and, if a continuation is
-// attached, sends the result back as a set-value parcel for the response
-// action — which is coalesced whenever the request action is.
-func (l *Locality) executeAction(p *parcel.Parcel) {
-	fn := l.rt.lookupAction(p.Action)
+// executeAction runs a request parcel's action fn (nil: unknown) and, if
+// a continuation is attached, sends the result back as a set-value parcel
+// for the response action — which is coalesced whenever the request
+// action is.
+func (l *Locality) executeAction(p *parcel.Parcel, fn ActionFunc) {
 	var res []byte
 	var err error
 	start := time.Now()

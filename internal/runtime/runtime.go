@@ -14,6 +14,22 @@
 // destination, whose result travels back as a set-value parcel that
 // fulfils the caller's future. This is the full path of the paper's
 // Listing 1.
+//
+// # Direct actions
+//
+// An action registered with RegisterDirectAction is HPX's direct action:
+// a parcel for it from another locality creates no task. The worker that
+// decodes the parcel runs the body inline, in the port's delivery loop,
+// so its time is Eq. 3 background work and it pays no TaskOverhead. In
+// exchange the body is bound by a contract:
+//
+//   - it must not block: no future Get, no waits on a latch or a lock
+//     held across a task, no sleeps, since it holds up the receive path;
+//   - it must not retain its args past its return (they alias the
+//     received wire buffer, which is released when the body returns);
+//   - it may Apply and Spawn, which is how it hands real work to a task;
+//   - applied to its own locality, it runs as a task like any other
+//     action.
 package runtime
 
 import (
@@ -21,6 +37,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agas"
@@ -35,6 +52,13 @@ import (
 // ActionFunc is the body of an action: it receives the execution context
 // and the serialized argument pack and returns a serialized result.
 type ActionFunc func(ctx *Context, args []byte) ([]byte, error)
+
+// action is one entry of the action table: the body, and whether it runs
+// as a direct action (see RegisterDirectAction).
+type action struct {
+	fn     ActionFunc
+	direct bool
+}
 
 // Context is passed to every executing action. It is shared and read-only:
 // every action a locality runs for one source locality gets the same
@@ -132,8 +156,12 @@ type Runtime struct {
 	locs    []*Locality
 	root    *counters.Registry
 
+	// actions is the plain-action table, copied on every registration
+	// and read without a lock: the receive path resolves every parcel's
+	// action here. actionsMu serializes the writers and guards the
+	// component tables.
+	actions          atomic.Pointer[map[string]action]
 	actionsMu        sync.RWMutex
-	actions          map[string]ActionFunc
 	componentActions map[string]ComponentActionFunc
 	componentTypes   map[string]ComponentFactory
 
@@ -174,13 +202,14 @@ func New(cfg Config) *Runtime {
 		agas:             agas.NewService(cfg.Localities),
 		timers:           timer.NewService(timer.ServiceOptions{}),
 		root:             counters.NewRegistry(),
-		actions:          make(map[string]ActionFunc),
 		componentActions: make(map[string]ComponentActionFunc),
 		componentTypes:   make(map[string]ComponentFactory),
 		coalescers:       make(map[string][]*coalescing.Coalescer),
 	}
-	rt.actions[migrateAction] = handleMigrate
-	rt.actions[heartbeatAction] = handleHeartbeat
+	rt.actions.Store(&map[string]action{
+		migrateAction:   {fn: handleMigrate},
+		heartbeatAction: {fn: handleHeartbeat},
+	})
 	if cfg.Fabric != nil {
 		rt.fabric = cfg.Fabric
 	} else {
@@ -267,9 +296,27 @@ func (rt *Runtime) Timers() *timer.Service { return rt.timers }
 func (rt *Runtime) Fabric() network.Fabric { return rt.fabric }
 
 // RegisterAction binds a name to an action body on every locality (all
-// localities share the binary, as with HPX_PLAIN_ACTION).
+// localities share the binary, as with HPX_PLAIN_ACTION). A received
+// parcel for it becomes a scheduler task.
 func (rt *Runtime) RegisterAction(name string, fn ActionFunc) error {
-	if name == "" || fn == nil {
+	return rt.register(name, action{fn: fn})
+}
+
+// RegisterDirectAction binds a name to a direct action, HPX's
+// direct_action: a parcel for it that arrives from another locality runs
+// its body on the worker that decodes the parcel, inside the port's
+// background work, instead of becoming a scheduler task. Its time counts
+// as Eq. 3 background work and it pays no TaskOverhead. The body must not
+// block, must not retain args past its return, and may Apply and Spawn
+// (see the package comment). Applied to its own locality it runs as a
+// task, like any action.
+func (rt *Runtime) RegisterDirectAction(name string, fn ActionFunc) error {
+	return rt.register(name, action{fn: fn, direct: true})
+}
+
+// register installs one action in a copy of the table.
+func (rt *Runtime) register(name string, a action) error {
+	if name == "" || a.fn == nil {
 		return errors.New("runtime: action needs a name and a body")
 	}
 	if strings.HasPrefix(name, setValuePrefix) {
@@ -277,10 +324,16 @@ func (rt *Runtime) RegisterAction(name string, fn ActionFunc) error {
 	}
 	rt.actionsMu.Lock()
 	defer rt.actionsMu.Unlock()
-	if _, dup := rt.actions[name]; dup {
+	old := *rt.actions.Load()
+	if _, dup := old[name]; dup {
 		return fmt.Errorf("runtime: action %q already registered", name)
 	}
-	rt.actions[name] = fn
+	next := make(map[string]action, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[name] = a
+	rt.actions.Store(&next)
 	return nil
 }
 
@@ -291,10 +344,10 @@ func (rt *Runtime) MustRegisterAction(name string, fn ActionFunc) {
 	}
 }
 
-func (rt *Runtime) lookupAction(name string) ActionFunc {
-	rt.actionsMu.RLock()
-	defer rt.actionsMu.RUnlock()
-	return rt.actions[name]
+// lookupAction returns the action registered under name; its fn is nil
+// when there is none.
+func (rt *Runtime) lookupAction(name string) action {
+	return (*rt.actions.Load())[name]
 }
 
 // EnableCoalescing installs parcel coalescing for an action on every

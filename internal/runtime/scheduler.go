@@ -15,11 +15,13 @@ import (
 
 // task is one unit of lightweight work (an HPX thread): a closure, or a
 // received parcel that the locality's runParcel turns into its action.
-// Exactly one field is set. A parcel task carries no closure, so
-// delivering a parcel allocates nothing.
+// Either run is set, or p is, with fn the parcel's action as delivery
+// resolved it (nil for a system parcel). A parcel task carries no
+// closure, so delivering a parcel allocates nothing.
 type task struct {
 	run func()
 	p   *parcel.Parcel
+	fn  ActionFunc
 }
 
 // backgroundWorker is the slice of the parcel port the scheduler drives
@@ -42,7 +44,7 @@ type schedConfig struct {
 	fallbackPark time.Duration // 0 selects defaultFallbackPark; tests stretch it
 	taskOverhead time.Duration
 	registry     *counters.Registry
-	runParcel    func(*parcel.Parcel) // body of every parcel task
+	runParcel    func(*parcel.Parcel, ActionFunc) // body of every parcel task
 }
 
 // Tuning constants of the work-stealing scheduler.
@@ -372,9 +374,11 @@ func (s *scheduler) stop() {
 // task may simply be dropped).
 func (s *scheduler) spawn(fn func()) bool { return s.spawnTask(task{run: fn}) }
 
-// spawnParcel spawns a received parcel's task, which runs cfg.runParcel(p),
-// like spawn.
-func (s *scheduler) spawnParcel(p *parcel.Parcel) bool { return s.spawnTask(task{p: p}) }
+// spawnParcel spawns a received parcel's task, which runs
+// cfg.runParcel(p, fn), like spawn.
+func (s *scheduler) spawnParcel(p *parcel.Parcel, fn ActionFunc) bool {
+	return s.spawnTask(task{p: p, fn: fn})
+}
 
 func (s *scheduler) spawnTask(t task) bool {
 	if s.stopping.Load() {
@@ -770,7 +774,7 @@ func (s *scheduler) execute(w *worker, t task) {
 // runTask runs one task's body.
 func (s *scheduler) runTask(t task) {
 	if t.p != nil {
-		s.cfg.runParcel(t.p)
+		s.cfg.runParcel(t.p, t.fn)
 		return
 	}
 	t.run()

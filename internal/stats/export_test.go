@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Test probes. The shipped code reads a histogram through String and an
 // accumulator through Mean; these read the rest of their state.
 
@@ -29,32 +27,7 @@ func (h *Histogram) UnderOver() (under, over uint64) {
 func (o *Online) Sum() float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.total
-}
-
-// StdDev returns the running unbiased sample standard deviation.
-func (o *Online) StdDev() float64 {
-	return math.Sqrt(o.Variance())
-}
-
-// Min returns the smallest sample seen, or 0 when empty.
-func (o *Online) Min() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the largest sample seen, or 0 when empty.
-func (o *Online) Max() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
+	return o.sum
 }
 
 // Values returns the histogram in HPX's flat int64 encoding:
@@ -76,39 +49,4 @@ func (o *Online) Count() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.n
-}
-
-// Variance returns the running unbiased sample variance, or 0 when fewer
-// than two samples were added.
-func (o *Online) Variance() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Snapshot returns a consistent snapshot of the accumulator.
-func (o *Online) Snapshot() Snapshot {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := Snapshot{Count: o.n, Mean: o.mean, Sum: o.total, Min: o.min, Max: o.max}
-	if o.n >= 2 {
-		s.StdDev = math.Sqrt(o.m2 / float64(o.n-1))
-	}
-	if o.n == 0 {
-		s.Min, s.Max = 0, 0
-	}
-	return s
-}
-
-// Snapshot captures the accumulator's current state without resetting it.
-type Snapshot struct {
-	Count  uint64
-	Mean   float64
-	Sum    float64
-	StdDev float64
-	Min    float64
-	Max    float64
 }

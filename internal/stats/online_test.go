@@ -16,14 +16,8 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if got, want := o.Mean(), Mean(xs); !almostEqual(got, want, 1e-9) {
 		t.Errorf("Mean = %v, want %v", got, want)
 	}
-	if got, want := o.Variance(), Variance(xs); !almostEqual(got, want, 1e-9) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
 	if got := o.Count(); got != uint64(len(xs)) {
 		t.Errorf("Count = %v", got)
-	}
-	if o.Min() != 4 || o.Max() != 42 {
-		t.Errorf("Min/Max = %v/%v", o.Min(), o.Max())
 	}
 	if got, want := o.Sum(), Mean(xs)*float64(len(xs)); !almostEqual(got, want, 1e-9) {
 		t.Errorf("Sum = %v, want %v", got, want)
@@ -32,12 +26,8 @@ func TestOnlineMatchesBatch(t *testing.T) {
 
 func TestOnlineEmpty(t *testing.T) {
 	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.Count() != 0 || o.Min() != 0 || o.Max() != 0 {
+	if o.Mean() != 0 || o.Count() != 0 || o.Sum() != 0 {
 		t.Error("zero-value Online should report zeros")
-	}
-	s := o.Snapshot()
-	if s.Count != 0 || s.Mean != 0 {
-		t.Errorf("empty snapshot = %+v", s)
 	}
 }
 
@@ -81,9 +71,6 @@ func TestOnlineAddNIntoEmpty(t *testing.T) {
 	if o.Mean() != 10 || o.Count() != 4 {
 		t.Errorf("AddN into empty: mean=%v count=%v", o.Mean(), o.Count())
 	}
-	if o.Min() != 10 || o.Max() != 10 {
-		t.Errorf("AddN into empty: min=%v max=%v", o.Min(), o.Max())
-	}
 }
 
 func TestOnlineConcurrent(t *testing.T) {
@@ -110,18 +97,6 @@ func TestOnlineConcurrent(t *testing.T) {
 	}
 }
 
-func TestOnlineWelfordStability(t *testing.T) {
-	// Large offset should not destroy variance precision.
-	var o Online
-	const offset = 1e9
-	for _, x := range []float64{offset + 4, offset + 7, offset + 13, offset + 16} {
-		o.Add(x)
-	}
-	if got, want := o.Variance(), Variance([]float64{4, 7, 13, 16}); !almostEqual(got, want, 1e-3) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-}
-
 func TestOnlineMatchesBatchProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		for _, x := range xs {
@@ -140,27 +115,9 @@ func TestOnlineMatchesBatchProperty(t *testing.T) {
 			}
 		}
 		return almostEqual(o.Mean(), Mean(xs), 1e-6*scale) &&
-			almostEqual(o.Variance(), Variance(xs), 1e-6*scale) &&
 			o.Count() == uint64(len(xs))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSnapshotConsistency(t *testing.T) {
-	var o Online
-	for _, x := range []float64{1, 2, 3} {
-		o.Add(x)
-	}
-	s := o.Snapshot()
-	if s.Count != 3 || !almostEqual(s.Mean, 2, 1e-12) || !almostEqual(s.Sum, 6, 1e-12) {
-		t.Errorf("snapshot = %+v", s)
-	}
-	if !almostEqual(s.StdDev, 1, 1e-12) {
-		t.Errorf("snapshot stddev = %v, want 1", s.StdDev)
-	}
-	if s.Min != 1 || s.Max != 3 {
-		t.Errorf("snapshot min/max = %v/%v", s.Min, s.Max)
 	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used throughout the
-// reproduction: descriptive statistics, online (Welford) accumulators,
+// reproduction: descriptive statistics, an online mean accumulator,
 // Pearson correlation, relative standard deviation, percentiles, linear
 // regression and histograms.
 //

@@ -38,8 +38,10 @@ type Options struct {
 // points are block-partitioned across localities (point p lives on
 // locality p*L/Width), so a pattern's cross-partition edges become
 // parcels while same-locality edges are counted down in place, exactly
-// as a distributed Task Bench instance would behave: one scheduler task
-// per graph task, plus one per received parcel. A runtime hosting only some
+// as a distributed Task Bench instance would behave. The input action is
+// a direct action: a received input is counted down in the receiving
+// port's background work, as HPX delivers an LCO input, so each graph
+// task is exactly one scheduler task. A runtime hosting only some
 // localities (cluster mode, runtime.Config.Hosted) executes only the
 // points they own; every process runs the same graph.
 type Bench struct {
@@ -134,8 +136,8 @@ func (ru *run) fail(err error) {
 	})
 }
 
-// New registers the input action, subscribes the bench to the runtime's
-// peer events and returns the bench.
+// New registers the input action as a direct action, subscribes the bench
+// to the runtime's peer events and returns the bench.
 func New(rt *runtime.Runtime, opts Options) (*Bench, error) {
 	b := &Bench{rt: rt, action: opts.ActionName, timeout: opts.Timeout, recover: opts.Recover}
 	if b.action == "" {
@@ -144,7 +146,7 @@ func New(rt *runtime.Runtime, opts Options) (*Bench, error) {
 	if b.timeout <= 0 {
 		b.timeout = defaultTimeout
 	}
-	if err := rt.RegisterAction(b.action, b.inputAction); err != nil {
+	if err := rt.RegisterDirectAction(b.action, b.inputAction); err != nil {
 		return nil, err
 	}
 	rt.SubscribePeer(func(ev runtime.PeerEvent) {
@@ -299,7 +301,7 @@ func (b *Bench) installRun(ru *run) {
 	b.pending = keep
 	b.pendMu.Unlock()
 	for _, p := range replay {
-		_ = b.applyInput(ru, p.step, p.point, p.loc, true)
+		_ = b.applyInput(ru, p.step, p.point, p.loc)
 	}
 }
 
@@ -387,9 +389,9 @@ func (b *Bench) portStats() [2]int64 {
 	return out
 }
 
-// inputAction receives one dependence output for (step, point); the last
-// arriving input runs the task body inline — the action already executes
-// as a scheduler task on the owning locality, so no extra hop is needed.
+// inputAction receives one dependence output for (step, point). It is a
+// direct action: it runs in the receiving port's background work, so it
+// only counts the input down, and the last input spawns the task.
 func (b *Bench) inputAction(ctx *runtime.Context, args []byte) ([]byte, error) {
 	r := serialization.NewReader(args)
 	ep := r.Uvarint()
@@ -409,22 +411,19 @@ func (b *Bench) inputAction(ctx *runtime.Context, args []byte) ([]byte, error) {
 			return nil, nil
 		}
 	}
-	return nil, b.applyInput(ru, step, point, ctx.Locality, true)
+	return nil, b.applyInput(ru, step, point, ctx.Locality)
 }
 
 // applyInput counts one dependence input down for (step, point), owned
-// by locality loc. The last input makes the task ready: inline, in a
-// received parcel's task, it runs the body there; otherwise, in the
-// producer, it spawns it, so dataflow never recurses into later steps.
-// A surplus input fails the run.
-func (b *Bench) applyInput(ru *run, step, point, loc int, inline bool) error {
+// by locality loc. The last input spawns the task, so dataflow never
+// recurses into later steps and a task body never runs inside background
+// work. A surplus input fails the run.
+func (b *Bench) applyInput(ru *run, step, point, loc int) error {
 	w := ru.g.Width
 	if step < 0 || step >= ru.g.Steps || point < 0 || point >= w {
 		return fmt.Errorf("taskbench: input for (%d,%d) outside %s", step, point, ru.g)
 	}
 	switch n := ru.remaining[step*w+point].Add(-1); {
-	case n == 0 && inline:
-		b.runTask(ru, step, point, loc)
 	case n == 0:
 		b.spawn(ru, step, point, loc)
 	case n < 0 && !b.recover:
@@ -495,7 +494,7 @@ func (b *Bench) send(ru *run, src *runtime.Locality, step, point int, only []boo
 			// check drops them; a dead destination gets none, as Apply
 			// refuses it.
 			if b.cur.Load() == ru {
-				_ = b.applyInput(ru, step+1, q, dst, false)
+				_ = b.applyInput(ru, step+1, q, dst)
 			}
 			continue
 		}

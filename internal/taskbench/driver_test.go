@@ -203,10 +203,9 @@ func TestFailedSendSkipsNoDependent(t *testing.T) {
 }
 
 // TestOneSchedulerTaskPerGraphTask: a same-locality input is counted down
-// in place, so a graph costs the scheduler one task per graph task, plus
-// one per received parcel (a parcel bringing a task's last input runs its
-// body inline). On one locality every edge is local and the count is
-// exact.
+// in place, and a received one in the port's background work (the input
+// action is a direct action), so a graph costs the scheduler exactly one
+// task per graph task on any number of localities.
 func TestOneSchedulerTaskPerGraphTask(t *testing.T) {
 	for _, localities := range []int{1, 2} {
 		t.Run(fmt.Sprintf("localities-%d", localities), func(t *testing.T) {
@@ -237,9 +236,9 @@ func TestOneSchedulerTaskPerGraphTask(t *testing.T) {
 				time.Sleep(100 * time.Microsecond)
 				got = tasks() - before
 			}
-			if limit := want + res.ParcelsSent; got < want || got > limit {
-				t.Errorf("%d scheduler tasks for %d graph tasks and %d parcels, want %d..%d",
-					got, want, res.ParcelsSent, want, limit)
+			if got != want {
+				t.Errorf("%d scheduler tasks for %d graph tasks and %d parcels, want %d",
+					got, want, res.ParcelsSent, want)
 			}
 		})
 	}
